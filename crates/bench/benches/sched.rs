@@ -10,7 +10,9 @@
 //! seed sweep rate at 1 thread and at `PAR_THREADS` threads. Each
 //! sweep row records the `host_cpus` it ran on, and the speedup figure
 //! (plus its sanity assertion) is skipped on a single-CPU host, where
-//! a parallel-vs-serial ratio is noise, not signal.
+//! a parallel-vs-serial ratio is noise, not signal. The run fails if
+//! `qssf` or `sjf-oracle` falls below a quarter of `fifo-first-fit`'s
+//! jobs/sec: ordered dispatch must not scan the queue.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pai_core::PerfModel;
@@ -126,6 +128,7 @@ fn emit_report(_c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map_or(1, |c| c.get());
 
     let mut outcomes = Vec::new();
+    let mut rates = Vec::new();
     let mut policy_lines = String::new();
     for (i, kind) in PolicyKind::ALL.iter().enumerate() {
         let mut last = None;
@@ -135,16 +138,33 @@ fn emit_report(_c: &mut Criterion) {
             );
         });
         outcomes.push((*kind, last.expect("at least one timing run")));
+        let rate = n as f64 / secs;
+        rates.push((*kind, rate));
         let comma = if i + 1 < PolicyKind::ALL.len() {
             ","
         } else {
             ""
         };
-        policy_lines.push_str(&format!(
-            "    \"{}\": {:.0}{comma}\n",
-            kind.name(),
-            n as f64 / secs
-        ));
+        policy_lines.push_str(&format!("    \"{}\": {rate:.0}{comma}\n", kind.name()));
+    }
+
+    // An ordered queue costs FIFO plus one heap operation per dispatch;
+    // a per-dispatch scan of the backlog would fall far below this.
+    let rate_of = |kind| {
+        rates
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map(|(_, rate)| *rate)
+            .expect("every policy is benchmarked")
+    };
+    let fifo_rate = rate_of(PolicyKind::FifoFirstFit);
+    for kind in [PolicyKind::Qssf, PolicyKind::SjfOracle] {
+        let ratio = rate_of(kind) / fifo_rate;
+        assert!(
+            ratio >= 0.25,
+            "{} runs at {ratio:.3} of fifo-first-fit's jobs/s; the floor is 0.25",
+            kind.name()
+        );
     }
 
     let fifo = outcomes

@@ -60,7 +60,10 @@ impl StepTimeBackend {
 /// let model = PerfModel::paper_default();
 /// let additive = StepTimeEngine::new(model, StepTimeBackend::Additive);
 /// let wfbp = StepTimeEngine::new(model, StepTimeBackend::Dag(OverlapStrategy::Wfbp));
-/// // Overlap can only help: WFBP never prices a step above the sum.
+/// // This job's backward pass hides its gradient pushes, so WFBP
+/// // prices it below the sum. Not every job: WFBP sends one message
+/// // per layer, each paying the path's α, so a job with little compute
+/// // to overlap can price above the sum.
 /// assert!(wfbp.total_time(&job) <= additive.total_time(&job));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,6 +185,32 @@ mod tests {
         let j = job(1.0);
         assert!(wfbp.total_time(&j) < serial.total_time(&j));
         assert!(fused.total_time(&j) < serial.total_time(&j));
+    }
+
+    #[test]
+    fn per_message_latency_prices_a_small_compute_ps_job_above_serial() {
+        // One GFLOP of compute cannot hide 32 gradient pushes: WFBP
+        // pays the PS path's α once per layer where Serial pays it once.
+        let m = PerfModel::paper_default();
+        let serial = StepTimeEngine::new(m, StepTimeBackend::Dag(OverlapStrategy::Serial));
+        let wfbp = StepTimeEngine::new(m, StepTimeBackend::Dag(OverlapStrategy::Wfbp));
+        let j = WorkloadFeatures::builder(Architecture::PsWorker)
+            .cnodes(2)
+            .batch_size(32)
+            .input_bytes(Bytes::from_mb(1.0))
+            .weight_bytes(Bytes::from_mb(1.0))
+            .flops(Flops::from_giga(1.0))
+            .mem_access_bytes(Bytes::from_mb(10.0))
+            .build();
+        let excess = wfbp.total_time(&j).as_f64() - serial.total_time(&j).as_f64();
+        let alpha = NetworkPath::for_arch(m.config(), Architecture::PsWorker)
+            .latency_per_message()
+            .as_f64();
+        assert!(excess > 0.0, "WFBP {excess} s above Serial");
+        assert!(
+            excess <= (DEFAULT_LAYERS - 1) as f64 * alpha,
+            "the excess is at most the extra α charges"
+        );
     }
 
     #[test]

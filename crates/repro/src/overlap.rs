@@ -214,7 +214,8 @@ mod tests {
         let add = backends[0]["mean_step_s"].as_f64().expect("mean");
         let serial = backends[1]["mean_step_s"].as_f64().expect("mean");
         assert!((add - serial).abs() <= 1e-9 * add.abs());
-        // Overlap can only help.
+        // Overlap lowers the population mean, though a job with little
+        // compute to hide its per-message α can price above serial.
         let wfbp = backends[2]["mean_step_s"].as_f64().expect("mean");
         assert!(wfbp <= serial * (1.0 + 1e-12));
     }

@@ -23,7 +23,8 @@
 //! engine — policies only choose *where* a gang lands); under
 //! [`QueueOrder::Qssf`]/[`QueueOrder::SjfOracle`] the head is the
 //! entry with the smallest estimated/true remaining service
-//! (starvation-bounded, ties to the oldest entry). Head-of-line
+//! (starvation-bounded, ties to the oldest entry), found through a
+//! heap in O(log n) rather than a scan of the queue. Head-of-line
 //! blocking is preserved either way: when the selected head does not
 //! fit, nothing behind it backfills. After every event the engine
 //! replays the head against the policy, then reprices every running
@@ -32,7 +33,7 @@
 //! incrementally (`O(running + servers)` per event instead of a full
 //! placement rebuild).
 
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
 use pai_faults::ExponentialBackoff;
 use pai_hw::{ClusterSpec, Seconds};
@@ -157,6 +158,7 @@ const CLASS_REQUEUE: u8 = 1;
 const CLASS_ARRIVAL: u8 = 2;
 
 /// One queued gang.
+#[derive(Clone, Copy)]
 struct QueueEntry {
     job: usize,
     /// Monotone enqueue sequence — the FIFO order and every ordering
@@ -166,6 +168,120 @@ struct QueueEntry {
     queued_at: f64,
     /// Estimated remaining service at enqueue time (0 under FIFO).
     key: f64,
+}
+
+impl QueueEntry {
+    /// False once the entry has been served: its job's [`ReadyQueue`]
+    /// slot then holds [`NOT_QUEUED`] or a later entry's `qseq`.
+    fn is_live(&self, slot: &[u64]) -> bool {
+        slot[self.job] == self.qseq
+    }
+}
+
+/// Key order for the ready queue's max-heap: the greatest entry is the
+/// smallest `(key, qseq)` under `total_cmp`, i.e. the next one served
+/// in key order.
+impl Ord for QueueEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .key
+            .total_cmp(&self.key)
+            .then(other.qseq.cmp(&self.qseq))
+    }
+}
+
+impl PartialOrd for QueueEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for QueueEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for QueueEntry {}
+
+/// A job's [`ReadyQueue`] slot while it has no queued entry.
+const NOT_QUEUED: u64 = u64::MAX;
+
+/// The queued gangs, indexed so that selecting the head costs O(1)
+/// under FIFO and O(log n) amortized under a key ordering.
+///
+/// `qseq` and `queued_at` are stamped together from the engine's
+/// non-decreasing clock, so the entries old enough to be escalated
+/// always form a `qseq` prefix: the head is the oldest live entry when
+/// that one is escalated (or the ordering is FIFO), and otherwise the
+/// smallest `(key, qseq)` — which the heap holds at its top. A served
+/// entry stays in both structures until it surfaces at the front or
+/// the top, where it is dropped, judged stale because its job's slot
+/// no longer holds its `qseq`.
+struct ReadyQueue {
+    /// Every entry in `qseq` order.
+    fifo: VecDeque<QueueEntry>,
+    /// The same entries in key order; `None` under FIFO.
+    by_key: Option<BinaryHeap<QueueEntry>>,
+    /// Per job: the `qseq` of its queued entry, or [`NOT_QUEUED`].
+    slot: Vec<u64>,
+    next_qseq: u64,
+    /// Queue age at which an entry escalates to FIFO service.
+    age: f64,
+}
+
+impl ReadyQueue {
+    fn new(jobs: usize, ordered: bool, age: f64) -> Self {
+        ReadyQueue {
+            fifo: VecDeque::new(),
+            by_key: ordered.then(BinaryHeap::new),
+            slot: vec![NOT_QUEUED; jobs],
+            next_qseq: 0,
+            age,
+        }
+    }
+
+    /// Queues `job` at `now` with ordering key `key`; the job must not
+    /// already be queued.
+    fn push(&mut self, job: usize, now: f64, key: f64) {
+        let entry = QueueEntry {
+            job,
+            qseq: self.next_qseq,
+            queued_at: now,
+            key,
+        };
+        self.next_qseq += 1;
+        self.slot[job] = entry.qseq;
+        if let Some(heap) = &mut self.by_key {
+            heap.push(entry);
+        }
+        self.fifo.push_back(entry);
+    }
+
+    /// The job to serve next at `now`, if any is queued — the same pick
+    /// as the reference scan `select_head`.
+    fn head(&mut self, now: f64) -> Option<usize> {
+        let slot = &self.slot;
+        while self.fifo.front().is_some_and(|e| !e.is_live(slot)) {
+            self.fifo.pop_front();
+        }
+        let oldest = self.fifo.front()?;
+        let Some(heap) = &mut self.by_key else {
+            return Some(oldest.job);
+        };
+        if now - oldest.queued_at >= self.age {
+            return Some(oldest.job);
+        }
+        while heap.peek().is_some_and(|e| !e.is_live(slot)) {
+            heap.pop();
+        }
+        heap.peek().map(|e| e.job)
+    }
+
+    /// Dequeues `job`, the current [`ReadyQueue::head`].
+    fn serve(&mut self, job: usize) {
+        self.slot[job] = NOT_QUEUED;
+    }
 }
 
 /// The live remaining-service estimator behind a [`QueueOrder`].
@@ -208,7 +324,9 @@ impl Estimator {
 /// The queue entry to serve next: index 0 under FIFO, otherwise the
 /// minimum of `(unescalated?, key, qseq)` with entries older than
 /// `age` escalated to FIFO service among themselves — the starvation
-/// bound.
+/// bound. A linear scan, kept as the reference [`ReadyQueue`] is
+/// tested against.
+#[cfg(test)]
 fn select_head(queue: &VecDeque<QueueEntry>, ordered: bool, now: f64, age: f64) -> Option<usize> {
     if queue.is_empty() {
         return None;
@@ -377,8 +495,7 @@ pub fn run_ordered(
     let mut free = vec![per_server; num_servers];
     let mut comm = vec![0usize; num_servers];
     let mut running: Vec<Running> = Vec::new();
-    let mut queue: VecDeque<QueueEntry> = VecDeque::new();
-    let mut qseq = 0u64;
+    let mut queue = ReadyQueue::new(jobs.len(), ordered, starvation_age);
     let mut waiting: Vec<(f64, usize)> = Vec::new();
     let mut events: Vec<EventRecord> = Vec::new();
     let mut seq = 0usize;
@@ -440,11 +557,9 @@ pub fn run_ordered(
             // Nothing can happen but jobs remain: the policy wedged
             // the queue head on an idle cluster.
             None => {
-                let head =
-                    select_head(&queue, ordered, now, starvation_age).map_or(0, |i| queue[i].job);
                 return Err(SchedError::Stalled {
                     policy: policy.name(),
-                    job: head,
+                    job: queue.head(now).map_or(0, |head| jobs[head].id),
                 });
             }
         };
@@ -516,13 +631,7 @@ pub fn run_ordered(
                 // Re-predict with the store as grown by every job
                 // retired before this requeue.
                 let key = est.remaining_key(&jobs[job], state[job].executed, solo[job]);
-                queue.push_back(QueueEntry {
-                    job,
-                    qseq,
-                    queued_at: now,
-                    key,
-                });
-                qseq += 1;
+                queue.push(job, now, key);
                 record(&mut events, &mut seq, now, EventKind::Requeue, job);
             }
             _ => {
@@ -531,21 +640,14 @@ pub fn run_ordered(
                 if est.active() {
                     state[job].predicted = key;
                 }
-                queue.push_back(QueueEntry {
-                    job,
-                    qseq,
-                    queued_at: now,
-                    key,
-                });
-                qseq += 1;
+                queue.push(job, now, key);
                 record(&mut events, &mut seq, now, EventKind::Arrive, job);
             }
         }
 
         // Replay the ordering's head against the policy until it
         // blocks — head-of-line, no backfill behind a blocked head.
-        while let Some(head_idx) = select_head(&queue, ordered, now, starvation_age) {
-            let head = queue[head_idx].job;
+        while let Some(head) = queue.head(now) {
             let j = &jobs[head];
             let assignment = match policy.place(j.cnodes, j.sync, &free) {
                 Some(a) => a,
@@ -557,7 +659,7 @@ pub fn run_ordered(
                 if server >= num_servers || count == 0 || count > free[server] {
                     return Err(SchedError::InvalidAssignment {
                         policy: policy.name(),
-                        job: head,
+                        job: j.id,
                     });
                 }
                 seen.push(server);
@@ -568,10 +670,10 @@ pub fn run_ordered(
             if total != j.cnodes || seen.len() != assignment.len() {
                 return Err(SchedError::InvalidAssignment {
                     policy: policy.name(),
-                    job: head,
+                    job: j.id,
                 });
             }
-            queue.remove(head_idx);
+            queue.serve(head);
             let on_ethernet = match j.sync {
                 SyncClass::Ethernet => true,
                 // A split local gang spills its synchronization onto
@@ -704,6 +806,7 @@ mod tests {
     use pai_hw::Bytes;
     use pai_predict::Signature;
     use pai_sim::cluster::{ClusterJob, Placement};
+    use proptest::prelude::*;
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::testbed(0.7)
@@ -1008,6 +1111,22 @@ mod tests {
                 job: 0
             }
         );
+        // The errors name the job by its id, not its stream position.
+        let renumbered = [job(7, 0.0, 10, 4, SyncClass::Silent)];
+        assert_eq!(
+            run(&c, &renumbered, &RefuseAll, &cfg()).unwrap_err(),
+            SchedError::Stalled {
+                policy: "refuse-all",
+                job: 7
+            }
+        );
+        assert_eq!(
+            run(&c, &renumbered, &Overcommit, &cfg()).unwrap_err(),
+            SchedError::InvalidAssignment {
+                policy: "overcommit",
+                job: 7
+            }
+        );
     }
 
     #[test]
@@ -1072,6 +1191,86 @@ mod tests {
                 assert!(jm.finish_s >= jm.first_start_s);
                 assert!(jm.first_start_s >= jm.arrival_s);
                 assert!(jm.slowdown >= 1.0 - 1e-9);
+            }
+        }
+    }
+
+    /// Jobs a ready-queue workout draws from.
+    const QUEUE_JOBS: usize = 24;
+    /// The workout's starvation age.
+    const STARVE: f64 = 100.0;
+
+    /// One step of a ready-queue workout.
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        /// Queue the `n`-th (mod the count) job not queued now.
+        Push(usize, f64),
+        /// Serve the current head.
+        Serve,
+        /// Advance the clock.
+        Advance(f64),
+    }
+
+    fn queue_op() -> impl Strategy<Value = QueueOp> {
+        // Tied keys, both zeros, the infinities and NaN stress the
+        // total_cmp order; clock steps of exactly half the age land
+        // entries on the escalation boundary.
+        let key = || {
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                Just(f64::NAN),
+                (0u8..3).prop_map(f64::from),
+                -100.0..100.0f64,
+            ]
+        };
+        let push = || (0..QUEUE_JOBS, key()).prop_map(|(n, k)| QueueOp::Push(n, k));
+        prop_oneof![
+            push(),
+            push(),
+            Just(QueueOp::Serve),
+            prop_oneof![Just(0.0), Just(STARVE / 2.0), 0.0..STARVE].prop_map(QueueOp::Advance),
+        ]
+    }
+
+    proptest! {
+        /// The index serves exactly the entry the linear scan picks,
+        /// at every step of a random push / serve / clock workout,
+        /// under FIFO and key order alike.
+        #[test]
+        fn ready_queue_index_matches_the_linear_scan(
+            ordered in any::<bool>(),
+            ops in proptest::collection::vec(queue_op(), 1..300),
+        ) {
+            let mut index = ReadyQueue::new(QUEUE_JOBS, ordered, STARVE);
+            let mut scan: VecDeque<QueueEntry> = VecDeque::new();
+            let mut qseq = 0u64;
+            let mut now = 0.0f64;
+            for op in ops {
+                match op {
+                    QueueOp::Push(n, key) => {
+                        let idle: Vec<usize> = (0..QUEUE_JOBS)
+                            .filter(|&j| scan.iter().all(|e| e.job != j))
+                            .collect();
+                        if !idle.is_empty() {
+                            let job = idle[n % idle.len()];
+                            index.push(job, now, key);
+                            scan.push_back(QueueEntry { job, qseq, queued_at: now, key });
+                            qseq += 1;
+                        }
+                    }
+                    QueueOp::Serve => {
+                        if let Some(i) = select_head(&scan, ordered, now, STARVE) {
+                            index.serve(scan[i].job);
+                            scan.remove(i);
+                        }
+                    }
+                    QueueOp::Advance(dt) => now += dt,
+                }
+                let expected = select_head(&scan, ordered, now, STARVE).map(|i| scan[i].job);
+                prop_assert_eq!(index.head(now), expected);
             }
         }
     }
