@@ -7,7 +7,9 @@
 //! second through each [`StepTimeEngine`] backend, and the mean
 //! additive-overstatement factor the WFBP backend reveals — so a
 //! pricing regression and a modeling regression are both visible in
-//! one file.
+//! one file. The run fails if any DAG backend prices below a quarter
+//! of the additive backend's jobs/sec: feature records are priced in
+//! closed form, not by lowering and folding a step per job.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pai_core::PerfModel;
@@ -129,6 +131,7 @@ fn emit_report(_c: &mut Criterion) {
     }
 
     let mut backend_rates = String::new();
+    let mut rates = Vec::new();
     let mut totals = Vec::new();
     for backend in [
         StepTimeBackend::Additive,
@@ -141,6 +144,7 @@ fn emit_report(_c: &mut Criterion) {
             black_box(engine.component_times_all(&pop, Threads::SERIAL));
         });
         let rate = pop.len() as f64 / secs.max(1e-12);
+        rates.push((engine.backend(), rate));
         backend_rates.push_str(&format!(
             "    \"jobs_per_sec_{}\": {rate:.0},\n",
             engine.backend().label().replace('-', "_")
@@ -150,6 +154,19 @@ fn emit_report(_c: &mut Criterion) {
         totals.push(mean);
     }
     let overstatement = totals[0] / totals[2].max(1e-30);
+
+    // The closed form costs a few divisions per job more than the
+    // additive model; lowering and folding a step per job runs near
+    // 0.05 of it.
+    let (_, additive_rate) = rates[0];
+    for (backend, rate) in &rates[1..] {
+        let ratio = rate / additive_rate;
+        assert!(
+            ratio >= 0.25,
+            "{} prices at {ratio:.3} of the additive backend's jobs/s; the floor is 0.25",
+            backend.label()
+        );
+    }
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let report = format!(

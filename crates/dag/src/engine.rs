@@ -7,12 +7,12 @@
 //! simulations downstream of [`pai_core::StepTimer`] run on either
 //! backend behind this one switch.
 
-use pai_core::{ComponentTimes, PerfModel, StepTimer, WorkloadFeatures};
+use pai_core::{Architecture, ComponentTimes, PerfModel, StepTimer, WorkloadFeatures};
 use pai_hw::HardwareConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::evaluate::{evaluate, OverlapStrategy};
-use crate::lower::{from_features, DEFAULT_LAYERS};
+use crate::evaluate::OverlapStrategy;
+use crate::lower::{Layered, DEFAULT_LAYERS};
 use crate::step::NetworkPath;
 
 /// Which pricing model a [`StepTimeEngine`] runs.
@@ -37,10 +37,15 @@ impl StepTimeBackend {
 /// A [`StepTimer`] that prices jobs on a selectable backend.
 ///
 /// Population jobs exist only as feature records, so the DAG backends
-/// price the canonical [`from_features`] lowering (its `layers`
-/// granularity is configurable). Evaluation is a pure fold per job:
-/// callers may fan jobs out through `pai-par` at any thread count and
-/// get bit-identical results.
+/// price the canonical [`from_features`](crate::lower::from_features)
+/// lowering (its `layers` granularity is configurable), in closed form
+/// and without building the step: every backward stage of that step
+/// lasts the same and every message costs the same, so the FIFO link
+/// clock peaks at an endpoint. [`evaluate`](crate::evaluate()) over
+/// `from_features` stays the reference, property-tested to agree
+/// within 1e-9. Pricing is a pure function of the job, so callers may
+/// fan jobs out through `pai-par` at any thread count and get
+/// bit-identical results.
 ///
 /// # Examples
 ///
@@ -66,11 +71,14 @@ impl StepTimeBackend {
 /// // to overlap can price above the sum.
 /// assert!(wfbp.total_time(&job) <= additive.total_time(&job));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepTimeEngine {
     model: PerfModel,
     backend: StepTimeBackend,
     layers: usize,
+    /// Each class's weight-synchronization path, by
+    /// [`Architecture::index`].
+    paths: [NetworkPath; Architecture::ALL.len()],
 }
 
 impl StepTimeEngine {
@@ -80,6 +88,7 @@ impl StepTimeEngine {
             model,
             backend,
             layers: DEFAULT_LAYERS,
+            paths: Architecture::ALL.map(|arch| NetworkPath::for_arch(model.config(), arch)),
         }
     }
 
@@ -126,11 +135,9 @@ impl StepTimer for StepTimeEngine {
     fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes {
         match self.backend {
             StepTimeBackend::Additive => self.model.component_times(job),
-            StepTimeBackend::Dag(strategy) => {
-                let step = from_features(job, self.model.config(), self.layers);
-                let path = NetworkPath::for_arch(self.model.config(), job.arch());
-                evaluate(&step, &path, strategy).component_times()
-            }
+            StepTimeBackend::Dag(strategy) => Layered::of(job, self.model.config(), self.layers)
+                .evaluate(&self.paths[job.arch().index()], strategy)
+                .component_times(),
         }
     }
 }

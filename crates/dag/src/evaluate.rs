@@ -19,10 +19,13 @@
 //!   paid once per bucket. A bucket is eligible when its *last*
 //!   constituent's producer retires.
 
+use std::borrow::Cow;
+
+use pai_graph::OpClass;
 use pai_hw::{Bytes, Seconds};
 use serde::{Deserialize, Serialize};
 
-use crate::step::{NetworkPath, PricedStep};
+use crate::step::{Message, NetworkPath, PricedStep};
 
 /// When may gradient bytes start crossing the network?
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -121,61 +124,70 @@ impl DagStepTime {
 ///
 /// Deterministic: a pure fold over the step's task and message order,
 /// so results are bit-identical at any thread count however callers
-/// fan jobs out.
+/// fan jobs out. Messages go out in eligibility order: by producing
+/// task, then by position. A message whose producer index lies past
+/// the last task becomes eligible when the stream drains.
 pub fn evaluate(step: &PricedStep, path: &NetworkPath, strategy: OverlapStrategy) -> DagStepTime {
-    let compute_total = step.stream_length();
-    let data_io = step.class_time(pai_graph::OpClass::Io);
-    let compute_bound = step.class_time(pai_graph::OpClass::ComputeBound);
-    let memory_bound = step.class_time(pai_graph::OpClass::MemoryBound);
-    let finish = step.finish_times();
-    // Eligibility time of a message: its producer's retirement.
-    let ready =
-        |after_task: usize| -> Seconds { finish.get(after_task).copied().unwrap_or(Seconds::ZERO) };
+    let messages = by_producer(&step.messages);
+    // The FIFO link: when it finishes its last transfer, its busy
+    // time, and its transfer count.
+    let (mut clock, mut busy, mut sent) = (Seconds::ZERO, Seconds::ZERO, 0usize);
+    // The fused bucket: when its latest message was ready, and the
+    // bytes waiting to flush.
+    let mut bucket = (Seconds::ZERO, Bytes::ZERO);
+    let mut left = messages.len();
+    // Hands the link one message that became eligible at `ready`.
+    let mut offer = |ready: Seconds, bytes: Bytes| {
+        left -= 1;
+        let (ready, bytes) = match strategy {
+            // Serial ships the weight volume in bulk instead.
+            OverlapStrategy::Serial => return,
+            OverlapStrategy::Wfbp => (ready, bytes),
+            OverlapStrategy::FusedWfbp { threshold } => {
+                // The bucket becomes eligible when its latest
+                // constituent's producer retires.
+                bucket = (bucket.0.max(ready), bucket.1 + bytes);
+                if bucket.1 >= threshold || left == 0 {
+                    std::mem::take(&mut bucket)
+                } else {
+                    return;
+                }
+            }
+        };
+        let cost = path.message_time(bytes);
+        clock = clock.max(ready) + cost;
+        busy += cost;
+        sent += 1;
+    };
+
+    let (mut data_io, mut compute_bound, mut memory_bound) =
+        (Seconds::ZERO, Seconds::ZERO, Seconds::ZERO);
+    // Finish time of the latest task: the eligibility clock.
+    let mut stream = Seconds::ZERO;
+    let mut pending = messages.iter().peekable();
+    for (i, task) in step.tasks.iter().enumerate() {
+        stream += task.dur;
+        match task.class {
+            OpClass::Io => data_io += task.dur,
+            OpClass::ComputeBound => compute_bound += task.dur,
+            OpClass::MemoryBound => memory_bound += task.dur,
+        }
+        while let Some(m) = pending.next_if(|m| m.after_task == i) {
+            offer(stream, m.bytes);
+        }
+    }
+    for m in pending {
+        offer(stream, m.bytes);
+    }
 
     let (comm_busy, net_end, transfers) = match strategy {
         OverlapStrategy::Serial => {
             // Bulk-synchronous: the whole volume ships after the stream
             // drains, at pure bandwidth cost — the additive model.
             let bulk = path.bulk_time(step.weight_bytes);
-            (bulk, compute_total + bulk, usize::from(!bulk.is_zero()))
+            (bulk, stream + bulk, usize::from(!bulk.is_zero()))
         }
-        OverlapStrategy::Wfbp => {
-            let mut clock = Seconds::ZERO;
-            let mut busy = Seconds::ZERO;
-            let mut sent = 0usize;
-            for m in ordered(step) {
-                let cost = path.message_time(m.bytes);
-                clock = clock.max(ready(m.after_task)) + cost;
-                busy += cost;
-                sent += 1;
-            }
-            (busy, compute_total.max(clock), sent)
-        }
-        OverlapStrategy::FusedWfbp { threshold } => {
-            let mut clock = Seconds::ZERO;
-            let mut busy = Seconds::ZERO;
-            let mut sent = 0usize;
-            let mut bucket = Bytes::ZERO;
-            let mut bucket_ready = Seconds::ZERO;
-            let msgs = ordered(step);
-            for (i, m) in msgs.iter().enumerate() {
-                bucket += m.bytes;
-                // The bucket becomes eligible when its latest
-                // constituent's producer retires (producers are in
-                // eligibility order, so that is this one).
-                bucket_ready = bucket_ready.max(ready(m.after_task));
-                let last = i + 1 == msgs.len();
-                if bucket >= threshold || last {
-                    let cost = path.message_time(bucket);
-                    clock = clock.max(bucket_ready) + cost;
-                    busy += cost;
-                    sent += 1;
-                    bucket = Bytes::ZERO;
-                    bucket_ready = Seconds::ZERO;
-                }
-            }
-            (busy, compute_total.max(clock), sent)
-        }
+        _ => (busy, stream.max(clock), sent),
     };
 
     DagStepTime {
@@ -183,28 +195,31 @@ pub fn evaluate(step: &PricedStep, path: &NetworkPath, strategy: OverlapStrategy
         compute_bound,
         memory_bound,
         comm_busy,
-        comm_exposed: net_end - compute_total,
+        comm_exposed: net_end - stream,
         total: net_end,
         messages: step.messages.len(),
         transfers,
     }
 }
 
-/// Messages in eligibility order: by producing task, then by position
-/// (a stable sort, so the lowering's layer order breaks ties
-/// deterministically).
-fn ordered(step: &PricedStep) -> Vec<crate::step::Message> {
-    let mut msgs = step.messages.clone();
-    msgs.sort_by_key(|m| m.after_task);
-    msgs
+/// `messages` in eligibility order: borrowed when already sorted by
+/// producer (both lowerings emit them so), otherwise a stably sorted
+/// copy, so position breaks ties between messages of one producer.
+fn by_producer(messages: &[Message]) -> Cow<'_, [Message]> {
+    if messages.is_sorted_by_key(|m| m.after_task) {
+        Cow::Borrowed(messages)
+    } else {
+        let mut sorted = messages.to_vec();
+        sorted.sort_by_key(|m| m.after_task);
+        Cow::Owned(sorted)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::{Message, Task};
+    use crate::step::Task;
     use pai_collectives::latency::Latency;
-    use pai_graph::OpClass;
     use pai_hw::{Bandwidth, LinkKind, LinkModel};
 
     /// 1 GB/s effective, 1 ms per-message latency: round numbers.
@@ -346,6 +361,36 @@ mod tests {
         let ct = v.component_times();
         let sum = ct.data_io + ct.compute_bound + ct.memory_bound + ct.weight_traffic;
         assert!((sum.as_f64() - ct.total.as_f64()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_producer_past_the_last_task_is_ready_when_the_stream_drains() {
+        // One 10 ms task; the message names task 5, which does not exist.
+        let s = PricedStep {
+            name: "dangling".into(),
+            tasks: vec![Task {
+                class: OpClass::ComputeBound,
+                dur: Seconds::from_millis(10.0),
+            }],
+            messages: vec![Message {
+                after_task: 5,
+                bytes: Bytes::from_mb(50.0),
+            }],
+            weight_bytes: Bytes::from_mb(50.0),
+        };
+        let p = path();
+        let serial = evaluate(&s, &p, OverlapStrategy::Serial);
+        assert!((serial.total.as_millis() - 60.0).abs() < 1e-9);
+        for strat in [OverlapStrategy::Wfbp, OverlapStrategy::fused_default()] {
+            let v = evaluate(&s, &p, strat);
+            // Eligible at 10 ms, then 1 + 50 ms on the wire.
+            assert!(
+                (v.total.as_millis() - 61.0).abs() < 1e-9,
+                "{strat:?}: {}",
+                v.total
+            );
+            assert_eq!(v.transfers, 1);
+        }
     }
 
     #[test]

@@ -23,10 +23,15 @@
 //! 3. [`engine`] exposes the whole thing as a
 //!    [`pai_core::StepTimer`] backend, so projections, sweeps,
 //!    schedules and simulations run on either the closed form or the
-//!    DAG behind the [`StepTimeBackend`] switch.
+//!    DAG behind the [`StepTimeBackend`] switch. It prices feature
+//!    records without lowering them: the uniform
+//!    [`lower::from_features`] step has a closed-form critical path,
+//!    property-tested against [`evaluate`](mod@evaluate) over the
+//!    lowered step within 1e-9.
 //!
-//! Everything is a pure deterministic fold: fanning jobs out through
-//! `pai-par` gives bit-identical results at any `PAI_THREADS`.
+//! Every price is a pure deterministic function of its inputs:
+//! fanning jobs out through `pai-par` gives bit-identical results at
+//! any `PAI_THREADS`.
 //!
 //! # Examples
 //!
