@@ -15,7 +15,7 @@ fn bench_experiments(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
     for id in ALL_EXPERIMENTS {
-        group.bench_function(*id, |b| {
+        group.bench_function(id, |b| {
             b.iter(|| black_box(run_experiment(id, &ctx)));
         });
     }

@@ -39,7 +39,7 @@ use crate::codec::{ByteReader, ByteWriter, CheckpointError};
 use crate::features::{FeatureViolation, WorkloadFeatures};
 use crate::jobs::{IngestSink, Jobs};
 use crate::model::{ComponentTimes, PerfModel};
-use crate::project::{comm_bound_speedup, project, ProjectionTarget};
+use crate::project::{comm_bound_speedup, project_priced, ProjectionTarget};
 
 /// Models under this weight volume count as "small" (Sec. III-D: 90 %
 /// of jobs train models under 10 GB).
@@ -305,14 +305,13 @@ impl HeadlineAccum {
         // reassembled from the same parts in the same fold order as
         // `Breakdown::total` — bit-identical to re-evaluating the
         // model under the upgraded configuration.
-        let cfg = self.model.config();
-        let eth = cfg
-            .link(LinkKind::Ethernet)
-            .transfer_time(job.weight_bytes())
+        let eth = self
+            .model
+            .transfer_time(LinkKind::Ethernet, job.weight_bytes())
             .as_f64();
-        let pcie = cfg
-            .link(LinkKind::Pcie)
-            .transfer_time(job.weight_bytes())
+        let pcie = self
+            .model
+            .transfer_time(LinkKind::Pcie, job.weight_bytes())
             .as_f64();
         let base = ct.data_io.as_f64() + ct.computation().as_f64();
         let fast_total = base + (eth * self.eth_100g_scale + pcie);
@@ -324,7 +323,14 @@ impl HeadlineAccum {
             1.0
         };
 
-        if let Some(out) = project(&self.model, job, ProjectionTarget::AllReduceLocal) {
+        // Both projections reuse the step time priced above.
+        let original_step = || ct.total;
+        if let Some(out) = project_priced(
+            &self.model,
+            job,
+            ProjectionTarget::AllReduceLocal,
+            original_step,
+        ) {
             self.arl_eligible += 1;
             self.arl_speedup_sum += out.single_cnode_speedup;
             if out.improves_throughput() {
@@ -334,7 +340,12 @@ impl HeadlineAccum {
                 self.arl_not_sped += 1;
             }
         }
-        if let Some(out) = project(&self.model, job, ProjectionTarget::AllReduceCluster) {
+        if let Some(out) = project_priced(
+            &self.model,
+            job,
+            ProjectionTarget::AllReduceCluster,
+            original_step,
+        ) {
             self.arc_eligible += 1;
             self.arc_speedup_sum += out.single_cnode_speedup;
             if out.single_cnode_speedup > 1.0 {
@@ -756,17 +767,16 @@ impl WhatIfIndex {
             return false;
         }
         let ct = self.model.component_times(job);
-        let cfg = self.model.config();
         self.base
             .push(ct.data_io.as_f64() + ct.computation().as_f64());
         self.eth.push(
-            cfg.link(LinkKind::Ethernet)
-                .transfer_time(job.weight_bytes())
+            self.model
+                .transfer_time(LinkKind::Ethernet, job.weight_bytes())
                 .as_f64(),
         );
         self.pcie.push(
-            cfg.link(LinkKind::Pcie)
-                .transfer_time(job.weight_bytes())
+            self.model
+                .transfer_time(LinkKind::Pcie, job.weight_bytes())
                 .as_f64(),
         );
         true

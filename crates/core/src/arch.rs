@@ -62,6 +62,7 @@ impl Architecture {
     /// This class's position in [`Architecture::ALL`] (Table II
     /// order) — the index the columnar job store and every per-class
     /// counter array key on.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             Architecture::OneWorkerOneGpu => 0,
@@ -98,6 +99,7 @@ impl Architecture {
     }
 
     /// Single-server or cross-server placement.
+    #[inline]
     pub fn placement(self) -> Placement {
         match self {
             Architecture::OneWorkerOneGpu
@@ -109,6 +111,7 @@ impl Architecture {
 
     /// The media weight/gradient traffic crosses (the "Weight Movement"
     /// column of Table II). Empty for 1w1g.
+    #[inline]
     pub fn weight_media(self) -> &'static [LinkKind] {
         match self {
             Architecture::OneWorkerOneGpu => &[],
@@ -123,6 +126,7 @@ impl Architecture {
     /// input-data loading, so simultaneous feeding contends (Sec. III-C1:
     /// mapping to AllReduce-Local slows input I/O "due to the
     /// competition for PCIe bandwidth").
+    #[inline]
     pub fn input_pcie_contended(self) -> bool {
         matches!(
             self,
@@ -143,6 +147,7 @@ impl Architecture {
     /// For local classes every replica is in the same server; for
     /// AllReduce-Cluster replicas are packed `gpus_per_server` to a
     /// server; non-contended classes always report 1.
+    #[inline]
     pub fn input_contention_factor(self, cnodes: usize, gpus_per_server: usize) -> usize {
         if !self.input_pcie_contended() {
             return 1;

@@ -53,6 +53,7 @@ pub struct WorkloadFeatures {
 
 impl WorkloadFeatures {
     /// Starts building a record for the given architecture.
+    #[inline]
     pub fn builder(arch: Architecture) -> WorkloadFeaturesBuilder {
         WorkloadFeaturesBuilder {
             arch,
@@ -66,39 +67,46 @@ impl WorkloadFeatures {
     }
 
     /// The training architecture (Table II class).
+    #[inline]
     pub fn arch(&self) -> Architecture {
         self.arch
     }
 
     /// Number of computation nodes — GPU devices each holding one model
     /// replica (Sec. III-A).
+    #[inline]
     pub fn cnodes(&self) -> usize {
         self.cnodes
     }
 
     /// Per-replica mini-batch size.
+    #[inline]
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
 
     /// `S_d`: input-sample bytes loaded per step per replica.
+    #[inline]
     pub fn input_bytes(&self) -> Bytes {
         self.input_bytes
     }
 
     /// `S_w`: weight/gradient bytes exchanged per step per replica
     /// (zero communication happens for 1w1g regardless of this value).
+    #[inline]
     pub fn weight_bytes(&self) -> Bytes {
         self.weight_bytes
     }
 
     /// `#FLOPs`: compute-bound operation cost per step per replica.
+    #[inline]
     pub fn flops(&self) -> Flops {
         self.flops
     }
 
     /// `S_mem_access`: memory traffic of memory-bound (element-wise)
     /// operations per step per replica.
+    #[inline]
     pub fn mem_access_bytes(&self) -> Bytes {
         self.mem_access_bytes
     }
@@ -150,6 +158,7 @@ impl WorkloadFeaturesBuilder {
     /// # Panics
     ///
     /// Panics if `cnodes` is zero.
+    #[inline]
     pub fn cnodes(mut self, cnodes: usize) -> Self {
         assert!(cnodes > 0, "a job needs at least one cNode");
         self.cnodes = cnodes;
@@ -161,6 +170,7 @@ impl WorkloadFeaturesBuilder {
     /// # Panics
     ///
     /// Panics if `batch_size` is zero.
+    #[inline]
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         self.batch_size = batch_size;
@@ -168,24 +178,28 @@ impl WorkloadFeaturesBuilder {
     }
 
     /// Sets `S_d`, the per-step input volume.
+    #[inline]
     pub fn input_bytes(mut self, bytes: Bytes) -> Self {
         self.input_bytes = bytes;
         self
     }
 
     /// Sets `S_w`, the per-step weight/gradient volume.
+    #[inline]
     pub fn weight_bytes(mut self, bytes: Bytes) -> Self {
         self.weight_bytes = bytes;
         self
     }
 
     /// Sets `#FLOPs`, the per-step compute-bound cost.
+    #[inline]
     pub fn flops(mut self, flops: Flops) -> Self {
         self.flops = flops;
         self
     }
 
     /// Sets `S_mem_access`, the per-step memory-bound traffic.
+    #[inline]
     pub fn mem_access_bytes(mut self, bytes: Bytes) -> Self {
         self.mem_access_bytes = bytes;
         self
@@ -198,6 +212,7 @@ impl WorkloadFeaturesBuilder {
     /// Panics if the architecture/cNode combination is inconsistent:
     /// 1w1g requires exactly one cNode; every distributed class requires
     /// more than one.
+    #[inline]
     pub fn build(self) -> WorkloadFeatures {
         match self.arch {
             Architecture::OneWorkerOneGpu => assert_eq!(

@@ -17,8 +17,9 @@
 //! Every denominator is derated by the [`Efficiency`] assumption
 //! (70 % by default).
 
-use pai_hw::{Bytes, Efficiency, HardwareConfig, LinkKind, Seconds};
+use pai_hw::{Bandwidth, Bytes, Efficiency, FlopsRate, HardwareConfig, LinkKind, Seconds};
 
+use crate::arch::Architecture;
 use crate::breakdown::Breakdown;
 use crate::features::WorkloadFeatures;
 use crate::overlap::OverlapMode;
@@ -30,6 +31,10 @@ pub const GPUS_PER_SERVER: usize = 8;
 /// The analytical performance model: a hardware configuration, an
 /// efficiency assumption (carried inside the configuration) and an
 /// overlap mode.
+///
+/// The Eq. 1 denominators — each medium's `B × eff` and the derated
+/// peak `peak_FLOPs × eff_compute` — are derived once, when the model
+/// is built, so pricing a job is five divisions and a combine.
 ///
 /// # Examples
 ///
@@ -50,12 +55,69 @@ pub const GPUS_PER_SERVER: usize = 8;
 pub struct PerfModel {
     config: HardwareConfig,
     overlap: OverlapMode,
+    rates: Rates,
+}
+
+/// The effective rates every Eq. 1 term divides by, derived from a
+/// configuration by the same products a [`pai_hw::LinkModel`] and
+/// [`FlopsRate::scale`] form: `B × eff` per medium and
+/// `peak_FLOPs × eff_compute`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Rates {
+    pcie: Bandwidth,
+    nvlink: Bandwidth,
+    ethernet: Bandwidth,
+    hbm: Bandwidth,
+    compute: FlopsRate,
+    /// Each class's Table II weight media, in path order, as effective
+    /// bytes/s by [`Architecture::index`]. Classes crossing fewer than
+    /// two media are padded with `+∞`: `S_w / +∞` is a zero, and adding
+    /// it to the `+0.0`-seeded fold leaves every bit of the sum as is.
+    weight: [[f64; 2]; Architecture::ALL.len()],
+}
+
+impl Rates {
+    fn of(config: &HardwareConfig) -> Rates {
+        let link = |kind: LinkKind| config.link(kind).effective_bandwidth();
+        let weight = Architecture::ALL.map(|arch| {
+            let mut media = [f64::INFINITY; 2];
+            for (rate, &kind) in media.iter_mut().zip(arch.weight_media()) {
+                *rate = link(kind).as_bytes_per_sec();
+            }
+            media
+        });
+        Rates {
+            pcie: link(LinkKind::Pcie),
+            nvlink: link(LinkKind::NvLink),
+            ethernet: link(LinkKind::Ethernet),
+            hbm: link(LinkKind::HbmMemory),
+            compute: config
+                .gpu()
+                .peak_flops()
+                .scale(config.efficiency().compute()),
+            weight,
+        }
+    }
+
+    #[inline]
+    fn link(&self, kind: LinkKind) -> Bandwidth {
+        match kind {
+            LinkKind::Pcie => self.pcie,
+            LinkKind::NvLink => self.nvlink,
+            LinkKind::Ethernet => self.ethernet,
+            LinkKind::HbmMemory => self.hbm,
+        }
+    }
 }
 
 impl PerfModel {
     /// A model over an explicit configuration and overlap mode.
     pub fn new(config: HardwareConfig, overlap: OverlapMode) -> Self {
-        PerfModel { config, overlap }
+        PerfModel {
+            config,
+            overlap,
+            rates: Rates::of(&config),
+        }
     }
 
     /// Table I hardware, 70 % efficiency, no overlap — the setting of
@@ -81,15 +143,12 @@ impl PerfModel {
 
     /// A copy over different hardware (Table III sweeps, projections).
     pub fn with_config(&self, config: HardwareConfig) -> PerfModel {
-        PerfModel { config, ..*self }
+        PerfModel::new(config, self.overlap)
     }
 
     /// A copy under a different efficiency assumption (Sec. V-A).
     pub fn with_efficiency(&self, efficiency: Efficiency) -> PerfModel {
-        PerfModel {
-            config: self.config.with_efficiency(efficiency),
-            ..*self
-        }
+        PerfModel::new(self.config.with_efficiency(efficiency), self.overlap)
     }
 
     /// A copy under a different overlap assumption (Sec. V-B).
@@ -97,31 +156,33 @@ impl PerfModel {
         PerfModel { overlap, ..*self }
     }
 
+    /// Time to move `volume` over one medium at its effective
+    /// bandwidth: `S / (B × eff)`.
+    #[inline]
+    pub(crate) fn transfer_time(&self, kind: LinkKind, volume: Bytes) -> Seconds {
+        volume / self.rates.link(kind)
+    }
+
     /// `Td`: input-data I/O time over PCIe, including the local
     /// PCIe-sharing contention factor for multi-GPU-per-server classes.
+    #[inline]
     pub fn data_io_time(&self, job: &WorkloadFeatures) -> Seconds {
         let contention = job
             .arch()
             .input_contention_factor(job.cnodes(), GPUS_PER_SERVER);
-        let volume = job.input_bytes().scale(contention as f64);
-        self.config.link(LinkKind::Pcie).transfer_time(volume)
+        job.input_bytes().scale(contention as f64) / self.rates.pcie
     }
 
     /// The compute-bound half of `Tc`: `#FLOPs / (peak_FLOPs × eff)`.
+    #[inline]
     pub fn compute_bound_time(&self, job: &WorkloadFeatures) -> Seconds {
-        let peak = self
-            .config
-            .gpu()
-            .peak_flops()
-            .scale(self.config.efficiency().compute());
-        job.flops() / peak
+        job.flops() / self.rates.compute
     }
 
     /// The memory-bound half of `Tc`: `S_mem / (B_mem × eff)`.
+    #[inline]
     pub fn memory_bound_time(&self, job: &WorkloadFeatures) -> Seconds {
-        self.config
-            .link(LinkKind::HbmMemory)
-            .transfer_time(job.mem_access_bytes())
+        job.mem_access_bytes() / self.rates.hbm
     }
 
     /// `Tw` split by medium: the weight volume crosses every medium on
@@ -131,51 +192,49 @@ impl PerfModel {
         job.arch()
             .weight_media()
             .iter()
-            .map(|&kind| {
-                (
-                    kind,
-                    self.config.link(kind).transfer_time(job.weight_bytes()),
-                )
-            })
+            .map(|&kind| (kind, self.transfer_time(kind, job.weight_bytes())))
             .collect()
     }
 
     /// Total `Tw`.
     ///
     /// Sums the per-medium times in Table II media order without
-    /// materializing the split, so the streaming ingest path can call
-    /// it once per job with no heap allocation. Bit-identical to
-    /// summing [`PerfModel::weight_traffic_by_medium`].
+    /// materializing the split or branching on the class. Bit-identical
+    /// to summing [`PerfModel::weight_traffic_by_medium`] as `Seconds`:
+    /// the same quotients, added in the same order to the same `+0.0`
+    /// seed.
+    #[inline]
     pub fn weight_traffic_time(&self, job: &WorkloadFeatures) -> Seconds {
-        job.arch()
-            .weight_media()
-            .iter()
-            .map(|&kind| self.config.link(kind).transfer_time(job.weight_bytes()))
-            .sum()
+        let weight = job.weight_bytes().as_f64();
+        let [first, second] = self.rates.weight[job.arch().index()];
+        Seconds::ZERO + Seconds::from_f64(weight / first) + Seconds::from_f64(weight / second)
     }
 
-    /// The full per-step breakdown of Eq. 1.
+    /// The full per-step breakdown of Eq. 1: [`PerfModel::component_times`]
+    /// plus the per-medium split of `Tw`.
     pub fn breakdown(&self, job: &WorkloadFeatures) -> Breakdown {
-        let tw_by_medium = self.weight_traffic_by_medium(job);
-        let tw = tw_by_medium.iter().map(|&(_, t)| t).sum();
+        let ct = self.component_times(job);
         Breakdown::new(
-            self.data_io_time(job),
-            self.compute_bound_time(job),
-            self.memory_bound_time(job),
-            tw,
-            tw_by_medium,
+            ct.data_io,
+            ct.compute_bound,
+            ct.memory_bound,
+            ct.weight_traffic,
+            self.weight_traffic_by_medium(job),
             self.overlap,
         )
     }
 
     /// The flat Eq. 1 component times, with no per-medium split and
-    /// therefore no heap allocation — the building block of the
-    /// incremental [`crate::accum`] ingest path, where this is called
-    /// once per job at population scale.
+    /// therefore no heap allocation — the kernel every pricing path in
+    /// this crate reduces to, called once per job at population scale.
     ///
-    /// The total is combined from exactly the same three parts, in the
-    /// same order, as [`Breakdown::total`], so the two paths agree
-    /// bit for bit.
+    /// One straight-line evaluation over the rates derived in
+    /// [`PerfModel::new`]: five divisions, each with the operands
+    /// `S / (B × eff)` or `#FLOPs / (peak × eff)` it always had, and a
+    /// total combined from exactly the same three parts, in the same
+    /// order, as [`Breakdown::total`], so the two paths agree bit for
+    /// bit.
+    #[inline]
     pub fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes {
         let td = self.data_io_time(job);
         let tcc = self.compute_bound_time(job);
@@ -192,6 +251,7 @@ impl PerfModel {
     }
 
     /// `T_total` under the model's overlap mode.
+    #[inline]
     pub fn total_time(&self, job: &WorkloadFeatures) -> Seconds {
         self.component_times(job).total
     }
@@ -276,8 +336,8 @@ pub fn with_optimizer_state(trainable: Bytes, slots_per_weight: usize) -> Bytes 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::Architecture;
-    use pai_hw::Flops;
+    use pai_hw::{Flops, SweepAxis, SweepPoint};
+    use proptest::prelude::*;
 
     fn ps_job(weight_gb: f64) -> WorkloadFeatures {
         WorkloadFeatures::builder(Architecture::PsWorker)
@@ -430,6 +490,203 @@ mod tests {
         assert!(ct.total.is_zero());
         assert_eq!(ct.fractions(), [0.0; 4]);
         assert_eq!(ct.weight_fraction(), 0.0);
+    }
+
+    /// Eq. 1 composed term by term, the way the model priced a job
+    /// before it cached its rates: a `LinkModel` per medium, FLOPs over
+    /// the derated peak, `Seconds` folds and `OverlapMode::combine`.
+    fn reference(model: &PerfModel, job: &WorkloadFeatures) -> ComponentTimes {
+        let cfg = model.config();
+        let contention = job
+            .arch()
+            .input_contention_factor(job.cnodes(), GPUS_PER_SERVER);
+        let td = cfg
+            .link(LinkKind::Pcie)
+            .transfer_time(job.input_bytes().scale(contention as f64));
+        let tcc = job.flops() / cfg.gpu().peak_flops().scale(cfg.efficiency().compute());
+        let tcm = cfg
+            .link(LinkKind::HbmMemory)
+            .transfer_time(job.mem_access_bytes());
+        let tw: Seconds = job
+            .arch()
+            .weight_media()
+            .iter()
+            .map(|&kind| cfg.link(kind).transfer_time(job.weight_bytes()))
+            .sum();
+        let parts = [td.as_f64(), (tcc + tcm).as_f64(), tw.as_f64()];
+        ComponentTimes {
+            data_io: td,
+            compute_bound: tcc,
+            memory_bound: tcm,
+            weight_traffic: tw,
+            total: Seconds::from_f64(model.overlap().combine(&parts)),
+        }
+    }
+
+    fn decades(exponents: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        exponents.prop_map(|e| 10f64.powf(e))
+    }
+
+    /// A volume from 0 to 1e15: either signed zero (both pass ingest
+    /// validation), uniform, or log-uniform from 1.
+    fn volume() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            0.0..=1e15,
+            decades(0.0..=15.0),
+            decades(0.0..=15.0)
+        ]
+    }
+
+    /// A record of any class, with cNode counts on both sides of the
+    /// 8-GPU server that bounds input contention.
+    fn any_job() -> impl Strategy<Value = WorkloadFeatures> {
+        (
+            0..Architecture::ALL.len(),
+            prop_oneof![2..=16usize, 2..=4096usize],
+            (volume(), volume(), volume(), volume()),
+        )
+            .prop_map(|(arch, cnodes, (input, weight, flops, mem))| {
+                let arch = Architecture::ALL[arch];
+                let cnodes = if arch == Architecture::OneWorkerOneGpu {
+                    1
+                } else {
+                    cnodes
+                };
+                WorkloadFeatures::builder(arch)
+                    .cnodes(cnodes)
+                    .input_bytes(Bytes::from_f64(input))
+                    .weight_bytes(Bytes::from_f64(weight))
+                    .flops(Flops::from_f64(flops))
+                    .mem_access_bytes(Bytes::from_f64(mem))
+                    .build()
+            })
+    }
+
+    /// Either base configuration, with no Table III point or any one of
+    /// them applied, at the default, a uniform or a per-component
+    /// efficiency, under either overlap bound.
+    fn any_model() -> impl Strategy<Value = PerfModel> {
+        let points: Vec<SweepPoint> = SweepAxis::ALL.iter().flat_map(|a| a.points()).collect();
+        let eff = || 0.05..=1.0f64;
+        (
+            any::<bool>(),
+            0..=points.len(),
+            0..3u8,
+            (eff(), eff(), eff(), eff(), eff()),
+            any::<bool>(),
+        )
+            .prop_map(move |(testbed, point, mode, effs, ideal)| {
+                let mut config = if testbed {
+                    HardwareConfig::testbed_default()
+                } else {
+                    HardwareConfig::pai_default()
+                };
+                if let Some(&point) = points.get(point) {
+                    config = config.with_resource(point);
+                }
+                let (compute, memory, pcie, ethernet, nvlink) = effs;
+                let overlap = if ideal {
+                    OverlapMode::Ideal
+                } else {
+                    OverlapMode::Serialized
+                };
+                let model = PerfModel::new(config, overlap);
+                match mode {
+                    0 => model,
+                    1 => model.with_efficiency(Efficiency::uniform(compute)),
+                    _ => model.with_efficiency(Efficiency::per_component(
+                        compute, memory, pcie, ethernet, nvlink,
+                    )),
+                }
+            })
+    }
+
+    /// The kernel, the per-medium split and the breakdown against the
+    /// term-by-term reference, every field compared by its bits.
+    fn kernel_matches_reference(
+        model: &PerfModel,
+        job: &WorkloadFeatures,
+    ) -> Result<(), TestCaseError> {
+        let got = model.component_times(job);
+        let want = reference(model, job);
+        for (term, a, b) in [
+            ("data_io", got.data_io, want.data_io),
+            ("compute_bound", got.compute_bound, want.compute_bound),
+            ("memory_bound", got.memory_bound, want.memory_bound),
+            ("weight_traffic", got.weight_traffic, want.weight_traffic),
+            ("total", got.total, want.total),
+        ] {
+            prop_assert_eq!(
+                a.as_f64().to_bits(),
+                b.as_f64().to_bits(),
+                "{}: kernel {:?} vs reference {:?} for {:?} under {:?}",
+                term,
+                a,
+                b,
+                job,
+                model
+            );
+        }
+        let split = model.weight_traffic_by_medium(job);
+        let media = job.arch().weight_media();
+        prop_assert_eq!(split.len(), media.len());
+        for (&(kind, t), &medium) in split.iter().zip(media) {
+            let want = model
+                .config()
+                .link(medium)
+                .transfer_time(job.weight_bytes());
+            prop_assert_eq!(kind, medium);
+            prop_assert_eq!(t.as_f64().to_bits(), want.as_f64().to_bits());
+        }
+        prop_assert_eq!(
+            model.breakdown(job).total().as_f64().to_bits(),
+            want.total.as_f64().to_bits()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        /// Every class, volumes from 0 to 1e15, both base
+        /// configurations, every Table III point, efficiency overrides
+        /// and both overlap bounds.
+        #[test]
+        fn kernel_is_bitwise_the_term_by_term_reference(
+            model in any_model(),
+            job in any_job(),
+        ) {
+            kernel_matches_reference(&model, &job)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+        /// The same property over 20 000 cases; run with
+        /// `cargo test --release -p pai-core -- --ignored`.
+        #[test]
+        #[ignore = "20 000 cases: run in release with --ignored"]
+        fn kernel_is_bitwise_the_term_by_term_reference_deep(
+            model in any_model(),
+            job in any_job(),
+        ) {
+            kernel_matches_reference(&model, &job)?;
+        }
+    }
+
+    #[test]
+    fn with_config_and_with_efficiency_rederive_the_rates() {
+        let base = PerfModel::paper_default();
+        let fast = base.with_config(base.config().with_resource(SweepPoint {
+            axis: SweepAxis::Ethernet,
+            value: 100.0,
+        }));
+        assert_eq!(fast, PerfModel::new(*fast.config(), base.overlap()));
+        let slow = base.with_efficiency(Efficiency::uniform(0.35));
+        assert_eq!(slow, PerfModel::new(*slow.config(), base.overlap()));
+        let job = ps_job(1.0);
+        assert!(fast.weight_traffic_time(&job) < base.weight_traffic_time(&job));
+        assert!(slow.total_time(&job) > base.total_time(&job));
     }
 
     #[test]

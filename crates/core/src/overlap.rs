@@ -50,6 +50,7 @@ impl OverlapMode {
     /// # Panics
     ///
     /// Panics if a `Partial` percentage exceeds 100.
+    #[inline]
     pub fn alpha(self) -> f64 {
         match self {
             OverlapMode::Serialized => 0.0,
@@ -67,6 +68,7 @@ impl OverlapMode {
 
     /// Combines phase times under this mode:
     /// `(1-α)·Σ + α·max`.
+    #[inline]
     pub fn combine(self, parts: &[f64]) -> f64 {
         let sum: f64 = parts.iter().sum();
         let max = parts.iter().cloned().fold(0.0, f64::max);

@@ -78,7 +78,9 @@ impl ProjectionOutcome {
 /// Returns `None` when the job is ineligible: it is not PS/Worker, or
 /// (for the replica-mode AllReduce targets) its weights do not fit in
 /// one GPU's memory — "the weight size supported by the current
-/// AllReduce frameworks is limited by single GPU's memory size".
+/// AllReduce frameworks is limited by single GPU's memory size" — or
+/// it prices at zero step time before or after the move (a record
+/// with no work, for which neither speedup is defined).
 ///
 /// # Examples
 ///
@@ -113,6 +115,23 @@ pub fn project_with<B: crate::steptime::StepTimer + ?Sized>(
     job: &WorkloadFeatures,
     target: ProjectionTarget,
 ) -> Option<ProjectionOutcome> {
+    project_priced(backend, job, target, || backend.total_time(job))
+}
+
+/// [`project_with`] for a caller that may already hold the job's step
+/// time: `original_step` runs only once the job is known eligible.
+/// Each side is priced once, and Eq. 2 throughput is taken from those
+/// two step times.
+pub(crate) fn project_priced<B, F>(
+    backend: &B,
+    job: &WorkloadFeatures,
+    target: ProjectionTarget,
+    original_step: F,
+) -> Option<ProjectionOutcome>
+where
+    B: crate::steptime::StepTimer + ?Sized,
+    F: FnOnce() -> Seconds,
+{
     if job.arch() != Architecture::PsWorker {
         return None;
     }
@@ -124,18 +143,22 @@ pub fn project_with<B: crate::steptime::StepTimer + ?Sized>(
         ProjectionTarget::AllReduceCluster => job.cnodes(),
     };
     let projected = job.remapped(target.architecture(), cnodes.max(2));
-    let original_step = backend.total_time(job);
+    let original_step = original_step();
     let projected_step = backend.total_time(&projected);
-    let single_cnode_speedup = original_step.ratio(projected_step);
-    let throughput_speedup = backend.throughput(&projected) / backend.throughput(job);
+    if original_step.is_zero() || projected_step.is_zero() {
+        return None;
+    }
+    let throughput = |job: &WorkloadFeatures, step: Seconds| {
+        crate::throughput::throughput(job.cnodes(), step, job.batch_size())
+    };
     Some(ProjectionOutcome {
         original: *job,
         projected,
         target,
         original_step,
         projected_step,
-        single_cnode_speedup,
-        throughput_speedup,
+        single_cnode_speedup: original_step.ratio(projected_step),
+        throughput_speedup: throughput(&projected, projected_step) / throughput(job, original_step),
     })
 }
 
@@ -301,6 +324,28 @@ mod tests {
             ProjectionTarget::AllReduceCluster
         )
         .is_none());
+    }
+
+    #[test]
+    fn zero_work_jobs_are_ineligible() {
+        // Nothing to load, compute or synchronize: the job prices at
+        // zero step time, so neither speedup is defined.
+        let m = PerfModel::paper_default();
+        let idle = WorkloadFeatures::builder(Architecture::PsWorker)
+            .cnodes(2)
+            .build();
+        for target in [
+            ProjectionTarget::AllReduceLocal,
+            ProjectionTarget::AllReduceCluster,
+        ] {
+            assert!(project(&m, &idle, target).is_none());
+            let jobs = [idle, ps_job(2, 1.0, 0.1)];
+            assert_eq!(
+                m.projections(&jobs[..], target, pai_par::Threads::SERIAL)
+                    .len(),
+                1
+            );
+        }
     }
 
     #[test]

@@ -64,10 +64,12 @@ pub trait StepTimer: Sync {
 }
 
 impl StepTimer for PerfModel {
+    #[inline]
     fn hardware(&self) -> &HardwareConfig {
         self.config()
     }
 
+    #[inline]
     fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes {
         PerfModel::component_times(self, job)
     }
@@ -75,10 +77,12 @@ impl StepTimer for PerfModel {
     // The inherent methods already cache nothing and combine the same
     // three parts, so the defaults would be bit-identical; forward
     // anyway to keep one canonical code path.
+    #[inline]
     fn total_time(&self, job: &WorkloadFeatures) -> Seconds {
         PerfModel::total_time(self, job)
     }
 
+    #[inline]
     fn throughput(&self, job: &WorkloadFeatures) -> f64 {
         PerfModel::throughput(self, job)
     }

@@ -135,7 +135,7 @@ impl StepTimer for StepTimeEngine {
     fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes {
         match self.backend {
             StepTimeBackend::Additive => self.model.component_times(job),
-            StepTimeBackend::Dag(strategy) => Layered::of(job, self.model.config(), self.layers)
+            StepTimeBackend::Dag(strategy) => Layered::of(job, &self.model, self.layers)
                 .evaluate(&self.paths[job.arch().index()], strategy)
                 .component_times(),
         }
@@ -145,8 +145,11 @@ impl StepTimer for StepTimeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pai_core::Architecture;
+    use pai_core::model::GPUS_PER_SERVER;
+    use pai_core::project::{project_with, ProjectionOutcome, ProjectionTarget};
+    use pai_core::{Architecture, OverlapMode};
     use pai_hw::{Bytes, Flops};
+    use proptest::prelude::*;
 
     fn job(weight_gb: f64) -> WorkloadFeatures {
         WorkloadFeatures::builder(Architecture::PsWorker)
@@ -231,6 +234,110 @@ mod tests {
             assert_eq!(serial.len(), par.len());
             for (a, b) in serial.iter().zip(&par) {
                 assert_eq!(a.total.as_f64().to_bits(), b.total.as_f64().to_bits());
+            }
+        }
+    }
+
+    /// `project_with` as it priced before each side was priced once:
+    /// two step times, then both Eq. 2 throughputs re-priced from
+    /// scratch.
+    fn four_evaluation_reference<B: StepTimer + ?Sized>(
+        backend: &B,
+        job: &WorkloadFeatures,
+        target: ProjectionTarget,
+    ) -> Option<ProjectionOutcome> {
+        if job.arch() != Architecture::PsWorker
+            || !backend.hardware().gpu().fits_in_memory(job.weight_bytes())
+        {
+            return None;
+        }
+        let cnodes = match target {
+            ProjectionTarget::AllReduceLocal => job.cnodes().min(GPUS_PER_SERVER),
+            ProjectionTarget::AllReduceCluster => job.cnodes(),
+        };
+        let projected = job.remapped(target.architecture(), cnodes.max(2));
+        let original_step = backend.total_time(job);
+        let projected_step = backend.total_time(&projected);
+        Some(ProjectionOutcome {
+            original: *job,
+            projected,
+            target,
+            original_step,
+            projected_step,
+            single_cnode_speedup: original_step.ratio(projected_step),
+            throughput_speedup: backend.throughput(&projected) / backend.throughput(job),
+        })
+    }
+
+    /// An outcome's projected job and the bits of its four floats.
+    fn bits(outcome: &Option<ProjectionOutcome>) -> Option<(WorkloadFeatures, [u64; 4])> {
+        outcome.as_ref().map(|o| {
+            (
+                o.projected,
+                [
+                    o.original_step.as_f64().to_bits(),
+                    o.projected_step.as_f64().to_bits(),
+                    o.single_cnode_speedup.to_bits(),
+                    o.throughput_speedup.to_bits(),
+                ],
+            )
+        })
+    }
+
+    fn decades(exponents: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        exponents.prop_map(|e| 10f64.powf(e))
+    }
+
+    /// A PS/Worker job with some work on every resource, its weights on
+    /// both sides of one GPU's memory.
+    fn ps_job() -> impl Strategy<Value = WorkloadFeatures> {
+        (
+            2..=512usize,
+            0..=10u32,
+            decades(0.0..=10.0),
+            decades(0.0..=12.0),
+            decades(6.0..=16.0),
+            decades(3.0..=12.0),
+        )
+            .prop_map(|(cnodes, batch_exp, input, weight, flops, mem)| {
+                WorkloadFeatures::builder(Architecture::PsWorker)
+                    .cnodes(cnodes)
+                    .batch_size(1 << batch_exp)
+                    .input_bytes(Bytes::from_f64(input))
+                    .weight_bytes(Bytes::from_f64(weight))
+                    .flops(Flops::from_f64(flops))
+                    .mem_access_bytes(Bytes::from_f64(mem))
+                    .build()
+            })
+    }
+
+    proptest! {
+        /// Pricing each side once gives bitwise the outcome of the four
+        /// evaluations, on the analytical model and on every engine
+        /// backend.
+        #[test]
+        fn project_with_matches_the_four_evaluation_reference(job in ps_job()) {
+            let m = PerfModel::paper_default();
+            let ideal = m.with_overlap(OverlapMode::Ideal);
+            let engines = [
+                StepTimeBackend::Additive,
+                StepTimeBackend::Dag(OverlapStrategy::Serial),
+                StepTimeBackend::Dag(OverlapStrategy::Wfbp),
+                StepTimeBackend::Dag(OverlapStrategy::fused_default()),
+            ]
+            .map(|backend| StepTimeEngine::new(m, backend));
+            let mut backends: Vec<&dyn StepTimer> = vec![&m, &ideal];
+            backends.extend(engines.iter().map(|e| e as &dyn StepTimer));
+            for backend in backends {
+                for target in [
+                    ProjectionTarget::AllReduceLocal,
+                    ProjectionTarget::AllReduceCluster,
+                ] {
+                    let got = project_with(backend, &job, target);
+                    let want = four_evaluation_reference(backend, &job, target);
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?}", target, job);
+                    prop_assert_eq!(got, want);
+                }
             }
         }
     }

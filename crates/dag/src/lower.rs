@@ -24,7 +24,7 @@
 //! [`OverlapStrategy::Serial`]: crate::evaluate::OverlapStrategy::Serial
 
 use pai_core::model::GPUS_PER_SERVER;
-use pai_core::{Architecture, WorkloadFeatures};
+use pai_core::{Architecture, OverlapMode, PerfModel, WorkloadFeatures};
 use pai_graph::{Graph, Op, OpClass, OpKind};
 use pai_hw::{Bytes, HardwareConfig, LinkKind, Seconds};
 
@@ -159,7 +159,11 @@ pub fn from_graph(graph: &Graph, job: &WorkloadFeatures, config: &HardwareConfig
 /// over the returned step is the reference that closed form is
 /// property-tested against.
 pub fn from_features(job: &WorkloadFeatures, config: &HardwareConfig, layers: usize) -> PricedStep {
-    let step = Layered::of(job, config, layers);
+    let step = Layered::of(
+        job,
+        &PerfModel::new(*config, OverlapMode::Serialized),
+        layers,
+    );
     let (fwd_compute, fwd_memory) = step.stage(1.0);
     let (bwd_compute, bwd_memory) = step.stage(2.0);
     let grad = step.grad();
@@ -231,25 +235,16 @@ pub(crate) struct Layered {
 
 impl Layered {
     /// The description of `job` at `layers` stages (clamped to ≥ 1),
-    /// priced exactly as [`pai_core::PerfModel`] prices its terms.
-    pub(crate) fn of(job: &WorkloadFeatures, config: &HardwareConfig, layers: usize) -> Self {
-        let contention = job
-            .arch()
-            .input_contention_factor(job.cnodes(), GPUS_PER_SERVER);
-        let peak = config
-            .gpu()
-            .peak_flops()
-            .scale(config.efficiency().compute());
+    /// its class totals the `Td`, compute-bound and memory-bound terms
+    /// of `model`'s Eq. 1 kernel ([`PerfModel::component_times`]).
+    pub(crate) fn of(job: &WorkloadFeatures, model: &PerfModel, layers: usize) -> Self {
+        let ct = model.component_times(job);
         let weight_bytes = job.weight_bytes();
         Layered {
             layers: layers.max(1),
-            io: config
-                .link(LinkKind::Pcie)
-                .transfer_time(job.input_bytes().scale(contention as f64)),
-            compute: job.flops() / peak,
-            memory: config
-                .link(LinkKind::HbmMemory)
-                .transfer_time(job.mem_access_bytes()),
+            io: ct.data_io,
+            compute: ct.compute_bound,
+            memory: ct.memory_bound,
             weight_bytes,
             sync: !weight_bytes.is_zero() && !job.arch().weight_media().is_empty(),
         }
@@ -466,7 +461,7 @@ mod tests {
             OverlapStrategy::Wfbp,
             OverlapStrategy::FusedWfbp { threshold },
         ] {
-            let closed = Layered::of(job, model.config(), layers).evaluate(&path, strategy);
+            let closed = Layered::of(job, &model, layers).evaluate(&path, strategy);
             let fold = evaluate(&step, &path, strategy);
             let engine =
                 StepTimeEngine::new(model, StepTimeBackend::Dag(strategy)).with_layers(layers);

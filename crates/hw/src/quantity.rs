@@ -45,6 +45,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if `bytes` is negative or not finite.
+    #[inline]
     pub fn from_f64(bytes: f64) -> Self {
         assert!(
             bytes.is_finite() && bytes >= 0.0,
@@ -84,6 +85,7 @@ impl Bytes {
     }
 
     /// The raw value as `f64`.
+    #[inline]
     pub fn as_f64(self) -> f64 {
         self.0
     }
@@ -109,6 +111,7 @@ impl Bytes {
     }
 
     /// True when the volume is exactly zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
@@ -118,6 +121,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn scale(self, factor: f64) -> Bytes {
         assert!(
             factor.is_finite() && factor >= 0.0,
@@ -134,6 +138,7 @@ impl Bytes {
 
 impl Add for Bytes {
     type Output = Bytes;
+    #[inline]
     fn add(self, rhs: Bytes) -> Bytes {
         Bytes(self.0 + rhs.0)
     }
@@ -205,6 +210,7 @@ impl Flops {
     /// # Panics
     ///
     /// Panics if `flops` is negative or not finite.
+    #[inline]
     pub fn from_f64(flops: f64) -> Self {
         assert!(
             flops.is_finite() && flops >= 0.0,
@@ -224,6 +230,7 @@ impl Flops {
     }
 
     /// The raw value as `f64`.
+    #[inline]
     pub fn as_f64(self) -> f64 {
         self.0
     }
@@ -239,6 +246,7 @@ impl Flops {
     }
 
     /// True when the count is exactly zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
@@ -314,6 +322,7 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `bps` is not finite or not strictly positive.
+    #[inline]
     pub fn from_bytes_per_sec(bps: f64) -> Self {
         assert!(
             bps.is_finite() && bps > 0.0,
@@ -338,6 +347,7 @@ impl Bandwidth {
     }
 
     /// The raw value in bytes per second.
+    #[inline]
     pub fn as_bytes_per_sec(self) -> f64 {
         self.0
     }
@@ -358,6 +368,7 @@ impl Bandwidth {
     /// # Panics
     ///
     /// Panics if `factor` is not finite or not strictly positive.
+    #[inline]
     pub fn scale(self, factor: f64) -> Bandwidth {
         assert!(
             factor.is_finite() && factor > 0.0,
@@ -375,6 +386,7 @@ impl fmt::Display for Bandwidth {
 
 impl Div<Bandwidth> for Bytes {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: Bandwidth) -> Seconds {
         Seconds::from_f64(self.0 / rhs.0)
     }
@@ -398,6 +410,7 @@ impl FlopsRate {
     /// # Panics
     ///
     /// Panics if `fps` is not finite or not strictly positive.
+    #[inline]
     pub fn from_flops_per_sec(fps: f64) -> Self {
         assert!(
             fps.is_finite() && fps > 0.0,
@@ -412,6 +425,7 @@ impl FlopsRate {
     }
 
     /// The raw value in FLOP per second.
+    #[inline]
     pub fn as_flops_per_sec(self) -> f64 {
         self.0
     }
@@ -426,6 +440,7 @@ impl FlopsRate {
     /// # Panics
     ///
     /// Panics if `factor` is not finite or not strictly positive.
+    #[inline]
     pub fn scale(self, factor: f64) -> FlopsRate {
         assert!(
             factor.is_finite() && factor > 0.0,
@@ -443,6 +458,7 @@ impl fmt::Display for FlopsRate {
 
 impl Div<FlopsRate> for Flops {
     type Output = Seconds;
+    #[inline]
     fn div(self, rhs: FlopsRate) -> Seconds {
         Seconds::from_f64(self.0 / rhs.0)
     }
@@ -469,6 +485,7 @@ impl Seconds {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
+    #[inline]
     pub fn from_f64(secs: f64) -> Self {
         assert!(
             secs.is_finite() && secs >= 0.0,
@@ -488,6 +505,7 @@ impl Seconds {
     }
 
     /// The raw value in seconds.
+    #[inline]
     pub fn as_f64(self) -> f64 {
         self.0
     }
@@ -498,16 +516,19 @@ impl Seconds {
     }
 
     /// True when the duration is exactly zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
 
     /// The larger of two durations.
+    #[inline]
     pub fn max(self, other: Seconds) -> Seconds {
         Seconds(self.0.max(other.0))
     }
 
     /// The smaller of two durations.
+    #[inline]
     pub fn min(self, other: Seconds) -> Seconds {
         Seconds(self.0.min(other.0))
     }
@@ -517,6 +538,7 @@ impl Seconds {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn scale(self, factor: f64) -> Seconds {
         assert!(
             factor.is_finite() && factor >= 0.0,
@@ -531,6 +553,7 @@ impl Seconds {
     /// # Panics
     ///
     /// Panics if `other` is zero.
+    #[inline]
     pub fn ratio(self, other: Seconds) -> f64 {
         assert!(other.0 > 0.0, "cannot take ratio against a zero duration");
         self.0 / other.0
@@ -539,12 +562,14 @@ impl Seconds {
 
 impl Add for Seconds {
     type Output = Seconds;
+    #[inline]
     fn add(self, rhs: Seconds) -> Seconds {
         Seconds(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Seconds {
+    #[inline]
     fn add_assign(&mut self, rhs: Seconds) {
         self.0 += rhs.0;
     }
@@ -555,6 +580,7 @@ impl Sub for Seconds {
     /// # Panics
     ///
     /// Panics (debug builds) if the result would be negative.
+    #[inline]
     fn sub(self, rhs: Seconds) -> Seconds {
         debug_assert!(self.0 >= rhs.0, "duration subtraction underflow");
         Seconds((self.0 - rhs.0).max(0.0))

@@ -82,7 +82,20 @@ impl<T: Copy> ChunkedVec<T> {
             "index {index} out of bounds ({})",
             self.len
         );
-        self.segs[index / self.seg_cap][index % self.seg_cap]
+        self.get_at(index / self.seg_cap, index % self.seg_cap)
+    }
+
+    /// The element at `offset` within segment `seg`, i.e. at index
+    /// `seg * seg_cap() + offset` — for a caller reading several arenas
+    /// of one segment capacity at the same index, which can split the
+    /// index once instead of once per arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no element is stored at that position.
+    #[inline]
+    pub fn get_at(&self, seg: usize, offset: usize) -> T {
+        self.segs[seg][offset]
     }
 
     /// Iterates the elements in index order.
@@ -146,6 +159,7 @@ mod tests {
         assert!(!v.is_empty());
         for i in 0..11u32 {
             assert_eq!(v.get(i as usize), i * 7);
+            assert_eq!(v.get_at(i as usize / 4, i as usize % 4), i * 7);
         }
         let collected: Vec<u32> = v.iter().collect();
         assert_eq!(collected, (0..11).map(|i| i * 7).collect::<Vec<_>>());
@@ -192,6 +206,13 @@ mod tests {
     fn out_of_bounds_get_panics() {
         let v: ChunkedVec<u8> = ChunkedVec::new();
         let _ = v.get(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn get_at_past_the_last_element_panics() {
+        let v: ChunkedVec<u8> = [1, 2, 3].into_iter().collect();
+        let _ = v.get_at(0, 3);
     }
 
     #[test]

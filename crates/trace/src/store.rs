@@ -111,14 +111,19 @@ impl JobStore {
     ///
     /// Panics if `index >= len()`.
     pub fn get(&self, index: usize) -> WorkloadFeatures {
-        let arch = Architecture::ALL[self.arch.get(index) as usize];
+        assert!(index < self.len(), "row {index} out of bounds");
+        // Every column is a default arena, so one split of the index
+        // addresses all seven.
+        let cap = self.arch.seg_cap();
+        let (seg, at) = (index / cap, index % cap);
+        let arch = Architecture::ALL[self.arch.get_at(seg, at) as usize];
         WorkloadFeatures::builder(arch)
-            .cnodes(self.cnodes.get(index) as usize)
-            .batch_size(self.batch.get(index) as usize)
-            .input_bytes(Bytes::from_f64(self.input_bytes.get(index)))
-            .weight_bytes(Bytes::from_f64(self.weight_bytes.get(index)))
-            .flops(Flops::from_f64(self.flops.get(index)))
-            .mem_access_bytes(Bytes::from_f64(self.mem_access.get(index)))
+            .cnodes(self.cnodes.get_at(seg, at) as usize)
+            .batch_size(self.batch.get_at(seg, at) as usize)
+            .input_bytes(Bytes::from_f64(self.input_bytes.get_at(seg, at)))
+            .weight_bytes(Bytes::from_f64(self.weight_bytes.get_at(seg, at)))
+            .flops(Flops::from_f64(self.flops.get_at(seg, at)))
+            .mem_access_bytes(Bytes::from_f64(self.mem_access.get_at(seg, at)))
             .build()
     }
 
@@ -194,14 +199,17 @@ impl JobStore {
 }
 
 impl Jobs for JobStore {
+    #[inline]
     fn len(&self) -> usize {
         JobStore::len(self)
     }
 
+    #[inline]
     fn get(&self, index: usize) -> WorkloadFeatures {
         JobStore::get(self, index)
     }
 
+    #[inline]
     fn id_at(&self, index: usize) -> usize {
         JobStore::id_at(self, index)
     }

@@ -462,6 +462,7 @@ mod tests {
     use super::*;
     use crate::population::Population;
     use crate::store::JobStore;
+    use pai_core::project::ProjectionTarget;
     use pai_core::{characterize, Jobs};
     use pai_par::Threads;
 
@@ -668,6 +669,40 @@ mod tests {
             1,
             "zero-batch slot"
         );
+    }
+
+    #[test]
+    fn a_zero_work_record_is_accepted_but_never_projected() {
+        // Valid by every ingest rule, yet it prices at zero step time:
+        // neither projection speedup is defined, so the job counts as
+        // PS/Worker but not as eligible for projection.
+        let model = PerfModel::paper_default();
+        let zero = RawFeatures {
+            arch: pai_core::Architecture::PsWorker,
+            cnodes: 2,
+            batch_size: 1,
+            input_bytes: 0.0,
+            weight_bytes: 0.0,
+            flops: 0.0,
+            mem_access_bytes: 0.0,
+        };
+        let mut session = StreamSession::new(model);
+        assert!(session.ingest_untrusted(&zero).unwrap());
+        assert!(session.ingest_untrusted(&good_raw()).unwrap());
+        let stats = session.stats();
+        assert_eq!(stats.ps_jobs, 2);
+        assert_eq!(stats.arl_eligible, 1);
+
+        let jobs = [zero.validate().unwrap(), good_raw().validate().unwrap()];
+        assert_eq!(characterize(&model, &jobs[..], Threads::SERIAL), stats);
+        for target in [
+            ProjectionTarget::AllReduceLocal,
+            ProjectionTarget::AllReduceCluster,
+        ] {
+            let outcomes = model.projections(&jobs[..], target, Threads::SERIAL);
+            assert_eq!(outcomes.len(), 1, "{target:?}");
+            assert_eq!(outcomes[0].original, jobs[1]);
+        }
     }
 
     #[test]
