@@ -11,6 +11,9 @@
 //! of the additive backend's jobs/sec: feature records are priced in
 //! closed form, not by lowering and folding a step per job.
 
+mod common;
+
+use common::{time_best, TIMING_RUNS};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pai_core::PerfModel;
 use pai_dag::{
@@ -20,12 +23,10 @@ use pai_graph::zoo;
 use pai_par::Threads;
 use pai_profiler::extract_features;
 use pai_trace::{Population, PopulationConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Population size for the feature-record backend throughput legs.
 const JOBS: usize = 20_000;
-/// Best-of-N timing for the JSON report.
-const TIMING_RUNS: usize = 3;
 
 /// The strategies the report contrasts, with their labels.
 fn strategies() -> [OverlapStrategy; 3] {
@@ -96,17 +97,6 @@ fn bench_backend_pricing(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Best-of-N wall-clock seconds for `f`.
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_RUNS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// Measures evaluator and backend throughput and writes the

@@ -7,19 +7,20 @@
 //! at `PAR_THREADS` threads, with the host's core count alongside —
 //! a 1-core machine will honestly report a speedup near 1×.
 
+mod common;
+
+use common::{time_best, TIMING_RUNS};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pai_core::project::ProjectionTarget;
 use pai_core::{Architecture, PerfModel};
 use pai_par::Threads;
 use pai_trace::{Population, PopulationConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The ISSUE-mandated workload: a 50k-job population.
 const JOBS: usize = 50_000;
 /// The parallel worker count the report contrasts with serial.
 const PAR_THREADS: usize = 4;
-/// Best-of-N timing for the JSON report.
-const TIMING_RUNS: usize = 3;
 
 fn seed() -> u64 {
     pai_repro::SEED
@@ -70,17 +71,6 @@ fn bench_characterization(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Best-of-N wall-clock seconds for `f`.
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_RUNS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// Measures jobs/sec at 1 and [`PAR_THREADS`] threads and writes the

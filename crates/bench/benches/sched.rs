@@ -14,6 +14,9 @@
 //! `qssf` or `sjf-oracle` falls below a quarter of `fifo-first-fit`'s
 //! jobs/sec: ordered dispatch must not scan the queue.
 
+mod common;
+
+use common::{time_best, TIMING_RUNS};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pai_core::PerfModel;
 use pai_hw::ClusterSpec;
@@ -23,14 +26,12 @@ use pai_sched::{
     SchedConfig, SchedOutcome, SweepConfig,
 };
 use pai_trace::{FailureSampler, Population, PopulationConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The ISSUE-mandated workload: a 50k-job population.
 const JOBS: usize = 50_000;
 /// The parallel worker count the sweep report contrasts with serial.
 const PAR_THREADS: usize = 4;
-/// Best-of-N timing for the JSON report.
-const TIMING_RUNS: usize = 3;
 
 fn seed() -> u64 {
     pai_repro::SEED
@@ -83,17 +84,6 @@ fn bench_engine(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// Best-of-N wall-clock seconds for `f`.
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_RUNS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// One policy's outcome line for the report: the mean-JCT and

@@ -16,17 +16,18 @@
 //!   the ISSUE's ≥5× query-vs-characterize ratio is computed against
 //!   this host, not a stale number.
 
+mod common;
+
+use common::{time_best, TIMING_RUNS};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pai_core::{characterize, PerfModel, WhatIfIndex};
 use pai_par::Threads;
 use pai_trace::population::JOB_CHUNK;
 use pai_trace::{JobStore, JobStream, Population, PopulationConfig, StreamSession};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The ISSUE-mandated workload: a 1M-job stream.
 const JOBS: usize = 1_000_000;
-/// Best-of-N timing for the JSON report.
-const TIMING_RUNS: usize = 3;
 /// The Ethernet what-if point the report queries, in Gbps.
 const QUERY_GBPS: f64 = 100.0;
 /// Checkpoint cadence for the durability-overhead measurement, in
@@ -65,17 +66,6 @@ fn bench_characterize(c: &mut Criterion) {
         b.iter(|| black_box(index.summary_at(QUERY_GBPS)));
     });
     group.finish();
-}
-
-/// Best-of-N wall-clock seconds for `f`.
-fn time_best<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TIMING_RUNS {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
 }
 
 /// Measures the streaming/query rates and writes the

@@ -111,8 +111,7 @@ impl Breakdown {
 
     /// `T_total` under the breakdown's overlap mode: the sum of parts
     /// for [`OverlapMode::Serialized`] (the paper's default),
-    /// `max{Td, Tc, Tw}` for [`OverlapMode::Ideal`] (Sec. V-B), or the
-    /// linear interpolation for the deprecated `OverlapMode::Partial`.
+    /// or `max{Td, Tc, Tw}` for [`OverlapMode::Ideal`] (Sec. V-B).
     pub fn total(&self) -> Seconds {
         let parts = [
             self.td.as_f64(),
@@ -280,29 +279,6 @@ impl crate::model::PerfModel {
             |_, range| range.map(|i| self.breakdown(&jobs.get(i))).collect(),
         )
     }
-}
-
-/// Evaluates the per-step breakdown of every job, in input order.
-#[deprecated(
-    note = "use `PerfModel::breakdowns`, which accepts any `Jobs` storage and a `Threads` count"
-)]
-pub fn breakdown_population(
-    model: &crate::model::PerfModel,
-    jobs: &[crate::features::WorkloadFeatures],
-) -> Vec<Breakdown> {
-    model.breakdowns(jobs, pai_par::Threads::SERIAL)
-}
-
-/// [`breakdown_population`] on `threads` workers.
-#[deprecated(
-    note = "use `PerfModel::breakdowns`, which accepts any `Jobs` storage and a `Threads` count"
-)]
-pub fn breakdown_population_par(
-    model: &crate::model::PerfModel,
-    jobs: &[crate::features::WorkloadFeatures],
-    threads: pai_par::Threads,
-) -> Vec<Breakdown> {
-    model.breakdowns(jobs, threads)
 }
 
 /// Averages Fig.-7-style component shares over a population.

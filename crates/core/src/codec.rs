@@ -383,8 +383,6 @@ pub fn model_fingerprint(model: &PerfModel) -> u64 {
     let overlap_tag: u8 = match model.overlap() {
         OverlapMode::Serialized => 0,
         OverlapMode::Ideal => 1,
-        #[allow(deprecated)]
-        OverlapMode::Partial(_) => 2,
     };
     h = fnv1a(h, &[overlap_tag]);
     h = fnv1a(h, &model.overlap().alpha().to_bits().to_le_bytes());
@@ -479,6 +477,18 @@ mod tests {
         assert_ne!(paper, model_fingerprint(&PerfModel::testbed_default()));
         let ideal = PerfModel::paper_default().with_overlap(OverlapMode::Ideal);
         assert_ne!(paper, model_fingerprint(&ideal));
+    }
+
+    /// Checkpoints written by earlier builds carry these fingerprints;
+    /// if either literal changes, those checkpoints stop resuming.
+    #[test]
+    fn model_fingerprint_is_pinned_for_existing_checkpoints() {
+        let paper = PerfModel::paper_default();
+        assert_eq!(model_fingerprint(&paper), 0xbcf2_7f61_75d1_3bf1);
+        assert_eq!(
+            model_fingerprint(&paper.with_overlap(OverlapMode::Ideal)),
+            0x2878_1503_e04e_eeff
+        );
     }
 
     #[test]

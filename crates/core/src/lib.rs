@@ -96,6 +96,3 @@ pub use stats::Ecdf;
 pub use steptime::StepTimer;
 pub use sweep::class_sweep;
 pub use throughput::throughput;
-
-#[allow(deprecated)]
-pub use breakdown::{breakdown_population, breakdown_population_par};

@@ -10,8 +10,7 @@
 //! paper's refs 36 and 37) is now *derived*, not assumed: the
 //! `pai-dag` critical-path evaluator schedules each gradient's
 //! synchronization against the op stream (WFBP, tensor fusion)
-//! instead of interpolating with a free parameter. The old
-//! [`OverlapMode::Partial`] interpolation is deprecated in its favor.
+//! instead of interpolating with a free parameter.
 
 use std::fmt;
 
@@ -25,44 +24,18 @@ pub enum OverlapMode {
     Serialized,
     /// Ideal overlap: `T_total = max{Td, Tc, Tw}` (Sec. V-B).
     Ideal,
-    /// Partial overlap: a linear interpolation
-    /// `T = (1-α)·sum + α·max` with `α = percent/100`.
-    /// `Partial(0)` equals [`OverlapMode::Serialized`] and
-    /// `Partial(100)` equals [`OverlapMode::Ideal`].
-    ///
-    /// The free parameter α answers nothing the bounds don't: any
-    /// measurement it could be fit to is better explained by the
-    /// `pai-dag` evaluator, which *derives* the achieved overlap from
-    /// the op DAG and the network path instead of assuming it.
-    #[deprecated(
-        note = "use the two bound modes, or the `pai-dag` critical-path evaluator \
-                (`StepTimeBackend::Dag`) which derives the achieved overlap"
-    )]
-    Partial(u8),
 }
 
 impl OverlapMode {
     /// The paper's two extremes, Serialized first.
     pub const ALL: [OverlapMode; 2] = [OverlapMode::Serialized, OverlapMode::Ideal];
 
-    /// The overlap coefficient α in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `Partial` percentage exceeds 100.
+    /// The overlap coefficient α: 0 for Serialized, 1 for Ideal.
     #[inline]
     pub fn alpha(self) -> f64 {
         match self {
             OverlapMode::Serialized => 0.0,
             OverlapMode::Ideal => 1.0,
-            #[allow(deprecated)]
-            OverlapMode::Partial(percent) => {
-                assert!(
-                    percent <= 100,
-                    "overlap percentage must be at most 100, got {percent}"
-                );
-                percent as f64 / 100.0
-            }
         }
     }
 
@@ -82,8 +55,6 @@ impl fmt::Display for OverlapMode {
         match self {
             OverlapMode::Serialized => f.write_str("non-overlap"),
             OverlapMode::Ideal => f.write_str("ideal overlap"),
-            #[allow(deprecated)]
-            OverlapMode::Partial(p) => write!(f, "{p}% overlap"),
         }
     }
 }
@@ -98,41 +69,29 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn labels_match_fig16() {
         assert_eq!(OverlapMode::Serialized.to_string(), "non-overlap");
         assert_eq!(OverlapMode::Ideal.to_string(), "ideal overlap");
-        assert_eq!(OverlapMode::Partial(40).to_string(), "40% overlap");
     }
 
     #[test]
-    #[allow(deprecated)]
     fn combine_interpolates_between_sum_and_max() {
         let parts = [1.0, 2.0, 3.0];
         assert_eq!(OverlapMode::Serialized.combine(&parts), 6.0);
         assert_eq!(OverlapMode::Ideal.combine(&parts), 3.0);
-        assert_eq!(OverlapMode::Partial(0).combine(&parts), 6.0);
-        assert_eq!(OverlapMode::Partial(100).combine(&parts), 3.0);
-        assert_eq!(OverlapMode::Partial(50).combine(&parts), 4.5);
     }
 
     #[test]
-    #[allow(deprecated)]
     fn combine_is_monotone_in_alpha() {
-        let parts = [0.5, 2.5, 1.0];
-        let mut prev = f64::INFINITY;
-        for p in (0..=100).step_by(10) {
-            let t = OverlapMode::Partial(p).combine(&parts);
-            assert!(t <= prev + 1e-12);
-            prev = t;
+        // `ALL` lists the modes by increasing α; for non-negative
+        // parts the combined time never grows with α.
+        assert!(OverlapMode::ALL
+            .windows(2)
+            .all(|w| w[0].alpha() < w[1].alpha()));
+        for parts in [[0.5, 2.5, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]] {
+            let times: Vec<f64> = OverlapMode::ALL.iter().map(|m| m.combine(&parts)).collect();
+            assert!(times.windows(2).all(|w| w[1] <= w[0]), "{times:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 100")]
-    #[allow(deprecated)]
-    fn rejects_over_100_percent() {
-        let _ = OverlapMode::Partial(101).alpha();
     }
 
     #[test]

@@ -206,32 +206,6 @@ impl PerfModel {
     }
 }
 
-/// Projects every eligible PS/Worker job in a population; ineligible
-/// jobs are skipped.
-#[deprecated(
-    note = "use `PerfModel::projections`, which accepts any `Jobs` storage and a `Threads` count"
-)]
-pub fn project_population(
-    model: &PerfModel,
-    jobs: &[WorkloadFeatures],
-    target: ProjectionTarget,
-) -> Vec<ProjectionOutcome> {
-    model.projections(jobs, target, pai_par::Threads::SERIAL)
-}
-
-/// [`project_population`] on `threads` workers.
-#[deprecated(
-    note = "use `PerfModel::projections`, which accepts any `Jobs` storage and a `Threads` count"
-)]
-pub fn project_population_par(
-    model: &PerfModel,
-    jobs: &[WorkloadFeatures],
-    target: ProjectionTarget,
-    threads: pai_par::Threads,
-) -> Vec<ProjectionOutcome> {
-    model.projections(jobs, target, threads)
-}
-
 /// The Eq. 3 speedup bound for communication-bound workloads mapped
 /// from PS/Worker to AllReduce-Local:
 ///
@@ -448,8 +422,5 @@ mod tests {
             pai_par::Threads::SERIAL,
         );
         assert_eq!(outs.len(), 1);
-        #[allow(deprecated)]
-        let legacy = project_population(&m, &jobs, ProjectionTarget::AllReduceLocal);
-        assert_eq!(outs, legacy);
     }
 }

@@ -9,7 +9,6 @@ use pai_hw::{HardwareConfig, SweepAxis, SweepPoint};
 use serde::{Deserialize, Serialize};
 
 use crate::arch::Architecture;
-use crate::features::WorkloadFeatures;
 use crate::model::PerfModel;
 use crate::stats::weighted_mean;
 
@@ -171,29 +170,6 @@ where
     SweepCurves { arch, samples }
 }
 
-/// Runs the Table III sweep serially over a slice population.
-#[deprecated(note = "use `class_sweep`, which accepts any `Jobs` storage and a `Threads` count")]
-pub fn sweep_class(
-    model: &PerfModel,
-    arch: Architecture,
-    jobs: &[WorkloadFeatures],
-    weights: &[f64],
-) -> SweepCurves {
-    class_sweep(model, arch, jobs, weights, pai_par::Threads::SERIAL)
-}
-
-/// [`sweep_class`] on `threads` workers.
-#[deprecated(note = "use `class_sweep`, which accepts any `Jobs` storage and a `Threads` count")]
-pub fn sweep_class_par(
-    model: &PerfModel,
-    arch: Architecture,
-    jobs: &[WorkloadFeatures],
-    weights: &[f64],
-    threads: pai_par::Threads,
-) -> SweepCurves {
-    class_sweep(model, arch, jobs, weights, threads)
-}
-
 /// Convenience: a base configuration with one Table III point applied.
 pub fn apply_point(base: &HardwareConfig, point: SweepPoint) -> HardwareConfig {
     base.with_resource(point)
@@ -202,6 +178,7 @@ pub fn apply_point(base: &HardwareConfig, point: SweepPoint) -> HardwareConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::WorkloadFeatures;
     use pai_hw::{Bytes, Flops};
 
     fn ps_jobs() -> Vec<WorkloadFeatures> {

@@ -116,8 +116,7 @@ proptest! {
     /// ISSUE acceptance: per-job model evaluation, architecture
     /// projection, the Table III sweep and the streaming headline
     /// accumulator are bit-for-bit identical at every worker-thread
-    /// count, and the deprecated free-function shims reproduce the
-    /// unified API exactly.
+    /// count.
     #[test]
     fn characterization_is_thread_count_invariant(
         jobs in proptest::collection::vec(ps_job(), 1..400),
@@ -130,33 +129,15 @@ proptest! {
             m.breakdowns(&jobs, t)
         });
         prop_assert_eq!(b.len(), jobs.len());
-        #[allow(deprecated)]
-        {
-            prop_assert_eq!(&b, &pai_core::breakdown_population(&m, &jobs));
-        }
 
-        let outs = assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
+        assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
             m.projections(&jobs, ProjectionTarget::AllReduceLocal, t)
         });
-        #[allow(deprecated)]
-        {
-            prop_assert_eq!(
-                &outs,
-                &pai_core::project::project_population(&m, &jobs, ProjectionTarget::AllReduceLocal)
-            );
-        }
 
         let weights = vec![1.0; jobs.len()];
-        let curves = assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
+        assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
             class_sweep(&m, Architecture::PsWorker, &jobs, &weights, t)
         });
-        #[allow(deprecated)]
-        {
-            prop_assert_eq!(
-                &curves,
-                &pai_core::sweep::sweep_class(&m, Architecture::PsWorker, &jobs, &weights)
-            );
-        }
 
         let stats = assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
             characterize(&m, &jobs, t)

@@ -13,6 +13,9 @@
 //! crates/repro/tests/fixtures/overlap_golden.json`) or an accidental
 //! determinism break (fix the code).
 
+mod common;
+
+use common::assert_close;
 use pai_repro::overlap::overlap;
 use pai_repro::{Context, SEED};
 use serde_json::Value;
@@ -24,34 +27,6 @@ const GOLDEN_POPULATION: usize = 2_000;
 fn fixture() -> Value {
     serde_json::from_str(include_str!("fixtures/overlap_golden.json"))
         .expect("the committed fixture is valid JSON")
-}
-
-/// Recursive comparison: identical shape and key order, exact
-/// non-float leaves, floats within 1e-9 relative.
-fn assert_close(golden: &Value, actual: &Value, path: &str) {
-    match (golden, actual) {
-        (Value::Object(g), Value::Object(a)) => {
-            assert_eq!(g.len(), a.len(), "{path}: key count changed");
-            for ((gk, gv), (ak, av)) in g.iter().zip(a) {
-                assert_eq!(gk, ak, "{path}: key order changed");
-                assert_close(gv, av, &format!("{path}.{gk}"));
-            }
-        }
-        (Value::Array(g), Value::Array(a)) => {
-            assert_eq!(g.len(), a.len(), "{path}: length changed");
-            for (i, (gv, av)) in g.iter().zip(a).enumerate() {
-                assert_close(gv, av, &format!("{path}[{i}]"));
-            }
-        }
-        (Value::F64(g), Value::F64(a)) => {
-            let scale = g.abs().max(a.abs()).max(1e-30);
-            assert!(
-                (g - a).abs() / scale < 1e-9,
-                "{path}: reproduced {a} drifted from golden {g}"
-            );
-        }
-        _ => assert_eq!(golden, actual, "{path}: value changed"),
-    }
 }
 
 #[test]

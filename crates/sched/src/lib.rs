@@ -53,6 +53,3 @@ pub use stream::{
     realize_stream, templates_from_population, templates_with, ArrivalConfig, JobTemplate,
 };
 pub use sweep::{policy_sweep, SweepConfig, SweepPoint};
-
-#[allow(deprecated)]
-pub use sweep::sweep_par;

@@ -11,7 +11,7 @@ use pai_core::PerfModel;
 use pai_hw::ClusterSpec;
 use pai_par::{map_items, Threads};
 use pai_predict::CalibrationReport;
-use pai_trace::{FailureSampler, Population};
+use pai_trace::FailureSampler;
 use serde::Serialize;
 
 use crate::engine::{run_ordered, SchedConfig};
@@ -69,23 +69,6 @@ pub struct SweepPoint {
     /// Predicted-vs-actual calibration — `Some` for the predictive
     /// queue orderings (QSSF and the oracles), `None` otherwise.
     pub prediction: Option<CalibrationReport>,
-}
-
-/// Runs every `(policy, seed)` point of the sweep, in policy-major
-/// order, over `threads` workers.
-///
-/// # Errors
-///
-/// Same contract as [`policy_sweep`].
-#[deprecated(note = "use `policy_sweep`, which accepts any `Jobs` storage")]
-pub fn sweep_par(
-    cluster: &ClusterSpec,
-    model: &PerfModel,
-    population: &Population,
-    config: &SweepConfig,
-    threads: Threads,
-) -> Result<Vec<SweepPoint>, SchedError> {
-    policy_sweep(cluster, model, population, config, threads)
 }
 
 /// Runs every `(policy, seed)` point of the sweep, in policy-major

@@ -26,19 +26,6 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// How phases of a step may overlap (Sec. V-B's spectrum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OverlapPolicy {
-    /// Input → compute → communication, strictly phased — the paper's
-    /// non-overlap assumption.
-    #[default]
-    Serialized,
-    /// Communication proceeds concurrently with computation (gradient
-    /// buckets stream out while later layers still compute); input I/O
-    /// is double-buffered. The ideal-overlap end of Sec. V-B.
-    Overlapped,
-}
-
 /// Simulator knobs.
 ///
 /// # Examples
@@ -57,7 +44,6 @@ pub struct SimConfig {
     hardware: HardwareConfig,
     kernel_launch_overhead: Seconds,
     tensor_core_efficiency: f64,
-    overlap: OverlapPolicy,
 }
 
 impl SimConfig {
@@ -71,7 +57,6 @@ impl SimConfig {
             hardware: HardwareConfig::testbed_default(),
             kernel_launch_overhead: Seconds::from_micros(4.5),
             tensor_core_efficiency: 0.29,
-            overlap: OverlapPolicy::Serialized,
         }
     }
 
@@ -90,11 +75,6 @@ impl SimConfig {
     /// attain.
     pub fn tensor_core_efficiency(&self) -> f64 {
         self.tensor_core_efficiency
-    }
-
-    /// The overlap policy.
-    pub fn overlap(&self) -> OverlapPolicy {
-        self.overlap
     }
 
     /// A copy over different hardware.
@@ -136,11 +116,6 @@ impl SimConfig {
             ..*self
         })
     }
-
-    /// A copy with a different overlap policy.
-    pub fn with_overlap(&self, overlap: OverlapPolicy) -> SimConfig {
-        SimConfig { overlap, ..*self }
-    }
 }
 
 impl Default for SimConfig {
@@ -159,7 +134,6 @@ mod tests {
         assert_eq!(c.hardware().gpu().peak_flops().as_tera_per_sec(), 15.0);
         assert!((c.kernel_launch_overhead().as_f64() - 4.5e-6).abs() < 1e-12);
         assert!((c.tensor_core_efficiency() - 0.29).abs() < 1e-12);
-        assert_eq!(c.overlap(), OverlapPolicy::Serialized);
     }
 
     #[test]
@@ -176,11 +150,9 @@ mod tests {
         let c = SimConfig::testbed()
             .with_launch_overhead(Seconds::from_micros(10.0))
             .with_tensor_core_efficiency(0.5)
-            .unwrap()
-            .with_overlap(OverlapPolicy::Overlapped);
+            .unwrap();
         assert!((c.kernel_launch_overhead().as_f64() - 1e-5).abs() < 1e-15);
         assert_eq!(c.tensor_core_efficiency(), 0.5);
-        assert_eq!(c.overlap(), OverlapPolicy::Overlapped);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Tasks declare a duration, one serial resource, and dependencies.
 //! The engine assigns each task the earliest start compatible with both
-//! (dependencies finished, resource free) by releasing tasks in
-//! dependency order — classic list scheduling, which for this workload
-//! (static DAGs, serial resources, FIFO within a resource) is exactly
-//! the discrete-event fixed point.
+//! (dependencies finished, resource free) the moment it is added.
+//! Dependencies must already exist, so insertion order is a dependency
+//! order and scheduling in it is classic list scheduling — which for
+//! this workload (static DAGs, serial resources, FIFO within a
+//! resource) is exactly the discrete-event fixed point.
 //!
 //! Fault injection hooks: [`Engine::dilate_resource`] stretches the
 //! duration of subsequently added tasks on a resource (stragglers,
@@ -33,11 +34,21 @@ impl TaskId {
     }
 }
 
+/// A registered resource and its running totals.
 #[derive(Debug, Clone)]
-struct Task {
-    resource: ResourceId,
-    duration: Seconds,
-    deps: Vec<TaskId>,
+struct Lane {
+    dilation: f64,
+    free_at: Seconds,
+    busy: Seconds,
+}
+
+/// A scheduled task's times.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    start: Seconds,
+    finish: Seconds,
+    /// Length of the longest dependency chain ending with this task.
+    longest: Seconds,
 }
 
 /// The engine: add resources and tasks, then [`Engine::run`].
@@ -59,9 +70,8 @@ struct Task {
 /// ```
 #[derive(Debug, Default)]
 pub struct Engine {
-    resources: Vec<&'static str>,
-    dilation: Vec<f64>,
-    tasks: Vec<Task>,
+    lanes: Vec<Lane>,
+    slots: Vec<Slot>,
 }
 
 impl Engine {
@@ -70,11 +80,15 @@ impl Engine {
         Engine::default()
     }
 
-    /// Registers a serial resource.
-    pub fn add_resource(&mut self, name: &'static str) -> ResourceId {
-        self.resources.push(name);
-        self.dilation.push(1.0);
-        ResourceId(self.resources.len() - 1)
+    /// Registers a serial resource. The name labels the call site;
+    /// the engine identifies resources by the returned id.
+    pub fn add_resource(&mut self, _name: &'static str) -> ResourceId {
+        self.lanes.push(Lane {
+            dilation: 1.0,
+            free_at: Seconds::ZERO,
+            busy: Seconds::ZERO,
+        });
+        ResourceId(self.lanes.len() - 1)
     }
 
     /// Dilates every task *subsequently* added on `resource` by
@@ -85,22 +99,18 @@ impl Engine {
     /// Rejects unknown resources and non-finite or non-positive
     /// factors.
     pub fn dilate_resource(&mut self, resource: ResourceId, factor: f64) -> Result<(), SimError> {
-        if resource.0 >= self.resources.len() {
-            return Err(SimError::UnknownResource {
-                resource: resource.0,
-                resources: self.resources.len(),
-            });
-        }
+        self.check_resource(resource)?;
         if !factor.is_finite() || factor <= 0.0 {
             return Err(SimError::InvalidDilation { value: factor });
         }
-        self.dilation[resource.0] *= factor;
+        self.lanes[resource.0].dilation *= factor;
         Ok(())
     }
 
     /// Adds a task on `resource` with `deps` (which must already be
-    /// added — the DAG is therefore acyclic by construction). The
-    /// duration is stretched by the resource's current dilation.
+    /// added — the DAG is therefore acyclic by construction) and
+    /// schedules it. The duration is stretched by the resource's
+    /// current dilation.
     ///
     /// Returns [`SimError::UnknownResource`] or
     /// [`SimError::UnknownDependency`] on invalid references.
@@ -110,8 +120,9 @@ impl Engine {
         duration: Seconds,
         deps: &[TaskId],
     ) -> Result<TaskId, SimError> {
-        let dilation = self.check_refs(resource, deps)?;
-        self.push_task(resource, duration.scale(dilation), deps)
+        self.check_refs(resource, deps)?;
+        let dilation = self.lanes[resource.0].dilation;
+        Ok(self.schedule(resource, duration.scale(dilation), deps))
     }
 
     /// Adds a pure wall-clock delay on `resource` (retry backoff, a
@@ -125,81 +136,71 @@ impl Engine {
         deps: &[TaskId],
     ) -> Result<TaskId, SimError> {
         self.check_refs(resource, deps)?;
-        self.push_task(resource, duration, deps)
+        Ok(self.schedule(resource, duration, deps))
     }
 
-    fn check_refs(&self, resource: ResourceId, deps: &[TaskId]) -> Result<f64, SimError> {
-        if resource.0 >= self.resources.len() {
+    fn check_resource(&self, resource: ResourceId) -> Result<(), SimError> {
+        if resource.0 >= self.lanes.len() {
             return Err(SimError::UnknownResource {
                 resource: resource.0,
-                resources: self.resources.len(),
+                resources: self.lanes.len(),
             });
         }
+        Ok(())
+    }
+
+    fn check_refs(&self, resource: ResourceId, deps: &[TaskId]) -> Result<(), SimError> {
+        self.check_resource(resource)?;
         for d in deps {
-            if d.0 >= self.tasks.len() {
+            if d.0 >= self.slots.len() {
                 return Err(SimError::UnknownDependency {
                     dependency: d.0,
-                    tasks: self.tasks.len(),
+                    tasks: self.slots.len(),
                 });
             }
         }
-        Ok(self.dilation[resource.0])
+        Ok(())
     }
 
-    fn push_task(
-        &mut self,
-        resource: ResourceId,
-        duration: Seconds,
-        deps: &[TaskId],
-    ) -> Result<TaskId, SimError> {
-        self.tasks.push(Task {
-            resource,
-            duration,
-            deps: deps.to_vec(),
+    /// Starts the task when its last dependency finishes or its
+    /// resource frees up, whichever is later; within a resource, tasks
+    /// run FIFO in insertion order.
+    fn schedule(&mut self, resource: ResourceId, duration: Seconds, deps: &[TaskId]) -> TaskId {
+        let (ready, longest) = deps
+            .iter()
+            .map(|d| &self.slots[d.0])
+            .fold((Seconds::ZERO, Seconds::ZERO), |(ready, longest), dep| {
+                (ready.max(dep.finish), longest.max(dep.longest))
+            });
+        let lane = &mut self.lanes[resource.0];
+        let start = ready.max(lane.free_at);
+        let finish = start + duration;
+        lane.free_at = finish;
+        lane.busy += duration;
+        self.slots.push(Slot {
+            start,
+            finish,
+            longest: longest + duration,
         });
-        Ok(TaskId(self.tasks.len() - 1))
+        TaskId(self.slots.len() - 1)
     }
 
     /// Number of tasks added.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.slots.len()
     }
 
     /// True when no tasks were added.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.slots.is_empty()
     }
 
-    /// Runs the simulation and returns the schedule.
-    ///
-    /// Tasks are released in insertion order, which is a valid
-    /// topological order because dependencies must precede dependents
-    /// at insertion; within a resource tasks run FIFO in release order.
+    /// Finishes the simulation and returns the schedule (every task
+    /// was already scheduled as it was added).
     pub fn run(self) -> Schedule {
-        let mut resource_free = vec![Seconds::ZERO; self.resources.len()];
-        let mut starts = vec![Seconds::ZERO; self.tasks.len()];
-        let mut finish = vec![Seconds::ZERO; self.tasks.len()];
-        let mut busy = vec![Seconds::ZERO; self.resources.len()];
-        for i in 0..self.tasks.len() {
-            let ready = self.tasks[i]
-                .deps
-                .iter()
-                .map(|d| finish[d.0])
-                .fold(Seconds::ZERO, Seconds::max);
-            let r = self.tasks[i].resource.0;
-            let start = ready.max(resource_free[r]);
-            let end = start + self.tasks[i].duration;
-            starts[i] = start;
-            finish[i] = end;
-            resource_free[r] = end;
-            busy[r] += self.tasks[i].duration;
-        }
         Schedule {
-            tasks: self.tasks,
-            starts,
-            finish,
-            busy,
-            resources: self.resources,
+            lanes: self.lanes,
+            slots: self.slots,
         }
     }
 }
@@ -207,19 +208,16 @@ impl Engine {
 /// The result of a simulation run.
 #[derive(Debug)]
 pub struct Schedule {
-    tasks: Vec<Task>,
-    starts: Vec<Seconds>,
-    finish: Vec<Seconds>,
-    busy: Vec<Seconds>,
-    resources: Vec<&'static str>,
+    lanes: Vec<Lane>,
+    slots: Vec<Slot>,
 }
 
 impl Schedule {
     /// Completion time of the whole DAG.
     pub fn makespan(&self) -> Seconds {
-        self.finish
+        self.slots
             .iter()
-            .copied()
+            .map(|s| s.finish)
             .fold(Seconds::ZERO, Seconds::max)
     }
 
@@ -229,7 +227,7 @@ impl Schedule {
     ///
     /// Panics if the id is unknown.
     pub fn start(&self, id: TaskId) -> Seconds {
-        self.starts[id.0]
+        self.slots[id.0].start
     }
 
     /// Finish time of a task.
@@ -238,12 +236,12 @@ impl Schedule {
     ///
     /// Panics if the id is unknown.
     pub fn finish(&self, id: TaskId) -> Seconds {
-        self.finish[id.0]
+        self.slots[id.0].finish
     }
 
     /// Total busy time of a resource.
     pub fn busy(&self, resource: ResourceId) -> Seconds {
-        self.busy[resource.0]
+        self.lanes[resource.0].busy
     }
 
     /// Utilization of a resource over the makespan, in `[0, 1]`.
@@ -258,23 +256,17 @@ impl Schedule {
 
     /// Number of registered resources.
     pub fn resource_count(&self) -> usize {
-        self.resources.len()
+        self.lanes.len()
     }
 
     /// Length of the critical dependency path — the makespan an
     /// infinitely parallel machine would still need. The gap between
     /// this and [`Schedule::makespan`] is pure resource contention.
     pub fn critical_path(&self) -> Seconds {
-        let mut longest = vec![Seconds::ZERO; self.tasks.len()];
-        for (i, task) in self.tasks.iter().enumerate() {
-            let ready = task
-                .deps
-                .iter()
-                .map(|d| longest[d.0])
-                .fold(Seconds::ZERO, Seconds::max);
-            longest[i] = ready + task.duration;
-        }
-        longest.into_iter().fold(Seconds::ZERO, Seconds::max)
+        self.slots
+            .iter()
+            .map(|s| s.longest)
+            .fold(Seconds::ZERO, Seconds::max)
     }
 }
 
@@ -283,8 +275,8 @@ impl fmt::Display for Schedule {
         write!(
             f,
             "schedule: {} tasks on {} resources, makespan {}",
-            self.tasks.len(),
-            self.resources.len(),
+            self.slots.len(),
+            self.lanes.len(),
             self.makespan()
         )
     }

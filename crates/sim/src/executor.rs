@@ -5,7 +5,7 @@ use pai_faults::FaultInjector;
 use pai_graph::{Graph, OpClass, OpKind};
 use pai_hw::{LinkKind, Seconds};
 
-use crate::config::{OverlapPolicy, SimConfig};
+use crate::config::SimConfig;
 use crate::engine::{Engine, TaskId};
 use crate::error::SimError;
 use crate::measure::{FaultAttribution, OpProfile, StepMeasurement};
@@ -72,7 +72,9 @@ impl StepSimulator {
         }
     }
 
-    /// Runs one training step.
+    /// Runs one training step, strictly phased: input → compute →
+    /// communication (the paper's non-overlap assumption; `pai-dag`
+    /// prices overlapped steps).
     ///
     /// `pcie_contention` is the number of replicas sharing this
     /// server's PCIe complex for input loading (1 for PS workers and
@@ -91,7 +93,6 @@ impl StepSimulator {
         }
         let hw = self.config.hardware();
         let launch_gap = self.config.kernel_launch_overhead();
-        let overlapped = self.config.overlap() == OverlapPolicy::Overlapped;
 
         let mut engine = Engine::new();
         let gpu = engine.add_resource("gpu");
@@ -111,30 +112,20 @@ impl StepSimulator {
         let mut profiles = Vec::with_capacity(order.len());
         let mut durations = vec![Seconds::ZERO; graph.len()];
         let mut kernel_times = vec![Seconds::ZERO; graph.len()];
-        let mut io_tasks = Vec::new();
+        let mut deps: Vec<TaskId> = Vec::new();
 
         for id in &order {
             let op = graph.node(*id);
-            let mut deps: Vec<TaskId> = preds[id.index()]
-                .iter()
-                .filter_map(|p| task_of[p.index()])
-                .collect();
+            deps.clear();
+            deps.extend(preds[id.index()].iter().filter_map(|p| task_of[p.index()]));
             let task = match op.class() {
                 OpClass::Io => {
                     let volume = op.kind().pcie_bytes().scale(pcie_contention as f64);
                     let dur = hw.link(LinkKind::Pcie).transfer_time(volume);
                     durations[id.index()] = dur;
-                    let t = engine.add_task(pcie, dur, &deps)?;
-                    io_tasks.push(t);
-                    t
+                    engine.add_task(pcie, dur, &deps)?
                 }
                 OpClass::ComputeBound | OpClass::MemoryBound => {
-                    // Under the overlapped policy the input pipeline is
-                    // double-buffered: compute does not wait for this
-                    // step's loads.
-                    if overlapped {
-                        deps.retain(|t| !io_tasks.contains(t));
-                    }
                     let kernel = self.kernel_time(op.kind());
                     let dur = kernel.max(launch_gap);
                     durations[id.index()] = dur;
@@ -145,29 +136,14 @@ impl StepSimulator {
             task_of[id.index()] = Some(task);
         }
 
-        // Communication transfers: chained in plan order. Serialized:
-        // wait for the whole graph; Overlapped: start as soon as the
-        // GPU starts (deps on nothing — links are distinct resources).
-        let graph_tail: Vec<TaskId> = if overlapped {
-            Vec::new()
-        } else {
-            order
-                .last()
-                .and_then(|id| task_of[id.index()])
-                .into_iter()
-                .collect()
-        };
+        // Communication transfers: chained in plan order after the
+        // whole graph (the paper's phased step).
         let mut comm_tasks = Vec::new();
-        let mut prev_comm: Option<TaskId> = None;
+        let mut prev = order.last().and_then(|id| task_of[id.index()]);
         for transfer in comm.transfers() {
             let dur = hw.link(transfer.link).transfer_time(transfer.bytes);
-            let deps: Vec<TaskId> = prev_comm
-                .into_iter()
-                .chain(graph_tail.iter().copied())
-                .collect();
-            let t = engine.add_task(link_resource(transfer.link), dur, &deps)?;
+            prev = Some(engine.add_task(link_resource(transfer.link), dur, prev.as_slice())?);
             comm_tasks.push((transfer.link, dur));
-            prev_comm = Some(t);
         }
 
         let schedule = engine.run();
@@ -327,6 +303,7 @@ impl StepSimulator {
         let mut slow_kernels = 0usize;
         let mut healthy_comm = Seconds::ZERO;
         let mut comm_by_link: Vec<(LinkKind, Seconds)> = Vec::new();
+        let mut deps: Vec<TaskId> = Vec::new();
 
         for (r, (&gpu, &port)) in gpus.iter().zip(&ports).enumerate() {
             engine.dilate_resource(gpu, compute_dilation[r])?;
@@ -334,10 +311,8 @@ impl StepSimulator {
             let mut task_of = vec![None::<TaskId>; graph.len()];
             for id in &order {
                 let op = graph.node(*id);
-                let deps: Vec<TaskId> = preds[id.index()]
-                    .iter()
-                    .filter_map(|p| task_of[p.index()])
-                    .collect();
+                deps.clear();
+                deps.extend(preds[id.index()].iter().filter_map(|p| task_of[p.index()]));
                 let task = match op.class() {
                     OpClass::Io => {
                         // Unscaled volume on the SHARED bus.
@@ -374,8 +349,7 @@ impl StepSimulator {
             let mut prev = order.last().and_then(|id| task_of[id.index()]);
             for transfer in comm.transfers() {
                 let dur = hw.link(transfer.link).transfer_time(transfer.bytes);
-                let deps: Vec<TaskId> = prev.into_iter().collect();
-                prev = Some(engine.add_task(port, dur, &deps)?);
+                prev = Some(engine.add_task(port, dur, prev.as_slice())?);
                 if r == 0 {
                     healthy_comm += dur;
                 }
@@ -388,8 +362,7 @@ impl StepSimulator {
                 }
             }
             if !retry_delay[r].is_zero() {
-                let deps: Vec<TaskId> = prev.into_iter().collect();
-                engine.add_delay(port, retry_delay[r], &deps)?;
+                engine.add_delay(port, retry_delay[r], prev.as_slice())?;
             }
         }
 
@@ -448,22 +421,6 @@ mod tests {
         assert!((m.total.as_f64() - parts.as_f64()).abs() < 1e-9);
         assert_eq!(m.kernels, 2);
         assert!(m.faults.is_clean());
-    }
-
-    #[test]
-    fn overlapped_step_is_shorter() {
-        let g = toy_graph();
-        let mut comm = CommPlan::new();
-        comm.push(Transfer::new("sync", LinkKind::NvLink, Bytes::from_gb(2.0)));
-        let ser = StepSimulator::new(SimConfig::testbed())
-            .run(&g, &comm, 1)
-            .unwrap();
-        let ovl = StepSimulator::new(SimConfig::testbed().with_overlap(OverlapPolicy::Overlapped))
-            .run(&g, &comm, 1)
-            .unwrap();
-        assert!(ovl.total.as_f64() < ser.total.as_f64());
-        // Ideal bound: no shorter than the longest phase.
-        assert!(ovl.total.as_f64() >= ser.comm_total().as_f64() - 1e-12);
     }
 
     #[test]

@@ -55,7 +55,8 @@ impl FaultedRun {
 
 impl StepSimulator {
     /// Simulates `steps` synchronous steps of a replica group under
-    /// `plan`.
+    /// `plan` on `threads` workers ([`Threads::SERIAL`] for the
+    /// single-threaded oracle).
     ///
     /// A crash at step `c` costs: the failed attempt of step `c`, the
     /// restart (checkpoint reload + rescheduling), and the
@@ -63,35 +64,6 @@ impl StepSimulator {
     /// last checkpoint. Re-executed steps rerun under the same
     /// deterministic fault realization, so the whole run is a pure
     /// function of `(graph, comm, steps, plan)`.
-    ///
-    /// Returns [`SimError::ZeroSteps`] for an empty run and
-    /// [`SimError::Fault`] for an invalid plan.
-    #[deprecated(note = "use `run_faulted`, which takes a `Threads` count")]
-    pub fn run_steps_faulted(
-        &self,
-        graph: &Graph,
-        comm: &CommPlan,
-        steps: usize,
-        plan: &FaultPlan,
-    ) -> Result<FaultedRun, SimError> {
-        self.run_faulted(graph, comm, steps, plan, Threads::SERIAL)
-    }
-
-    /// [`Self::run_faulted`] on `threads` workers.
-    #[deprecated(note = "use `run_faulted`, which takes a `Threads` count")]
-    pub fn run_steps_faulted_par(
-        &self,
-        graph: &Graph,
-        comm: &CommPlan,
-        steps: usize,
-        plan: &FaultPlan,
-        threads: Threads,
-    ) -> Result<FaultedRun, SimError> {
-        self.run_faulted(graph, comm, steps, plan, threads)
-    }
-
-    /// Simulates `steps` synchronous steps under `plan` on `threads`
-    /// workers ([`Threads::SERIAL`] for the single-threaded oracle).
     ///
     /// Each step's measurement is a pure function of
     /// `(graph, comm, plan, step)` — the fault realization is drawn

@@ -13,8 +13,8 @@
 //!   (tasks with dependencies claim serial resources; the makespan is
 //!   the step time);
 //! - [`config`] — simulator knobs: hardware, per-component efficiency
-//!   (inject Table VI here), kernel-launch overhead, overlap policy,
-//!   TensorCore effective efficiency;
+//!   (inject Table VI here), kernel-launch overhead, TensorCore
+//!   effective efficiency;
 //! - [`executor`] — runs one training step of a [`pai_graph::Graph`]
 //!   plus a [`pai_collectives::CommPlan`], op by op;
 //! - [`measure`] — [`measure::StepMeasurement`] (per-component busy
@@ -70,7 +70,7 @@ pub mod executor;
 pub mod faulted;
 pub mod measure;
 
-pub use config::{ConfigError, OverlapPolicy, SimConfig};
+pub use config::{ConfigError, SimConfig};
 pub use error::SimError;
 pub use executor::StepSimulator;
 pub use faulted::{run_faulted_priced, FaultedRun};

@@ -8,7 +8,7 @@ use pai_hw::{Bytes, LinkKind, Seconds};
 use pai_par::{assert_serial_parallel_identical, Threads, EQUIVALENCE_THREADS};
 use pai_sim::cluster::{place, ClusterJob};
 use pai_sim::engine::Engine;
-use pai_sim::{OverlapPolicy, SimConfig, StepSimulator};
+use pai_sim::{SimConfig, StepSimulator};
 use proptest::prelude::*;
 
 /// Random durations for a chain of tasks on one resource.
@@ -62,36 +62,6 @@ proptest! {
         }
         let longest = durs.iter().cloned().fold(0.0, f64::max);
         prop_assert!(sched.makespan().as_f64() >= longest - 1e-9);
-    }
-
-    #[test]
-    fn overlapped_never_slower_and_bounded_below(
-        mm in 64usize..1024,
-        numel in 1_000usize..50_000_000,
-        comm_mb in 0.1f64..5_000.0,
-    ) {
-        let mut g = Graph::new("p");
-        let a = g.add(Op::new("in", OpKind::DataLoad { bytes: 1_000_000 }));
-        let b = g.add(Op::new("mm", matmul(mm, mm, mm)));
-        let c = g.add(Op::new("ew", elementwise(1, numel, 1)));
-        g.connect(a, b);
-        g.connect(b, c);
-        let mut comm = CommPlan::new();
-        comm.push(Transfer::new("sync", LinkKind::NvLink, Bytes::from_mb(comm_mb)));
-
-        let ser = StepSimulator::new(SimConfig::testbed()).run(&g, &comm, 1).unwrap();
-        let ovl = StepSimulator::new(
-            SimConfig::testbed().with_overlap(OverlapPolicy::Overlapped),
-        )
-        .run(&g, &comm, 1)
-        .unwrap();
-        prop_assert!(ovl.total.as_f64() <= ser.total.as_f64() + 1e-12);
-        // Ideal-overlap floor: the longest phase.
-        let floor = ser
-            .data_io
-            .max(ser.computation())
-            .max(ser.comm_total());
-        prop_assert!(ovl.total.as_f64() >= floor.as_f64() - 1e-9);
     }
 
     #[test]

@@ -127,24 +127,6 @@ impl Population {
         Population::builder(config.clone()).seed(seed).build()
     }
 
-    /// [`Population::generate`] scattered over `threads` worker
-    /// threads.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Population::generate`].
-    #[deprecated(note = "use `Population::builder(config).seed(seed).threads(threads).build()`")]
-    pub fn generate_par(
-        config: &PopulationConfig,
-        seed: u64,
-        threads: Threads,
-    ) -> Result<Population, TraceError> {
-        Population::builder(config.clone())
-            .seed(seed)
-            .threads(threads)
-            .build()
-    }
-
     /// Rebuilds a population from previously exported records (e.g.
     /// deserialized from the JSON a [`Population::records`] dump
     /// produced) — the load half of trace sharing.

@@ -36,8 +36,6 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// One resolved (or unresolved) call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
-    /// Span of the callee name token.
-    pub span: Span,
     /// The callee's name (last path segment / method name).
     pub name: String,
     /// Resolved target fn ids, sorted; empty when the callee is
@@ -154,11 +152,7 @@ fn collect_site(
             if let ExprKind::Path(segs) = &callee.kind {
                 let (name, targets) = resolve_path(segs, files, table, crate_name, self_type);
                 if let Some(name) = name {
-                    calls.push(CallSite {
-                        span: callee.span,
-                        name,
-                        targets,
-                    });
+                    calls.push(CallSite { name, targets });
                 }
             }
         }
@@ -187,7 +181,6 @@ fn collect_site(
             targets.sort_unstable();
             if !targets.is_empty() {
                 calls.push(CallSite {
-                    span: e.span,
                     name: method.clone(),
                     targets,
                 });

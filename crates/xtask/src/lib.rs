@@ -12,10 +12,9 @@
 //! 2. **Semantic pass** — a recursive-descent [`parser`] turns each
 //!    token stream into a lightweight AST ([`ast`]); a workspace
 //!    [`symbols::SymbolTable`] and interprocedural
-//!    [`callgraph::CallGraph`] then drive the four dataflow rules
-//!    (RNG lineage, reduction order, transitive panic-freedom,
-//!    deprecated-shim reachability — see [`taint`] and
-//!    [`rules::run_semantic`]).
+//!    [`callgraph::CallGraph`] then drive the three dataflow rules
+//!    (RNG lineage, reduction order, transitive panic-freedom — see
+//!    [`taint`] and [`rules::run_semantic`]).
 //! 3. **Graph validator** — [`pai_graph::passes::validate`] run over
 //!    every zoo model (training, inference and optimized variants), so
 //!    the FLOPs/`S_mem` inputs to the closed-form `Tc` are proven

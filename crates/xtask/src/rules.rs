@@ -1,5 +1,5 @@
 //! The workspace invariant rules: five token-level (lexical) rules
-//! and four AST/call-graph (semantic) rules.
+//! and three AST/call-graph (semantic) rules.
 //!
 //! Every rule exists to protect a property the reproduction's numbers
 //! depend on:
@@ -37,10 +37,6 @@
 //!   function boundary; this rule walks the call graph so a public fn
 //!   of a typed-error crate cannot reach `unwrap`/`panic!`/panicking
 //!   slice helpers through any private-call chain.
-//! - [`DEPRECATED_REACHABLE`]: compatibility shims must be dead
-//!   internally — any workspace call path into a `#[deprecated]` item
-//!   means a migration was left half-done (clippy's `-D deprecated`
-//!   approximates this per-crate; the call graph proves it).
 //!
 //! A diagnostic can be suppressed by putting
 //! `// pai-lint: allow(<rule>)` on the offending line or the line
@@ -168,16 +164,6 @@ pub const PANIC_TRANSITIVE: Rule = Rule {
     lib_only: true,
 };
 
-/// Deprecated-shim reachability rule (semantic).
-pub const DEPRECATED_REACHABLE: Rule = Rule {
-    slug: "deprecated-reachable",
-    rationale: "no internal code path may call a #[deprecated] shim — migrate the \
-                caller to the replacement API; shims exist only for external \
-                compatibility",
-    scopes: ALL_SCOPES,
-    lib_only: true,
-};
-
 /// The token-level rules, in reporting order.
 pub const ALL_RULES: &[&Rule] = &[
     &HASH_ITERATION,
@@ -188,12 +174,7 @@ pub const ALL_RULES: &[&Rule] = &[
 ];
 
 /// The AST/call-graph rules, in reporting order.
-pub const SEMANTIC_RULES: &[&Rule] = &[
-    &RNG_LINEAGE,
-    &REDUCTION_ORDER,
-    &PANIC_TRANSITIVE,
-    &DEPRECATED_REACHABLE,
-];
+pub const SEMANTIC_RULES: &[&Rule] = &[&RNG_LINEAGE, &REDUCTION_ORDER, &PANIC_TRANSITIVE];
 
 /// One rule hit before allow-comment filtering.
 #[derive(Debug, Clone)]
@@ -291,7 +272,7 @@ pub struct SemanticHit {
     pub matched: String,
 }
 
-/// Runs the four semantic rules over the parsed workspace: builds the
+/// Runs the three semantic rules over the parsed workspace: builds the
 /// symbol table and call graph, then walks every function once. The
 /// output order is a pure function of the input file order.
 pub fn run_semantic(files: &[FileAnalysis], all_rules: bool) -> Vec<SemanticHit> {
@@ -329,24 +310,6 @@ pub fn run_semantic(files: &[FileAnalysis], all_rules: bool) -> Vec<SemanticHit>
                     span: h.span,
                     matched: h.matched,
                 });
-            }
-        }
-
-        if !def.is_deprecated && (all_rules || in_scope(&DEPRECATED_REACHABLE, rel)) {
-            for call in &graph.calls[id] {
-                let all_deprecated = !call.targets.is_empty()
-                    && call
-                        .targets
-                        .iter()
-                        .all(|&t| table.def(files, t).0.is_deprecated);
-                if all_deprecated {
-                    hits.push(SemanticHit {
-                        file,
-                        rule: &DEPRECATED_REACHABLE,
-                        span: call.span,
-                        matched: format!("call to deprecated `{}`", call.name),
-                    });
-                }
             }
         }
 
@@ -538,7 +501,6 @@ mod tests {
         assert!(!in_scope(&PANIC_TRANSITIVE, "crates/graph/src/graph.rs"));
         assert!(in_scope(&RNG_LINEAGE, "crates/graph/src/graph.rs"));
         assert!(in_scope(&REDUCTION_ORDER, "crates/xtask/src/rules.rs"));
-        assert!(in_scope(&DEPRECATED_REACHABLE, "crates/core/src/model.rs"));
     }
 
     // ---- semantic-rule integration (built via FileAnalysis) -------
@@ -642,40 +604,6 @@ mod tests {
         );
         assert!(
             hits.iter().all(|h| h.rule.slug != "panic-transitive"),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn deprecated_reachability_flags_internal_callers() {
-        let hits = semantic(
-            &[(
-                "crates/core/src/a.rs",
-                "#[deprecated(note = \"use report\")]\npub fn total_par(x: u8) -> u8 { x }\n\
-                 pub fn report(x: u8) -> u8 { total_par(x) }",
-            )],
-            false,
-        );
-        let dep: Vec<&SemanticHit> = hits
-            .iter()
-            .filter(|h| h.rule.slug == "deprecated-reachable")
-            .collect();
-        assert_eq!(dep.len(), 1, "{hits:?}");
-        assert_eq!(dep[0].span.line, 3);
-    }
-
-    #[test]
-    fn deprecated_shims_may_call_each_other() {
-        let hits = semantic(
-            &[(
-                "crates/core/src/a.rs",
-                "#[deprecated]\npub fn old_inner(x: u8) -> u8 { x }\n\
-                 #[deprecated]\npub fn old_outer(x: u8) -> u8 { old_inner(x) }",
-            )],
-            false,
-        );
-        assert!(
-            hits.iter().all(|h| h.rule.slug != "deprecated-reachable"),
             "{hits:?}"
         );
     }

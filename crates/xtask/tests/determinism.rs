@@ -28,8 +28,6 @@ const SNIPPETS: &[&str] = &[
     "pub fn j(m: &HashMap<u64, u64>) -> u64 { m.len() as u64 }\n",
     // panic-transitive finding: pub entry reaching a private panic.
     "pub fn outer(v: &[u8]) -> u8 { inner(v) }\nfn inner(v: &[u8]) -> u8 { v.first().copied().expect(\"non-empty\") }\n",
-    // deprecated-reachable finding.
-    "#[deprecated(note = \"old\")]\npub fn old_total(xs: &[u64]) -> u64 { xs.len() as u64 }\npub fn report(xs: &[u64]) -> u64 { old_total(xs) }\n",
     // wall-clock finding.
     "pub fn now_ms() -> u128 { std::time::Instant::now().elapsed().as_millis() }\n",
 ];

@@ -123,14 +123,6 @@ fn panic_transitive_fires_once_at_the_public_entry() {
 }
 
 #[test]
-fn deprecated_reachable_fires_once_at_the_call_site() {
-    let diags = lint_fixture("deprecated_reachable.rs");
-    assert_eq!(spans(&diags, "deprecated-reachable"), vec![(9, 5)]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].matched.contains("total_v1"), "{diags:?}");
-}
-
-#[test]
 fn cyclic_call_graph_terminates_and_fires_once() {
     let diags = lint_fixture("callgraph_cycle.rs");
     assert_eq!(spans(&diags, "panic-transitive"), vec![(4, 8)]);
@@ -156,7 +148,7 @@ fn clean_fixture_tree_is_silent() {
     let (diags, scanned, suppressed) =
         lint_paths(&root, std::slice::from_ref(&root), true, Threads::SERIAL)
             .expect("scan clean fixtures");
-    assert_eq!(scanned, 5);
+    assert_eq!(scanned, 4);
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(suppressed, 0);
 }
@@ -166,7 +158,7 @@ fn bad_fixture_tree_reports_every_rule() {
     let root = fixture_dir("bad");
     let (diags, scanned, _) = lint_paths(&root, std::slice::from_ref(&root), true, Threads::SERIAL)
         .expect("scan bad fixtures");
-    assert_eq!(scanned, 14);
+    assert_eq!(scanned, 13);
     for rule in [
         "hash-iteration",
         "panic-in-lib",
@@ -176,7 +168,6 @@ fn bad_fixture_tree_reports_every_rule() {
         "rng-lineage",
         "reduction-order",
         "panic-transitive",
-        "deprecated-reachable",
     ] {
         assert!(diags.iter().any(|d| d.rule == rule), "missing {rule}");
     }
@@ -198,7 +189,7 @@ fn lint_binary_exits_nonzero_on_bad_and_zero_on_clean() {
         serde_json::from_str(&std::fs::read_to_string(&json).expect("report written"))
             .expect("valid JSON report");
     assert!(report["diagnostics"].as_array().expect("array").len() >= 18);
-    assert_eq!(report["files_scanned"], 14);
+    assert_eq!(report["files_scanned"], 13);
     assert_eq!(report["version"], 2);
     let _ = std::fs::remove_file(&json);
 

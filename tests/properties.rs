@@ -64,22 +64,6 @@ proptest! {
     }
 
     #[test]
-    // The deprecated interpolation must keep its bracketing contract
-    // for as long as it exists (the DAG evaluator supersedes it).
-    #[allow(deprecated)]
-    fn partial_overlap_is_monotone_between_extremes(
-        job in features(),
-        percent in 0u8..=100,
-    ) {
-        let ser = PerfModel::paper_default();
-        let ideal = ser.with_overlap(OverlapMode::Ideal);
-        let partial = ser.with_overlap(OverlapMode::Partial(percent));
-        let t = partial.total_time(&job).as_f64();
-        prop_assert!(t <= ser.total_time(&job).as_f64() + 1e-12);
-        prop_assert!(t >= ideal.total_time(&job).as_f64() - 1e-12);
-    }
-
-    #[test]
     fn more_bandwidth_never_slows_a_job(
         job in features(),
         axis_idx in 0usize..4,
