@@ -62,19 +62,6 @@ impl PricedStep {
     pub fn stream_length(&self) -> Seconds {
         self.tasks.iter().map(|t| t.dur).sum()
     }
-
-    /// Finish time of each task when the stream runs back to back:
-    /// `finish[i] = Σ dur[0..=i]` — the eligibility clock for messages.
-    pub fn finish_times(&self) -> Vec<Seconds> {
-        let mut acc = Seconds::ZERO;
-        self.tasks
-            .iter()
-            .map(|t| {
-                acc += t.dur;
-                acc
-            })
-            .collect()
-    }
 }
 
 /// The Table II media chain gradient traffic crosses, with the α–β
@@ -176,17 +163,6 @@ mod tests {
             messages: vec![],
             weight_bytes: Bytes::ZERO,
         }
-    }
-
-    #[test]
-    fn finish_times_are_prefix_sums() {
-        let s = step();
-        let f = s.finish_times();
-        assert_eq!(f.len(), 3);
-        assert!((f[0].as_millis() - 1.0).abs() < 1e-12);
-        assert!((f[1].as_millis() - 5.0).abs() < 1e-12);
-        assert!((f[2].as_millis() - 7.0).abs() < 1e-12);
-        assert_eq!(f[2], s.stream_length());
     }
 
     #[test]

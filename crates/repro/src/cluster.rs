@@ -2,7 +2,7 @@
 //! summary.
 
 use pai_core::breakdown::mean_fractions;
-use pai_core::{Architecture, Breakdown, Ecdf, Jobs};
+use pai_core::{characterize, Architecture, Breakdown, Ecdf};
 use pai_hw::LinkKind;
 use serde_json::json;
 
@@ -206,54 +206,10 @@ pub fn fig8(ctx: &Context) -> ExperimentResult {
     }
 }
 
-/// Sec. III-D: the headline observations.
+/// Sec. III-D: the headline observations, read from one
+/// [`characterize`] pass (the numbers `stream` reports as `batch`).
 pub fn summary(ctx: &Context) -> ExperimentResult {
-    let ps = ctx.population.jobs_of(Architecture::PsWorker);
-    let ps_cnodes: usize = ps.iter().map(|j| j.cnodes()).sum();
-    let ps_cnode_share = ps_cnodes as f64 / ctx.population.total_cnodes() as f64;
-
-    let small = ctx
-        .population
-        .iter_jobs()
-        .filter(|j| j.weight_bytes().as_gb() < 10.0)
-        .count() as f64
-        / ctx.population.len() as f64;
-
-    let mut all_b = Vec::new();
-    let mut all_w = Vec::new();
-    for arch in ANALYZED {
-        let (b, w) = breakdowns(ctx, arch);
-        all_w.extend(w);
-        all_b.extend(b);
-    }
-    let cnode_fracs = mean_fractions(&all_b, &all_w);
-
-    let ps_over_80 = {
-        let (b, _) = breakdowns(ctx, Architecture::PsWorker);
-        b.iter().filter(|x| x.weight_fraction() > 0.8).count() as f64 / b.len() as f64
-    };
-
-    let outs = ctx.model.projections(
-        &ps,
-        pai_core::project::ProjectionTarget::AllReduceLocal,
-        ctx.threads,
-    );
-    let improved =
-        outs.iter().filter(|o| o.improves_throughput()).count() as f64 / outs.len().max(1) as f64;
-
-    let fast = ctx
-        .model
-        .with_config(ctx.model.config().with_resource(pai_hw::SweepPoint {
-            axis: pai_hw::SweepAxis::Ethernet,
-            value: 100.0,
-        }));
-    // Ratios are computed per chunk and summed in input order, so the
-    // mean is bit-identical to the serial fold at any thread count.
-    let ratios = pai_par::map_items(&ps, pai_par::DEFAULT_CHUNK_SIZE, ctx.threads, |j| {
-        ctx.model.total_time(j).as_f64() / fast.total_time(j).as_f64()
-    });
-    let eth_speedup: f64 = ratios.iter().sum::<f64>() / ps.len() as f64;
-
+    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
     let rows = vec![
         vec![
             "observation".to_string(),
@@ -263,43 +219,47 @@ pub fn summary(ctx: &Context) -> ExperimentResult {
         vec![
             "PS/Worker cNode share".into(),
             "81%".into(),
-            pct(ps_cnode_share),
+            pct(h.ps_cnode_share),
         ],
-        vec!["jobs with model < 10 GB".into(), "90%".into(), pct(small)],
+        vec![
+            "jobs with model < 10 GB".into(),
+            "90%".into(),
+            pct(h.small_model_share),
+        ],
         vec![
             "weight comm share (cNode level)".into(),
             "62%".into(),
-            pct(cnode_fracs[1]),
+            pct(h.cnode_level_fractions[1]),
         ],
         vec![
             "compute-bound share (cNode level)".into(),
             "13%".into(),
-            pct(cnode_fracs[2]),
+            pct(h.cnode_level_fractions[2]),
         ],
         vec![
             "memory-bound share (cNode level)".into(),
             "22%".into(),
-            pct(cnode_fracs[3]),
+            pct(h.cnode_level_fractions[3]),
         ],
         vec![
             "PS jobs >80% in communication".into(),
             ">40%".into(),
-            pct(ps_over_80),
+            pct(h.ps_over_80_comm),
         ],
         vec![
             "PS jobs improved by AllReduce-Local".into(),
             "60%".into(),
-            pct(improved),
+            pct(h.arl_throughput_improved),
         ],
         vec![
             "mean PS speedup, 25->100 GbE".into(),
             "1.7x".into(),
-            format!("{eth_speedup:.2}x"),
+            format!("{:.2}x", h.eth_100g_speedup),
         ],
         vec![
             "Eq. 3 comm-bound speedup bound".into(),
             "21x".into(),
-            format!("{:.1}x", pai_core::comm_bound_speedup(&ctx.model)),
+            format!("{:.1}x", h.eq3_bound),
         ],
     ];
     ExperimentResult {
@@ -307,13 +267,13 @@ pub fn summary(ctx: &Context) -> ExperimentResult {
         title: "Sec. III-D: key observations, paper vs reproduction",
         text: table(&rows),
         json: json!({
-            "ps_cnode_share": ps_cnode_share,
-            "small_model_share": small,
-            "cnode_level_fractions": cnode_fracs,
-            "ps_over_80_comm": ps_over_80,
-            "arl_throughput_improved": improved,
-            "eth_100g_speedup": eth_speedup,
-            "eq3_bound": pai_core::comm_bound_speedup(&ctx.model),
+            "ps_cnode_share": h.ps_cnode_share,
+            "small_model_share": h.small_model_share,
+            "cnode_level_fractions": h.cnode_level_fractions,
+            "ps_over_80_comm": h.ps_over_80_comm,
+            "arl_throughput_improved": h.arl_throughput_improved,
+            "eth_100g_speedup": h.eth_100g_speedup,
+            "eq3_bound": h.eq3_bound,
         }),
     }
 }

@@ -4,14 +4,10 @@
 //! This is the machine-checkable core of EXPERIMENTS.md — run
 //! `repro scorecard` to audit the whole reproduction in one shot.
 
-use pai_core::breakdown::mean_fractions;
-use pai_core::project::ProjectionTarget;
-use pai_core::{comm_bound_speedup, Architecture, Jobs};
-use pai_hw::{SweepAxis, SweepPoint};
+use pai_core::characterize;
 use pai_profiler::validate::validate_all;
 use serde_json::json;
 
-use crate::cluster::ANALYZED;
 use crate::render::table;
 use crate::{Context, ExperimentResult};
 
@@ -45,147 +41,101 @@ impl Claim {
     }
 }
 
-/// Recomputes every claim from the context.
+/// Recomputes every claim from the context. The fleet-level claims
+/// all read one [`characterize`] pass.
 pub fn claims(ctx: &Context) -> Vec<Claim> {
-    let mut out = Vec::new();
-    let pop = &ctx.population;
-    let model = &ctx.model;
-
-    // Fleet composition.
-    let totals = pop.cnode_totals();
-    out.push(Claim {
-        source: "Sec. III-A / Fig. 5b",
-        statement: "PS/Worker share of cNodes",
-        paper: 0.81,
-        reproduced: totals[2] as f64 / pop.total_cnodes() as f64,
-        tolerance: 0.06,
-    });
-    let small = pop
-        .iter_jobs()
-        .filter(|j| j.weight_bytes().as_gb() < 10.0)
-        .count() as f64
-        / pop.len() as f64;
-    out.push(Claim {
-        source: "Sec. III-D",
-        statement: "jobs training models under 10 GB",
-        paper: 0.90,
-        reproduced: small,
-        tolerance: 0.04,
-    });
-
-    // Breakdown aggregates.
-    let mut breakdowns = Vec::new();
-    let mut weights = Vec::new();
-    for arch in ANALYZED {
-        let jobs = pop.jobs_of(arch);
-        breakdowns.extend(model.breakdowns(&jobs, ctx.threads));
-        weights.extend(jobs.iter().map(|j| j.cnodes() as f64));
-    }
-    let cnode = mean_fractions(&breakdowns, &weights);
-    let job_level = mean_fractions(&breakdowns, &vec![1.0; breakdowns.len()]);
-    out.push(Claim {
-        source: "Sec. III-D",
-        statement: "weight-communication share, cNode level",
-        paper: 0.62,
-        reproduced: cnode[1],
-        tolerance: 0.04,
-    });
-    out.push(Claim {
-        source: "Sec. III-B",
-        statement: "weight-communication share, job level",
-        paper: 0.22,
-        reproduced: job_level[1],
-        tolerance: 0.04,
-    });
-    out.push(Claim {
-        source: "Sec. III-D",
-        statement: "compute-bound share, cNode level",
-        paper: 0.13,
-        reproduced: cnode[2],
-        tolerance: 0.04,
-    });
-    out.push(Claim {
-        source: "Sec. III-D",
-        statement: "memory-bound share, cNode level",
-        paper: 0.22,
-        reproduced: cnode[3],
-        tolerance: 0.05,
-    });
-
-    // PS tail.
-    let ps = pop.jobs_of(Architecture::PsWorker);
-    let comm_shares = pai_par::map_items(&ps, pai_par::DEFAULT_CHUNK_SIZE, ctx.threads, |j| {
-        model.breakdown(j).weight_fraction()
-    });
-    let over80 = comm_shares.iter().filter(|&&f| f > 0.8).count() as f64 / ps.len() as f64;
-    out.push(Claim {
-        source: "Sec. III-B / Fig. 8d",
-        statement: "PS jobs with >80% communication",
-        paper: 0.40,
-        reproduced: over80,
-        tolerance: 0.06,
-    });
-
-    // Projections.
-    let local = model.projections(&ps, ProjectionTarget::AllReduceLocal, ctx.threads);
-    let losers = local
-        .iter()
-        .filter(|o| o.single_cnode_speedup <= 1.0)
-        .count() as f64
-        / local.len().max(1) as f64;
-    out.push(Claim {
-        source: "Fig. 9a",
-        statement: "PS jobs not sped up on AllReduce-Local",
-        paper: 0.226,
-        reproduced: losers,
-        tolerance: 0.06,
-    });
-    let improved =
-        local.iter().filter(|o| o.improves_throughput()).count() as f64 / local.len().max(1) as f64;
-    out.push(Claim {
-        source: "Sec. III-D",
-        statement: "PS jobs with throughput improved by AllReduce-Local",
-        paper: 0.60,
-        reproduced: improved,
-        tolerance: 0.08,
-    });
-    let cluster = model.projections(&ps, ProjectionTarget::AllReduceCluster, ctx.threads);
-    let arc_sped = cluster
-        .iter()
-        .filter(|o| o.single_cnode_speedup > 1.0)
-        .count() as f64
-        / cluster.len().max(1) as f64;
-    out.push(Claim {
-        source: "Sec. III-C1",
-        statement: "PS jobs sped up on AllReduce-Cluster",
-        paper: 0.679,
-        reproduced: arc_sped,
-        tolerance: 0.08,
-    });
-
-    // Hardware what-ifs.
-    let fast = model.with_config(model.config().with_resource(SweepPoint {
-        axis: SweepAxis::Ethernet,
-        value: 100.0,
-    }));
-    let ratios = pai_par::map_items(&ps, pai_par::DEFAULT_CHUNK_SIZE, ctx.threads, |j| {
-        model.total_time(j).as_f64() / fast.total_time(j).as_f64()
-    });
-    let eth_speedup = ratios.iter().sum::<f64>() / ps.len() as f64;
-    out.push(Claim {
-        source: "Abstract / Sec. III-D",
-        statement: "mean PS speedup from 25 to 100 GbE",
-        paper: 1.7,
-        reproduced: eth_speedup,
-        tolerance: 0.1,
-    });
-    out.push(Claim {
-        source: "Eq. 3",
-        statement: "communication-bound speedup bound",
-        paper: 21.0,
-        reproduced: comm_bound_speedup(model),
-        tolerance: 1e-6,
-    });
+    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
+    let mut out = vec![
+        // Fleet composition.
+        Claim {
+            source: "Sec. III-A / Fig. 5b",
+            statement: "PS/Worker share of cNodes",
+            paper: 0.81,
+            reproduced: h.ps_cnode_share,
+            tolerance: 0.06,
+        },
+        Claim {
+            source: "Sec. III-D",
+            statement: "jobs training models under 10 GB",
+            paper: 0.90,
+            reproduced: h.small_model_share,
+            tolerance: 0.04,
+        },
+        // Breakdown aggregates.
+        Claim {
+            source: "Sec. III-D",
+            statement: "weight-communication share, cNode level",
+            paper: 0.62,
+            reproduced: h.cnode_level_fractions[1],
+            tolerance: 0.04,
+        },
+        Claim {
+            source: "Sec. III-B",
+            statement: "weight-communication share, job level",
+            paper: 0.22,
+            reproduced: h.job_level_fractions[1],
+            tolerance: 0.04,
+        },
+        Claim {
+            source: "Sec. III-D",
+            statement: "compute-bound share, cNode level",
+            paper: 0.13,
+            reproduced: h.cnode_level_fractions[2],
+            tolerance: 0.04,
+        },
+        Claim {
+            source: "Sec. III-D",
+            statement: "memory-bound share, cNode level",
+            paper: 0.22,
+            reproduced: h.cnode_level_fractions[3],
+            tolerance: 0.05,
+        },
+        // PS tail.
+        Claim {
+            source: "Sec. III-B / Fig. 8d",
+            statement: "PS jobs with >80% communication",
+            paper: 0.40,
+            reproduced: h.ps_over_80_comm,
+            tolerance: 0.06,
+        },
+        // Projections.
+        Claim {
+            source: "Fig. 9a",
+            statement: "PS jobs not sped up on AllReduce-Local",
+            paper: 0.226,
+            reproduced: h.arl_not_sped_up,
+            tolerance: 0.06,
+        },
+        Claim {
+            source: "Sec. III-D",
+            statement: "PS jobs with throughput improved by AllReduce-Local",
+            paper: 0.60,
+            reproduced: h.arl_throughput_improved,
+            tolerance: 0.08,
+        },
+        Claim {
+            source: "Sec. III-C1",
+            statement: "PS jobs sped up on AllReduce-Cluster",
+            paper: 0.679,
+            reproduced: h.arc_sped_up,
+            tolerance: 0.08,
+        },
+        // Hardware what-ifs.
+        Claim {
+            source: "Abstract / Sec. III-D",
+            statement: "mean PS speedup from 25 to 100 GbE",
+            paper: 1.7,
+            reproduced: h.eth_100g_speedup,
+            tolerance: 0.1,
+        },
+        Claim {
+            source: "Eq. 3",
+            statement: "communication-bound speedup bound",
+            paper: 21.0,
+            reproduced: h.eq3_bound,
+            tolerance: 1e-6,
+        },
+    ];
 
     // Case studies.
     for r in validate_all() {

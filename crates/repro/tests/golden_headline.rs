@@ -7,8 +7,10 @@
 //! generator/model change (regenerate the fixture, see its comment)
 //! or an accidental determinism break (fix the code).
 
+use pai_core::characterize;
 use pai_repro::cluster::summary;
 use pai_repro::scorecard::claims;
+use pai_repro::stream::stream;
 use pai_repro::{Context, POPULATION, SEED};
 
 fn fixture() -> serde_json::Value {
@@ -100,4 +102,70 @@ fn every_scorecard_claim_passes_at_the_golden_scale() {
         .map(|c| format!("{}: {} vs paper {}", c.statement, c.reproduced, c.paper))
         .collect();
     assert!(failing.is_empty(), "non-PASS claims: {failing:?}");
+}
+
+#[test]
+fn summary_scorecard_and_characterize_report_one_headline() {
+    // One characterization pass feeds the summary artifact, the
+    // scorecard's fleet claims and `stream`'s `batch`; all three must
+    // agree with `characterize` bit for bit.
+    let ctx = Context::with_size(2_000);
+    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
+    let f = h.cnode_level_fractions;
+    let summary_json = summary(&ctx).json;
+    let batch = &stream(&ctx).json["batch"];
+    let bits = |v: &serde_json::Value| v.as_f64().expect("f64").to_bits();
+    for (key, value) in [
+        ("ps_cnode_share", h.ps_cnode_share),
+        ("small_model_share", h.small_model_share),
+        ("ps_over_80_comm", h.ps_over_80_comm),
+        ("arl_throughput_improved", h.arl_throughput_improved),
+        ("eth_100g_speedup", h.eth_100g_speedup),
+        ("eq3_bound", h.eq3_bound),
+    ] {
+        assert_eq!(bits(&summary_json[key]), value.to_bits(), "summary {key}");
+        assert_eq!(bits(&batch[key]), value.to_bits(), "stream batch {key}");
+    }
+    for (k, value) in f.iter().enumerate() {
+        let key = "cnode_level_fractions";
+        assert_eq!(
+            bits(&summary_json[key][k]),
+            value.to_bits(),
+            "summary {key}[{k}]"
+        );
+        assert_eq!(
+            bits(&batch[key][k]),
+            value.to_bits(),
+            "stream batch {key}[{k}]"
+        );
+    }
+
+    let fleet = [
+        ("PS/Worker share of cNodes", h.ps_cnode_share),
+        ("jobs training models under 10 GB", h.small_model_share),
+        ("weight-communication share, cNode level", f[1]),
+        (
+            "weight-communication share, job level",
+            h.job_level_fractions[1],
+        ),
+        ("compute-bound share, cNode level", f[2]),
+        ("memory-bound share, cNode level", f[3]),
+        ("PS jobs with >80% communication", h.ps_over_80_comm),
+        ("PS jobs not sped up on AllReduce-Local", h.arl_not_sped_up),
+        (
+            "PS jobs with throughput improved by AllReduce-Local",
+            h.arl_throughput_improved,
+        ),
+        ("PS jobs sped up on AllReduce-Cluster", h.arc_sped_up),
+        ("mean PS speedup from 25 to 100 GbE", h.eth_100g_speedup),
+        ("communication-bound speedup bound", h.eq3_bound),
+    ];
+    let all = claims(&ctx);
+    for (statement, value) in fleet {
+        let claim = all
+            .iter()
+            .find(|c| c.statement == statement)
+            .unwrap_or_else(|| panic!("no claim '{statement}'"));
+        assert_eq!(claim.reproduced.to_bits(), value.to_bits(), "{statement}");
+    }
 }

@@ -1,6 +1,6 @@
 //! Executes one training step op-by-op on the simulated machine.
 
-use pai_collectives::CommPlan;
+use pai_collectives::{CommPlan, Transfer};
 use pai_faults::FaultInjector;
 use pai_graph::{Graph, OpClass, OpKind};
 use pai_hw::{LinkKind, Seconds};
@@ -74,11 +74,14 @@ impl StepSimulator {
 
     /// Runs one training step, strictly phased: input → compute →
     /// communication (the paper's non-overlap assumption; `pai-dag`
-    /// prices overlapped steps).
+    /// prices overlapped steps). The first transfer waits for every
+    /// sink op, so communication starts only once the graph drains.
     ///
     /// `pcie_contention` is the number of replicas sharing this
     /// server's PCIe complex for input loading (1 for PS workers and
-    /// 1w1g, the local GPU count for 1wng/AllReduce placements).
+    /// 1w1g, the local GPU count for 1wng/AllReduce placements). It
+    /// scales each input load's volume; this is the one-replica case
+    /// of [`StepSimulator::run_replicas`], plus per-op profiles.
     ///
     /// Returns [`SimError::ZeroContention`] if `pcie_contention` is
     /// zero.
@@ -91,119 +94,9 @@ impl StepSimulator {
         if pcie_contention == 0 {
             return Err(SimError::ZeroContention);
         }
-        let hw = self.config.hardware();
-        let launch_gap = self.config.kernel_launch_overhead();
-
-        let mut engine = Engine::new();
-        let gpu = engine.add_resource("gpu");
-        let pcie = engine.add_resource("pcie");
-        let ethernet = engine.add_resource("ethernet");
-        let nvlink = engine.add_resource("nvlink");
-        let link_resource = |kind: LinkKind| match kind {
-            LinkKind::Pcie => pcie,
-            LinkKind::Ethernet => ethernet,
-            LinkKind::NvLink => nvlink,
-            LinkKind::HbmMemory => gpu,
-        };
-
-        let order = graph.topo_order();
-        let preds = graph.predecessor_lists();
-        let mut task_of = vec![None::<TaskId>; graph.len()];
-        let mut profiles = Vec::with_capacity(order.len());
-        let mut durations = vec![Seconds::ZERO; graph.len()];
-        let mut kernel_times = vec![Seconds::ZERO; graph.len()];
-        let mut deps: Vec<TaskId> = Vec::new();
-
-        for id in &order {
-            let op = graph.node(*id);
-            deps.clear();
-            deps.extend(preds[id.index()].iter().filter_map(|p| task_of[p.index()]));
-            let task = match op.class() {
-                OpClass::Io => {
-                    let volume = op.kind().pcie_bytes().scale(pcie_contention as f64);
-                    let dur = hw.link(LinkKind::Pcie).transfer_time(volume);
-                    durations[id.index()] = dur;
-                    engine.add_task(pcie, dur, &deps)?
-                }
-                OpClass::ComputeBound | OpClass::MemoryBound => {
-                    let kernel = self.kernel_time(op.kind());
-                    let dur = kernel.max(launch_gap);
-                    durations[id.index()] = dur;
-                    kernel_times[id.index()] = kernel;
-                    engine.add_task(gpu, dur, &deps)?
-                }
-            };
-            task_of[id.index()] = Some(task);
-        }
-
-        // Communication transfers: chained in plan order after the
-        // whole graph (the paper's phased step).
-        let mut comm_tasks = Vec::new();
-        let mut prev = order.last().and_then(|id| task_of[id.index()]);
-        for transfer in comm.transfers() {
-            let dur = hw.link(transfer.link).transfer_time(transfer.bytes);
-            prev = Some(engine.add_task(link_resource(transfer.link), dur, prev.as_slice())?);
-            comm_tasks.push((transfer.link, dur));
-        }
-
-        let schedule = engine.run();
-
-        // Assemble the measurement.
-        let mut data_io = Seconds::ZERO;
-        let mut compute_bound = Seconds::ZERO;
-        let mut memory_bound = Seconds::ZERO;
-        let mut launch_stall = Seconds::ZERO;
-        let mut kernels = 0usize;
-        for id in &order {
-            let op = graph.node(*id);
-            let dur = durations[id.index()];
-            match op.class() {
-                OpClass::Io => data_io += dur,
-                OpClass::ComputeBound => {
-                    compute_bound += dur;
-                    launch_stall += dur - kernel_times[id.index()];
-                    kernels += 1;
-                }
-                OpClass::MemoryBound => {
-                    memory_bound += dur;
-                    launch_stall += dur - kernel_times[id.index()];
-                    kernels += 1;
-                }
-            }
-            if let Some(t) = task_of[id.index()] {
-                profiles.push(OpProfile {
-                    name: op.name().to_string(),
-                    kind: op.kind().kind_label().to_string(),
-                    class: op.class().to_string(),
-                    start: schedule.start(t),
-                    duration: dur,
-                    kernel_time: kernel_times[id.index()],
-                });
-            }
-        }
-        let mut comm_by_link: Vec<(LinkKind, Seconds)> = Vec::new();
-        for (kind, dur) in comm_tasks {
-            match comm_by_link.iter_mut().find(|(k, _)| *k == kind) {
-                Some((_, t)) => *t += dur,
-                None => comm_by_link.push((kind, dur)),
-            }
-        }
-
-        Ok(StepMeasurement {
-            total: schedule.makespan(),
-            data_io,
-            compute_bound,
-            memory_bound,
-            comm_by_link,
-            launch_stall,
-            kernels,
-            ops: profiles,
-            faults: FaultAttribution::default(),
-        })
+        self.lower(graph, comm, 1, None, pcie_contention, true)
     }
-}
 
-impl StepSimulator {
     /// Simulates `replicas` copies of the graph training in lockstep on
     /// one server: each replica owns a GPU and its NVLink/Ethernet
     /// ports (ring collectives use dedicated per-rank links), but all
@@ -223,7 +116,7 @@ impl StepSimulator {
         comm: &CommPlan,
         replicas: usize,
     ) -> Result<StepMeasurement, SimError> {
-        self.run_replicas_inner(graph, comm, replicas, None)
+        self.lower(graph, comm, replicas, None, 1, false)
     }
 
     /// Simulates one synchronous step of a replica group under an
@@ -246,21 +139,37 @@ impl StepSimulator {
         injector: &FaultInjector,
         step: usize,
     ) -> Result<StepMeasurement, SimError> {
-        self.run_replicas_inner(graph, comm, injector.replicas(), Some((injector, step)))
+        self.lower(
+            graph,
+            comm,
+            injector.replicas(),
+            Some((injector, step)),
+            1,
+            false,
+        )
     }
 
-    fn run_replicas_inner(
+    /// The one lowering behind every entry point. Each replica gets a
+    /// GPU lane and a port; all share one PCIe lane, on which an input
+    /// load moves `input_scale` times its bytes. A replica's ops are
+    /// added in topological order; its transfers follow in plan order
+    /// on its port, the first one waiting for every sink op. The
+    /// engine schedules each task as it is added.
+    fn lower(
         &self,
         graph: &Graph,
         comm: &CommPlan,
         replicas: usize,
         faults: Option<(&FaultInjector, usize)>,
+        input_scale: usize,
+        keep_profiles: bool,
     ) -> Result<StepMeasurement, SimError> {
         if replicas == 0 {
             return Err(SimError::ZeroReplicas);
         }
         let hw = self.config.hardware();
         let launch_gap = self.config.kernel_launch_overhead();
+        let transfer_time = |t: &Transfer| hw.link(t.link).transfer_time(t.bytes);
 
         // Per-replica fault realization (all identity when healthy).
         let compute_dilation: Vec<f64> = (0..replicas)
@@ -272,118 +181,136 @@ impl StepSimulator {
         let retry_delay: Vec<Seconds> = (0..replicas)
             .map(|r| faults.map_or(Seconds::ZERO, |(inj, _)| inj.retry_delay(r)))
             .collect();
-        let argmax = |v: &[f64]| {
-            v.iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map_or(0, |(i, _)| i)
-        };
         // The barrier waits for the slowest compute path and the most
         // degraded communication path; report those replicas'
         // components.
-        let slowest = argmax(&compute_dilation);
-        let worst_comm = argmax(&comm_dilation);
+        let worst = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
+        let stretch = worst(&compute_dilation);
+        let comm_stretch = worst(&comm_dilation);
         let worst_retry = retry_delay
             .iter()
             .copied()
             .fold(Seconds::ZERO, Seconds::max);
 
-        let mut engine = Engine::new();
-        let pcie = engine.add_resource("pcie");
-        let gpus: Vec<_> = (0..replicas).map(|_| engine.add_resource("gpu")).collect();
-        let ports: Vec<_> = (0..replicas).map(|_| engine.add_resource("port")).collect();
-
+        // Price each op once for every replica (its class, lane
+        // occupancy and pure kernel time, indexed by node) and collect
+        // the sink ops the first transfer waits for.
+        let mut timing = Vec::with_capacity(graph.len());
+        let mut sinks = Vec::new();
+        for (id, op) in graph.nodes() {
+            let kind = op.kind();
+            let class = kind.class();
+            timing.push(if class == OpClass::Io {
+                let volume = kind.pcie_bytes().scale(input_scale as f64);
+                let dur = hw.link(LinkKind::Pcie).transfer_time(volume);
+                (class, dur, Seconds::ZERO)
+            } else {
+                let kernel = self.kernel_time(kind);
+                (class, kernel.max(launch_gap), kernel)
+            });
+            if graph.successors(id).next().is_none() {
+                sinks.push(id);
+            }
+        }
         let order = graph.topo_order();
         let preds = graph.predecessor_lists();
 
-        let mut healthy_compute = Seconds::ZERO;
-        let mut slow_compute = Seconds::ZERO;
-        let mut slow_memory = Seconds::ZERO;
-        let mut slow_stall = Seconds::ZERO;
-        let mut slow_kernels = 0usize;
-        let mut healthy_comm = Seconds::ZERO;
-        let mut comm_by_link: Vec<(LinkKind, Seconds)> = Vec::new();
+        let mut engine = Engine::new();
+        let pcie = engine.add_resource("pcie");
+        let mut task_of = vec![None::<TaskId>; graph.len()];
         let mut deps: Vec<TaskId> = Vec::new();
-
-        for (r, (&gpu, &port)) in gpus.iter().zip(&ports).enumerate() {
+        for r in 0..replicas {
+            let gpu = engine.add_resource("gpu");
+            let port = engine.add_resource("port");
             engine.dilate_resource(gpu, compute_dilation[r])?;
             engine.dilate_resource(port, comm_dilation[r])?;
-            let mut task_of = vec![None::<TaskId>; graph.len()];
             for id in &order {
-                let op = graph.node(*id);
                 deps.clear();
                 deps.extend(preds[id.index()].iter().filter_map(|p| task_of[p.index()]));
-                let task = match op.class() {
-                    OpClass::Io => {
-                        // Unscaled volume on the SHARED bus.
-                        let dur = hw
-                            .link(LinkKind::Pcie)
-                            .transfer_time(op.kind().pcie_bytes());
-                        engine.add_task(pcie, dur, &deps)?
-                    }
-                    OpClass::ComputeBound | OpClass::MemoryBound => {
-                        let kernel = self.kernel_time(op.kind());
-                        let dur = kernel.max(launch_gap);
-                        if r == 0 {
-                            healthy_compute += dur;
-                        }
-                        if r == slowest {
-                            let stretched = dur.scale(compute_dilation[r]);
-                            // The enclosing arm admits only the two
-                            // compute classes, so Io cannot reach here.
-                            if matches!(op.class(), OpClass::ComputeBound) {
-                                slow_compute += stretched;
-                            } else {
-                                slow_memory += stretched;
-                            }
-                            slow_stall += stretched - kernel.scale(compute_dilation[r]);
-                            slow_kernels += 1;
-                        }
-                        engine.add_task(gpu, dur, &deps)?
-                    }
-                };
-                task_of[id.index()] = Some(task);
+                let (class, dur, _) = timing[id.index()];
+                let lane = if class == OpClass::Io { pcie } else { gpu };
+                task_of[id.index()] = Some(engine.add_task(lane, dur, &deps)?);
             }
-            // Per-replica synchronization on this replica's ports,
-            // followed by any retry backoff its failed PS RPCs cost.
-            let mut prev = order.last().and_then(|id| task_of[id.index()]);
+            // Synchronization on this replica's port once its graph has
+            // drained, followed by any retry backoff its failed PS RPCs
+            // cost.
+            deps.clear();
+            deps.extend(sinks.iter().filter_map(|id| task_of[id.index()]));
             for transfer in comm.transfers() {
-                let dur = hw.link(transfer.link).transfer_time(transfer.bytes);
-                prev = Some(engine.add_task(port, dur, prev.as_slice())?);
-                if r == 0 {
-                    healthy_comm += dur;
-                }
-                if r == worst_comm {
-                    let stretched = dur.scale(comm_dilation[r]);
-                    match comm_by_link.iter_mut().find(|(k, _)| *k == transfer.link) {
-                        Some((_, t)) => *t += stretched,
-                        None => comm_by_link.push((transfer.link, stretched)),
-                    }
-                }
+                let task = engine.add_task(port, transfer_time(transfer), &deps)?;
+                deps.clear();
+                deps.push(task);
             }
             if !retry_delay[r].is_zero() {
-                engine.add_delay(port, retry_delay[r], prev.as_slice())?;
+                engine.add_delay(port, retry_delay[r], &deps)?;
+            }
+        }
+        let schedule = engine.run();
+
+        // Assemble the measurement, folding in topological and plan
+        // order. `task_of` holds the last replica's tasks; only `run`,
+        // which lowers one replica, keeps profiles.
+        let mut healthy_compute = Seconds::ZERO;
+        let mut compute_bound = Seconds::ZERO;
+        let mut memory_bound = Seconds::ZERO;
+        let mut launch_stall = Seconds::ZERO;
+        let mut kernels = 0usize;
+        let mut ops = Vec::with_capacity(if keep_profiles { order.len() } else { 0 });
+        for id in &order {
+            let (class, dur, kernel) = timing[id.index()];
+            if class != OpClass::Io {
+                healthy_compute += dur;
+                let stretched = dur.scale(stretch);
+                if class == OpClass::ComputeBound {
+                    compute_bound += stretched;
+                } else {
+                    memory_bound += stretched;
+                }
+                launch_stall += stretched - kernel.scale(stretch);
+                kernels += 1;
+            }
+            if keep_profiles {
+                if let Some(task) = task_of[id.index()] {
+                    let op = graph.node(*id);
+                    ops.push(OpProfile {
+                        name: op.name().to_string(),
+                        kind: op.kind().kind_label().to_string(),
+                        class: class.to_string(),
+                        start: schedule.start(task),
+                        duration: dur,
+                        kernel_time: kernel,
+                    });
+                }
+            }
+        }
+        let mut healthy_comm = Seconds::ZERO;
+        let mut comm_by_link: Vec<(LinkKind, Seconds)> = Vec::new();
+        for transfer in comm.transfers() {
+            let dur = transfer_time(transfer);
+            healthy_comm += dur;
+            let stretched = dur.scale(comm_stretch);
+            match comm_by_link.iter_mut().find(|(k, _)| *k == transfer.link) {
+                Some((_, t)) => *t += stretched,
+                None => comm_by_link.push((transfer.link, stretched)),
             }
         }
 
-        let schedule = engine.run();
-        let attribution = FaultAttribution {
-            straggler: healthy_compute.scale(compute_dilation[slowest] - 1.0),
-            nic: healthy_comm.scale(comm_dilation[worst_comm] - 1.0),
-            retry: worst_retry,
-            restart: Seconds::ZERO,
-            lost_steps: 0,
-        };
         Ok(StepMeasurement {
             total: schedule.makespan(),
             data_io: schedule.busy(pcie),
-            compute_bound: slow_compute,
-            memory_bound: slow_memory,
+            compute_bound,
+            memory_bound,
             comm_by_link,
-            launch_stall: slow_stall,
-            kernels: slow_kernels,
-            ops: Vec::new(),
-            faults: attribution,
+            launch_stall,
+            kernels,
+            ops,
+            faults: FaultAttribution {
+                straggler: healthy_compute.scale(stretch - 1.0),
+                nic: healthy_comm.scale(comm_stretch - 1.0),
+                retry: worst_retry,
+                restart: Seconds::ZERO,
+                lost_steps: 0,
+            },
         })
     }
 }
@@ -391,7 +318,6 @@ impl StepSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pai_collectives::Transfer;
     use pai_faults::FaultPlan;
     use pai_graph::op::{elementwise, matmul};
     use pai_graph::Op;
@@ -497,14 +423,116 @@ mod tests {
         assert!(m.ops[0].start <= m.ops[1].start);
     }
 
+    /// Asserts two measurements agree bit for bit on every field but
+    /// `ops`. The destructuring is exhaustive, so a new field must be
+    /// added here.
+    fn assert_same_bits(a: &StepMeasurement, b: &StepMeasurement) {
+        let bits = |m: &StepMeasurement| {
+            let StepMeasurement {
+                total,
+                data_io,
+                compute_bound,
+                memory_bound,
+                comm_by_link,
+                launch_stall,
+                kernels,
+                ops: _,
+                faults,
+            } = m;
+            let FaultAttribution {
+                straggler,
+                nic,
+                retry,
+                restart,
+                lost_steps,
+            } = faults;
+            let times = [
+                total,
+                data_io,
+                compute_bound,
+                memory_bound,
+                launch_stall,
+                straggler,
+                nic,
+                retry,
+                restart,
+            ]
+            .map(|t| t.as_f64().to_bits());
+            let comm: Vec<_> = comm_by_link
+                .iter()
+                .map(|(k, t)| (*k, t.as_f64().to_bits()))
+                .collect();
+            (times, comm, [*kernels, *lost_steps])
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
     #[test]
     fn run_replicas_matches_single_replica_run() {
-        let g = toy_graph();
+        // BERT's shape: the calibration input load is the topo-last op.
+        let mut input_last = toy_graph();
+        let tail = input_last.topo_order().last().copied();
+        input_last.add_chain(
+            tail,
+            vec![Op::new("tail/input", OpKind::DataLoad { bytes: 9_000_000 })],
+        );
+        let mut sync = CommPlan::new();
+        sync.push(Transfer::new(
+            "sync",
+            LinkKind::NvLink,
+            Bytes::from_mb(350.0),
+        ));
+        let mut mixed = CommPlan::new();
+        mixed.push(Transfer::new("h2d", LinkKind::Pcie, Bytes::from_mb(40.0)));
+        mixed.push(Transfer::new(
+            "ring",
+            LinkKind::NvLink,
+            Bytes::from_mb(350.0),
+        ));
+        mixed.push(Transfer::new(
+            "push",
+            LinkKind::Ethernet,
+            Bytes::from_mb(90.0),
+        ));
+        mixed.push(Transfer::new("d2h", LinkKind::Pcie, Bytes::from_mb(10.0)));
         let sim = StepSimulator::new(SimConfig::testbed());
-        let single = sim.run(&g, &CommPlan::new(), 1).unwrap();
-        let multi = sim.run_replicas(&g, &CommPlan::new(), 1).unwrap();
-        assert!((single.total.as_f64() - multi.total.as_f64()).abs() < 1e-12);
-        assert_eq!(single.kernels, multi.kernels);
+        for (g, comm) in [
+            (toy_graph(), CommPlan::new()),
+            (input_last, sync),
+            (toy_graph(), mixed),
+        ] {
+            let single = sim.run(&g, &comm, 1).unwrap();
+            let group = sim.run_replicas(&g, &comm, 1).unwrap();
+            assert_same_bits(&single, &group);
+            assert_eq!(single.ops.len(), g.len());
+            assert!(group.ops.is_empty());
+        }
+    }
+
+    #[test]
+    fn communication_waits_for_the_whole_graph() {
+        // The topo-last op is a short input load nothing depends on; the
+        // sync must still wait for the matmul, not hide behind it.
+        let mut g = Graph::new("drain");
+        g.add(Op::new("mm", matmul(4096, 4096, 4096)));
+        g.add(Op::new("in", OpKind::DataLoad { bytes: 1_000 }));
+        let mut comm = CommPlan::new();
+        comm.push(Transfer::new(
+            "sync",
+            LinkKind::NvLink,
+            Bytes::from_mb(350.0),
+        ));
+        let sim = StepSimulator::new(SimConfig::testbed());
+        let graph_only = sim.run(&g, &CommPlan::new(), 1).unwrap().total;
+        let phased = graph_only + comm.serialized_time(sim.config().hardware());
+        assert!((phased.as_f64() - 23.09e-3).abs() < 0.01e-3, "{phased}");
+        for m in [
+            sim.run(&g, &comm, 1),
+            sim.run_replicas(&g, &comm, 1),
+            sim.run_replicas(&g, &comm, 4),
+        ] {
+            assert_eq!(m.unwrap().total, phased);
+        }
     }
 
     #[test]
@@ -587,6 +615,24 @@ mod tests {
         assert_eq!(plain.total, faulted.total);
         assert_eq!(plain.comm_by_link, faulted.comm_by_link);
         assert!(faulted.faults.is_clean());
+    }
+
+    #[test]
+    fn overflowing_dilation_is_a_typed_error() {
+        // Valid plan, but straggler × jitter overflows to +inf: the
+        // engine must reject the dilation before any time is stretched.
+        let plan = FaultPlan::builder(2)
+            .seed(1)
+            .jitter(0.5)
+            .straggler(0, f64::MAX)
+            .build()
+            .unwrap();
+        let inj = FaultInjector::new(plan).unwrap();
+        assert!(inj.compute_dilation(0, 0).is_infinite());
+        let err = StepSimulator::new(SimConfig::testbed())
+            .run_replicas_faulted(&toy_graph(), &CommPlan::new(), &inj, 0)
+            .unwrap_err();
+        assert!(matches!(err, SimError::InvalidDilation { .. }), "{err:?}");
     }
 
     #[test]
