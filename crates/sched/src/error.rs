@@ -2,9 +2,7 @@
 
 use std::fmt;
 
-use pai_faults::FaultError;
 use pai_predict::PredictError;
-use pai_sim::cluster::PlacementError;
 use pai_trace::TraceError;
 
 /// Anything that can go wrong while building an arrival stream or
@@ -58,10 +56,6 @@ pub enum SchedError {
         /// The job stuck at the head of the queue.
         job: usize,
     },
-    /// A placement snapshot rejected its inputs.
-    Placement(PlacementError),
-    /// A fault plan rejected its inputs.
-    Fault(FaultError),
     /// Failure sampling over the population rejected its inputs.
     Trace(TraceError),
     /// The duration predictor rejected its configuration or feedback.
@@ -93,8 +87,6 @@ impl fmt::Display for SchedError {
                 f,
                 "policy '{policy}' refused job {job} on an idle cluster; the run cannot progress"
             ),
-            SchedError::Placement(e) => write!(f, "placement snapshot failed: {e}"),
-            SchedError::Fault(e) => write!(f, "fault plan rejected: {e}"),
             SchedError::Trace(e) => write!(f, "failure sampling failed: {e}"),
             SchedError::Predict(e) => write!(f, "duration predictor rejected: {e}"),
         }
@@ -104,24 +96,10 @@ impl fmt::Display for SchedError {
 impl std::error::Error for SchedError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SchedError::Placement(e) => Some(e),
-            SchedError::Fault(e) => Some(e),
             SchedError::Trace(e) => Some(e),
             SchedError::Predict(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<PlacementError> for SchedError {
-    fn from(e: PlacementError) -> Self {
-        SchedError::Placement(e)
-    }
-}
-
-impl From<FaultError> for SchedError {
-    fn from(e: FaultError) -> Self {
-        SchedError::Fault(e)
     }
 }
 
@@ -164,15 +142,15 @@ mod tests {
                 policy: "spread",
                 job: 7,
             },
-            SchedError::Placement(PlacementError::UnknownJob { id: 9 }),
+            SchedError::Predict(PredictError::InvalidObservation { duration_s: -1.0 }),
         ];
         for e in cases {
             assert!(!e.to_string().is_empty());
         }
-        assert!(
-            std::error::Error::source(&SchedError::Placement(PlacementError::UnknownJob { id: 9 }))
-                .is_some()
-        );
+        assert!(std::error::Error::source(&SchedError::Predict(
+            PredictError::InvalidObservation { duration_s: -1.0 }
+        ))
+        .is_some());
         assert!(std::error::Error::source(&SchedError::NoJobs).is_none());
     }
 }

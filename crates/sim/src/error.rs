@@ -8,26 +8,10 @@ use pai_faults::FaultError;
 /// Why a simulation request was rejected.
 ///
 /// Every variant is caller error surfaced as a value instead of a
-/// panic; internal invariants (schedule consistency, topological
-/// insertion order) remain `debug_assert!`s.
+/// panic.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// A task referenced a resource that was never registered.
-    UnknownResource {
-        /// The offending resource index.
-        resource: usize,
-        /// How many resources the engine has.
-        resources: usize,
-    },
-    /// A task listed a dependency that has not been added yet (task
-    /// ids must be created by the same engine, earlier).
-    UnknownDependency {
-        /// The offending task index.
-        dependency: usize,
-        /// How many tasks the engine has.
-        tasks: usize,
-    },
-    /// A resource dilation factor must be finite and positive.
+    /// A fault dilation factor must be finite and positive.
     InvalidDilation {
         /// The rejected factor.
         value: f64,
@@ -47,17 +31,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::UnknownResource {
-                resource,
-                resources,
-            } => write!(
-                f,
-                "unknown resource {resource} (engine has {resources} resources)"
-            ),
-            SimError::UnknownDependency { dependency, tasks } => write!(
-                f,
-                "dependency {dependency} not yet added (engine has {tasks} tasks)"
-            ),
             SimError::InvalidDilation { value } => {
                 write!(f, "dilation factor must be finite and > 0, got {value}")
             }
@@ -94,14 +67,6 @@ mod tests {
     #[test]
     fn display_covers_every_variant() {
         let variants = [
-            SimError::UnknownResource {
-                resource: 3,
-                resources: 1,
-            },
-            SimError::UnknownDependency {
-                dependency: 9,
-                tasks: 2,
-            },
             SimError::InvalidDilation { value: -1.0 },
             SimError::ZeroContention,
             SimError::ZeroReplicas,

@@ -6,7 +6,6 @@ use pai_graph::{Graph, OpClass, OpKind};
 use pai_hw::{LinkKind, Seconds};
 
 use crate::config::SimConfig;
-use crate::engine::{Engine, TaskId};
 use crate::error::SimError;
 use crate::measure::{FaultAttribution, OpProfile, StepMeasurement};
 
@@ -151,10 +150,10 @@ impl StepSimulator {
 
     /// The one lowering behind every entry point. Each replica gets a
     /// GPU lane and a port; all share one PCIe lane, on which an input
-    /// load moves `input_scale` times its bytes. A replica's ops are
-    /// added in topological order; its transfers follow in plan order
-    /// on its port, the first one waiting for every sink op. The
-    /// engine schedules each task as it is added.
+    /// load moves `input_scale` times its bytes. A replica's ops run in
+    /// topological order, each once its predecessors have finished and
+    /// its lane is free; its transfers follow in plan order on its
+    /// port, the first one waiting for the whole graph to drain.
     fn lower(
         &self,
         graph: &Graph,
@@ -181,6 +180,15 @@ impl StepSimulator {
         let retry_delay: Vec<Seconds> = (0..replicas)
             .map(|r| faults.map_or(Seconds::ZERO, |(inj, _)| inj.retry_delay(r)))
             .collect();
+        // Reject a bad factor before any time is stretched by it: each
+        // replica's GPU factor, then its port factor.
+        for r in 0..replicas {
+            for value in [compute_dilation[r], comm_dilation[r]] {
+                if !value.is_finite() || value <= 0.0 {
+                    return Err(SimError::InvalidDilation { value });
+                }
+            }
+        }
         // The barrier waits for the slowest compute path and the most
         // degraded communication path; report those replicas'
         // components.
@@ -192,64 +200,68 @@ impl StepSimulator {
             .copied()
             .fold(Seconds::ZERO, Seconds::max);
 
-        // Price each op once for every replica (its class, lane
-        // occupancy and pure kernel time, indexed by node) and collect
-        // the sink ops the first transfer waits for.
-        let mut timing = Vec::with_capacity(graph.len());
-        let mut sinks = Vec::new();
-        for (id, op) in graph.nodes() {
-            let kind = op.kind();
-            let class = kind.class();
-            timing.push(if class == OpClass::Io {
-                let volume = kind.pcie_bytes().scale(input_scale as f64);
-                let dur = hw.link(LinkKind::Pcie).transfer_time(volume);
-                (class, dur, Seconds::ZERO)
-            } else {
-                let kernel = self.kernel_time(kind);
-                (class, kernel.max(launch_gap), kernel)
-            });
-            if graph.successors(id).next().is_none() {
-                sinks.push(id);
-            }
-        }
+        // Price each op once for every replica: its class, lane
+        // occupancy and pure kernel time, indexed by node.
+        let timing: Vec<_> = graph
+            .nodes()
+            .map(|(_, op)| {
+                let kind = op.kind();
+                let class = kind.class();
+                if class == OpClass::Io {
+                    let volume = kind.pcie_bytes().scale(input_scale as f64);
+                    let dur = hw.link(LinkKind::Pcie).transfer_time(volume);
+                    (class, dur, Seconds::ZERO)
+                } else {
+                    let kernel = self.kernel_time(kind);
+                    (class, kernel.max(launch_gap), kernel)
+                }
+            })
+            .collect();
         let order = graph.topo_order();
-        let preds = graph.predecessor_lists();
 
-        let mut engine = Engine::new();
-        let pcie = engine.add_resource("pcie");
-        let mut task_of = vec![None::<TaskId>; graph.len()];
-        let mut deps: Vec<TaskId> = Vec::new();
+        // List-schedule each replica in turn. An op's `ready` is the
+        // latest finish among its predecessors (each op pushes its
+        // finish to its successors); `start` keeps the last replica's
+        // start times for the profiles. Finishes only grow along an
+        // edge, so the latest op finish is the latest sink finish.
+        let mut pcie = Lane::default();
+        let mut ready = vec![Seconds::ZERO; graph.len()];
+        let mut start = vec![Seconds::ZERO; graph.len()];
+        let mut makespan = Seconds::ZERO;
         for r in 0..replicas {
-            let gpu = engine.add_resource("gpu");
-            let port = engine.add_resource("port");
-            engine.dilate_resource(gpu, compute_dilation[r])?;
-            engine.dilate_resource(port, comm_dilation[r])?;
-            for id in &order {
-                deps.clear();
-                deps.extend(preds[id.index()].iter().filter_map(|p| task_of[p.index()]));
+            let (mut gpu, mut port) = (Lane::default(), Lane::default());
+            ready.fill(Seconds::ZERO);
+            let mut drained = Seconds::ZERO;
+            for &id in &order {
                 let (class, dur, _) = timing[id.index()];
-                let lane = if class == OpClass::Io { pcie } else { gpu };
-                task_of[id.index()] = Some(engine.add_task(lane, dur, &deps)?);
+                let (begin, finish) = if class == OpClass::Io {
+                    pcie.run(ready[id.index()], dur)
+                } else {
+                    gpu.run(ready[id.index()], dur.scale(compute_dilation[r]))
+                };
+                start[id.index()] = begin;
+                for next in graph.successors(id) {
+                    ready[next.index()] = ready[next.index()].max(finish);
+                }
+                drained = drained.max(finish);
             }
             // Synchronization on this replica's port once its graph has
-            // drained, followed by any retry backoff its failed PS RPCs
-            // cost.
-            deps.clear();
-            deps.extend(sinks.iter().filter_map(|id| task_of[id.index()]));
+            // drained, then any retry backoff its failed PS RPCs cost
+            // (a timer, so the NIC's dilation does not stretch it).
+            let mut done = drained;
             for transfer in comm.transfers() {
-                let task = engine.add_task(port, transfer_time(transfer), &deps)?;
-                deps.clear();
-                deps.push(task);
+                done = port
+                    .run(done, transfer_time(transfer).scale(comm_dilation[r]))
+                    .1;
             }
             if !retry_delay[r].is_zero() {
-                engine.add_delay(port, retry_delay[r], &deps)?;
+                done = port.run(done, retry_delay[r]).1;
             }
+            makespan = makespan.max(done);
         }
-        let schedule = engine.run();
 
         // Assemble the measurement, folding in topological and plan
-        // order. `task_of` holds the last replica's tasks; only `run`,
-        // which lowers one replica, keeps profiles.
+        // order. Only `run`, which lowers one replica, keeps profiles.
         let mut healthy_compute = Seconds::ZERO;
         let mut compute_bound = Seconds::ZERO;
         let mut memory_bound = Seconds::ZERO;
@@ -270,17 +282,15 @@ impl StepSimulator {
                 kernels += 1;
             }
             if keep_profiles {
-                if let Some(task) = task_of[id.index()] {
-                    let op = graph.node(*id);
-                    ops.push(OpProfile {
-                        name: op.name().to_string(),
-                        kind: op.kind().kind_label().to_string(),
-                        class: class.to_string(),
-                        start: schedule.start(task),
-                        duration: dur,
-                        kernel_time: kernel,
-                    });
-                }
+                let op = graph.node(*id);
+                ops.push(OpProfile {
+                    name: op.name().to_string(),
+                    kind: op.kind().kind_label().to_string(),
+                    class: class.to_string(),
+                    start: start[id.index()],
+                    duration: dur,
+                    kernel_time: kernel,
+                });
             }
         }
         let mut healthy_comm = Seconds::ZERO;
@@ -296,8 +306,8 @@ impl StepSimulator {
         }
 
         Ok(StepMeasurement {
-            total: schedule.makespan(),
-            data_io: schedule.busy(pcie),
+            total: makespan,
+            data_io: pcie.busy,
             compute_bound,
             memory_bound,
             comm_by_link,
@@ -312,6 +322,25 @@ impl StepSimulator {
                 lost_steps: 0,
             },
         })
+    }
+}
+
+/// A serial resource (a GPU, a port, the PCIe bus): tasks run FIFO in
+/// the order they are issued.
+#[derive(Debug, Default)]
+struct Lane {
+    free_at: Seconds,
+    busy: Seconds,
+}
+
+impl Lane {
+    /// Runs a task of length `dur` once `ready` has passed and the lane
+    /// is free; returns its start and finish.
+    fn run(&mut self, ready: Seconds, dur: Seconds) -> (Seconds, Seconds) {
+        let start = ready.max(self.free_at);
+        self.free_at = start + dur;
+        self.busy += dur;
+        (start, self.free_at)
     }
 }
 
@@ -677,6 +706,88 @@ mod tests {
         assert_eq!(slow.computation(), healthy.computation());
         assert!((slow.faults.nic.as_f64() - 2.0 * healthy.comm_total().as_f64()).abs() < 1e-9);
         assert!(slow.faults.straggler.is_zero());
+    }
+
+    #[test]
+    fn a_join_starts_when_its_later_parent_finishes() {
+        // Parents on different lanes (an input load on PCIe, a matmul on
+        // the GPU), both starting at zero; either may finish last.
+        let sim = StepSimulator::new(SimConfig::testbed());
+        for (bytes, n) in [(700_000_000, 1024), (1_000, 4096)] {
+            let mut g = Graph::new("join");
+            let load = g.add(Op::new("in", OpKind::DataLoad { bytes }));
+            let mm = g.add(Op::new("mm", matmul(n, n, n)));
+            let join = g.add(Op::new("join", elementwise(2, 1_000_000, 1)));
+            g.connect(load, join);
+            g.connect(mm, join);
+            let m = sim.run(&g, &CommPlan::new(), 1).unwrap();
+            let profile = |name: &str| m.ops.iter().find(|p| p.name == name).unwrap();
+            let (load, mm, join) = (profile("in"), profile("mm"), profile("join"));
+            assert!(load.start.is_zero() && mm.start.is_zero());
+            let later = load.duration.max(mm.duration);
+            assert_ne!(load.duration, mm.duration);
+            assert_eq!(join.start.as_f64().to_bits(), later.as_f64().to_bits());
+        }
+    }
+
+    #[test]
+    fn nic_degradation_stretches_transfers_but_not_the_retry_delay() {
+        // No input load, so both replicas drain their graphs at the same
+        // time; replica 1's port carries both faults.
+        let mut g = Graph::new("gpu-only");
+        let mm = g.add(Op::new("mm", matmul(2048, 2048, 2048)));
+        let ew = g.add(Op::new("ew", elementwise(1, 50_000_000, 1)));
+        g.connect(mm, ew);
+        let mut comm = CommPlan::new();
+        comm.push(Transfer::new(
+            "ring",
+            LinkKind::NvLink,
+            Bytes::from_mb(350.0),
+        ));
+        comm.push(Transfer::new(
+            "push",
+            LinkKind::Ethernet,
+            Bytes::from_mb(90.0),
+        ));
+        let sim = StepSimulator::new(SimConfig::testbed());
+        let graph = sim.run_replicas(&g, &CommPlan::new(), 2).unwrap().total;
+        let plan = FaultPlan::builder(2)
+            .nic_degradation(1, 3.0)
+            .ps_retry(1, 3)
+            .build()
+            .unwrap();
+        let inj = FaultInjector::new(plan).unwrap();
+        let delay = inj.retry_delay(1);
+        assert!(!delay.is_zero());
+        let m = sim.run_replicas_faulted(&g, &comm, &inj, 0).unwrap();
+        let hw = sim.config().hardware();
+        let stretched = comm.transfers().iter().fold(graph, |t, x| {
+            t + hw.link(x.link).transfer_time(x.bytes).scale(3.0)
+        });
+        assert_eq!(
+            m.total.as_f64().to_bits(),
+            (stretched + delay).as_f64().to_bits()
+        );
+        assert_eq!(m.faults.retry, delay);
+    }
+
+    #[test]
+    fn a_straggler_leaves_the_shared_pcie_lane_alone() {
+        // The straggler's GPU runs twice as long; the input loads on the
+        // shared PCIe lane keep their durations.
+        let g = toy_graph();
+        let sim = StepSimulator::new(SimConfig::testbed());
+        let healthy = sim.run_replicas(&g, &CommPlan::new(), 4).unwrap();
+        let plan = FaultPlan::builder(4).straggler(2, 2.0).build().unwrap();
+        let inj = FaultInjector::new(plan).unwrap();
+        let slow = sim
+            .run_replicas_faulted(&g, &CommPlan::new(), &inj, 0)
+            .unwrap();
+        assert!(slow.computation() > healthy.computation());
+        assert_eq!(
+            slow.data_io.as_f64().to_bits(),
+            healthy.data_io.as_f64().to_bits()
+        );
     }
 
     #[test]

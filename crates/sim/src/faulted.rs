@@ -102,7 +102,7 @@ impl StepSimulator {
     }
 }
 
-/// The sequential crash-recovery fold shared by the engine-driven and
+/// The sequential crash-recovery fold shared by the simulated and
 /// priced degraded runs: charges each crash its failed attempt, the
 /// restart, and the re-execution of completed steps since the last
 /// checkpoint, reading only finalized totals of earlier steps.
@@ -137,7 +137,7 @@ fn fold_crash_recovery(injector: &FaultInjector, mut measured: Vec<StepMeasureme
 /// Dilates one healthy priced step under the fault realization of
 /// `step`: the barrier waits for the slowest replica's compute and
 /// the most degraded replica's communication, exactly the semantics
-/// of the engine-driven path, applied to closed-form components.
+/// of the simulated path, applied to closed-form components.
 fn dilate_priced(
     healthy: &StepMeasurement,
     injector: &FaultInjector,
@@ -174,7 +174,7 @@ fn dilate_priced(
 /// Simulates `steps` synchronous steps of one pre-priced healthy step
 /// under `plan` — the degraded-run fold for step times coming from a
 /// `pai-core` `StepTimer` backend (analytical or DAG critical-path)
-/// instead of the op-level engine.
+/// instead of the op-level simulator.
 ///
 /// Each step dilates `healthy` analytically by the same barrier
 /// semantics as [`StepSimulator::run_faulted`] (slowest compute

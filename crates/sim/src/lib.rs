@@ -9,14 +9,13 @@
 //! CPU runtime scheduling and GPU kernel launch time". This crate
 //! reproduces the measurement side:
 //!
-//! - [`engine`] — a deterministic resource-constrained event engine
-//!   (tasks with dependencies claim serial resources; the makespan is
-//!   the step time);
 //! - [`config`] — simulator knobs: hardware, per-component efficiency
 //!   (inject Table VI here), kernel-launch overhead, TensorCore
 //!   effective efficiency;
 //! - [`executor`] — runs one training step of a [`pai_graph::Graph`]
-//!   plus a [`pai_collectives::CommPlan`], op by op;
+//!   plus a [`pai_collectives::CommPlan`], op by op, list-scheduled
+//!   onto FIFO lanes (a shared PCIe bus, a GPU and a port per
+//!   replica); the makespan is the step time;
 //! - [`measure`] — [`measure::StepMeasurement`] (per-component busy
 //!   times) and per-op profile records (the `tf.RunMetadata` analog);
 //! - [`cluster`] — job placement and NIC-contention modeling for the
@@ -64,7 +63,6 @@
 
 pub mod cluster;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod executor;
 pub mod faulted;

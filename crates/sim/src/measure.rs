@@ -71,7 +71,7 @@ impl FaultAttribution {
 /// Per-component measurement of one training step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StepMeasurement {
-    /// End-to-end step time (engine makespan).
+    /// End-to-end step time (the simulated makespan).
     pub total: Seconds,
     /// Input data I/O time on PCIe.
     pub data_io: Seconds,
@@ -97,7 +97,7 @@ pub struct StepMeasurement {
 impl StepMeasurement {
     /// A measurement synthesized from externally priced component
     /// times — an analytical or DAG step-time backend — instead of an
-    /// engine run: no per-op records and no launch accounting, just
+    /// op-level simulation: no per-op records and no launch accounting, just
     /// the totals the degraded-run folds consume. `total` is the
     /// backend's own combined step time (which may be less than the
     /// component sum under an overlapping backend).

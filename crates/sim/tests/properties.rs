@@ -1,4 +1,5 @@
-//! Property tests for the event engine and step executor.
+//! Property tests for the step executor, testbed placement and
+//! fault-injected multi-step runs.
 
 use pai_collectives::{CommPlan, Transfer};
 use pai_faults::FaultPlan;
@@ -7,63 +8,10 @@ use pai_graph::{Graph, OpKind};
 use pai_hw::{Bytes, LinkKind, Seconds};
 use pai_par::{assert_serial_parallel_identical, Threads, EQUIVALENCE_THREADS};
 use pai_sim::cluster::{place, ClusterJob};
-use pai_sim::engine::Engine;
 use pai_sim::{SimConfig, StepSimulator};
 use proptest::prelude::*;
 
-/// Random durations for a chain of tasks on one resource.
-fn durations() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(0.0f64..10.0, 1..50)
-}
-
 proptest! {
-    #[test]
-    fn serial_chain_makespan_is_the_sum(durs in durations()) {
-        let mut e = Engine::new();
-        let r = e.add_resource("gpu");
-        let mut prev = None;
-        for &d in &durs {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(e.add_task(r, Seconds::from_f64(d), &deps).unwrap());
-        }
-        let sched = e.run();
-        let sum: f64 = durs.iter().sum();
-        prop_assert!((sched.makespan().as_f64() - sum).abs() < 1e-9 * sum.max(1.0));
-        let expected_util = if sum > 0.0 { 1.0 } else { 0.0 };
-        prop_assert!((sched.utilization(r) - expected_util).abs() < 1e-9);
-    }
-
-    #[test]
-    fn parallel_resources_take_the_maximum(durs in durations()) {
-        let mut e = Engine::new();
-        let resources: Vec<_> = (0..durs.len()).map(|_| e.add_resource("r")).collect();
-        for (r, &d) in resources.iter().zip(&durs) {
-            e.add_task(*r, Seconds::from_f64(d), &[]).unwrap();
-        }
-        let sched = e.run();
-        let max = durs.iter().cloned().fold(0.0, f64::max);
-        prop_assert!((sched.makespan().as_f64() - max).abs() < 1e-12 + 1e-9 * max);
-    }
-
-    #[test]
-    fn makespan_lower_bounds(
-        durs in durations(),
-        split in 0usize..4,
-    ) {
-        // Makespan >= busy time of every resource, and >= any task.
-        let mut e = Engine::new();
-        let resources: Vec<_> = (0..(split + 1)).map(|_| e.add_resource("r")).collect();
-        for (i, &d) in durs.iter().enumerate() {
-            e.add_task(resources[i % resources.len()], Seconds::from_f64(d), &[]).unwrap();
-        }
-        let sched = e.run();
-        for r in &resources {
-            prop_assert!(sched.makespan().as_f64() >= sched.busy(*r).as_f64() - 1e-9);
-        }
-        let longest = durs.iter().cloned().fold(0.0, f64::max);
-        prop_assert!(sched.makespan().as_f64() >= longest - 1e-9);
-    }
-
     #[test]
     fn step_time_is_monotone_in_launch_overhead(
         ops in 1usize..200,
@@ -135,22 +83,6 @@ proptest! {
             }
             Err(_) => prop_assert!(total > cluster.total_gpus()),
         }
-    }
-
-    #[test]
-    fn critical_path_never_exceeds_makespan(
-        durs in proptest::collection::vec(0.0f64..5.0, 1..40),
-        resources in 1usize..4,
-    ) {
-        let mut e = Engine::new();
-        let rs: Vec<_> = (0..resources).map(|_| e.add_resource("r")).collect();
-        let mut prev = None;
-        for (i, &d) in durs.iter().enumerate() {
-            let deps: Vec<_> = if i % 3 == 0 { Vec::new() } else { prev.into_iter().collect() };
-            prev = Some(e.add_task(rs[i % resources], Seconds::from_f64(d), &deps).unwrap());
-        }
-        let sched = e.run();
-        prop_assert!(sched.critical_path().as_f64() <= sched.makespan().as_f64() + 1e-12);
     }
 }
 

@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn allow_comment_suppresses_same_line() {
         let src = "fn f() { x.unwrap(); } // pai-lint: allow(panic-in-lib)";
-        let (d, s) = lint_source("crates/sim/src/engine.rs", src, false);
+        let (d, s) = lint_source("crates/sim/src/executor.rs", src, false);
         assert!(d.is_empty());
         assert_eq!(s, 1);
     }
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn allow_comment_suppresses_line_above() {
         let src = "// pai-lint: allow(wall-clock)\nuse std::time::SystemTime;";
-        let (d, s) = lint_source("crates/sim/src/engine.rs", src, false);
+        let (d, s) = lint_source("crates/sim/src/executor.rs", src, false);
         assert!(d.is_empty());
         assert_eq!(s, 1);
     }
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn allow_comment_is_rule_specific() {
         let src = "// pai-lint: allow(wall-clock)\nfn f() { x.unwrap(); }";
-        let (d, _) = lint_source("crates/sim/src/engine.rs", src, false);
+        let (d, _) = lint_source("crates/sim/src/executor.rs", src, false);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "panic-in-lib");
     }

@@ -467,7 +467,7 @@ mod tests {
 
     #[test]
     fn scoping_is_prefix_based() {
-        assert!(in_scope(&PANIC_IN_LIB, "crates/sim/src/engine.rs"));
+        assert!(in_scope(&PANIC_IN_LIB, "crates/sim/src/executor.rs"));
         assert!(in_scope(&PANIC_IN_LIB, "crates/sched/src/engine.rs"));
         // The checkpoint codec, ingest validation, and chaos modules
         // sit inside already-scoped crates; pin that they stay linted.

@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn crate_of_maps_src_trees_and_isolates_fixtures() {
-        assert_eq!(crate_of("crates/sim/src/engine.rs"), "sim");
+        assert_eq!(crate_of("crates/sim/src/executor.rs"), "sim");
         assert_eq!(crate_of("crates/core/src/codec.rs"), "core");
         assert_eq!(
             crate_of("crates/xtask/fixtures/bad/a.rs"),
