@@ -50,8 +50,8 @@ pub struct HistoryConfig {
 impl HistoryConfig {
     /// Defaults around the given priors: 4096 buckets × 64-entry
     /// rings (≈ 260k remembered completions — evictions stay rare
-    /// even at 50k-job schedules, and a ring entry is ~56 bytes so
-    /// the worst case is a few MB), k = 8.
+    /// even at 50k-job schedules, and a ring entry is 64 bytes so
+    /// the worst case is ~17 MB), k = 8.
     pub fn with_priors(seed: u64, class_priors: [f64; NUM_CLASSES]) -> HistoryConfig {
         HistoryConfig {
             buckets: 4096,
@@ -110,6 +110,88 @@ struct Entry {
     class: usize,
     coords: [f64; 4],
     duration_s: f64,
+    /// `duration_s.ln()`, taken once here rather than per prediction.
+    ln_duration: f64,
+}
+
+impl Entry {
+    fn new(seq: u64, class: usize, coords: [f64; 4], duration_s: f64) -> Entry {
+        Entry {
+            seq,
+            class,
+            coords,
+            duration_s,
+            ln_duration: duration_s.ln(),
+        }
+    }
+}
+
+/// A same-class candidate for a prediction.
+#[derive(Clone, Copy)]
+struct Neighbor {
+    dist2: f64,
+    duration_s: f64,
+    ln_duration: f64,
+}
+
+impl Neighbor {
+    const ZERO: Neighbor = Neighbor {
+        dist2: 0.0,
+        duration_s: 0.0,
+        ln_duration: 0.0,
+    };
+
+    /// The ranking: `(distance², duration)` under `total_cmp`.
+    fn ranks_before(&self, other: &Neighbor) -> bool {
+        self.dist2
+            .total_cmp(&other.dist2)
+            .then(self.duration_s.total_cmp(&other.duration_s))
+            .is_lt()
+    }
+}
+
+/// Keeps an exact match's inverse-distance weight finite.
+const EPSILON: f64 = 1e-12;
+
+/// Neighbors a prediction ranks on the stack; a larger `k` ranks in a
+/// buffer sized to the bucket's ring.
+const INLINE_NEIGHBORS: usize = 16;
+
+/// Fills `nearest` with the `nearest.len()` best-ranked same-class
+/// entries of `ring`, in rank order, and returns how many it found.
+/// Ties keep ring order, exactly as a stable sort then truncation
+/// would.
+fn rank_nearest(
+    ring: &[Entry],
+    class: usize,
+    coords: &[f64; 4],
+    nearest: &mut [Neighbor],
+) -> usize {
+    if nearest.is_empty() {
+        return 0;
+    }
+    let mut len = 0usize;
+    for e in ring.iter().filter(|e| e.class == class) {
+        let cand = Neighbor {
+            dist2: log_distance2(coords, &e.coords),
+            duration_s: e.duration_s,
+            ln_duration: e.ln_duration,
+        };
+        if len == nearest.len() {
+            if !cand.ranks_before(&nearest[len - 1]) {
+                continue;
+            }
+            len -= 1;
+        }
+        let mut i = len;
+        while i > 0 && cand.ranks_before(&nearest[i - 1]) {
+            nearest[i] = nearest[i - 1];
+            i -= 1;
+        }
+        nearest[i] = cand;
+        len += 1;
+    }
+    len
 }
 
 /// One `(signature, observed duration)` pair for batch training.
@@ -180,12 +262,7 @@ impl HistoryStore {
         let bucket = bucket_of(sig, self.config.seed, self.config.buckets);
         self.insert(
             bucket,
-            Entry {
-                seq: self.seq,
-                class: sig.class_index(),
-                coords: log_coords(sig),
-                duration_s,
-            },
+            Entry::new(self.seq, sig.class_index(), log_coords(sig), duration_s),
         );
         Ok(())
     }
@@ -222,9 +299,55 @@ impl HistoryStore {
         let bucket = bucket_of(sig, self.config.seed, self.config.buckets);
         let class = sig.class_index();
         let coords = log_coords(sig);
-        // (distance², duration) per same-class candidate; ranking by
-        // this pair (not insertion order) is what makes the prediction
-        // permutation-invariant within a bucket epoch.
+        let ring = &self.rings[bucket];
+        // Ranking by (distance², duration), not insertion order, is
+        // what makes the prediction permutation-invariant within a
+        // bucket epoch. No more than the ring's entries can rank, so
+        // the buffer never outgrows memory the store already holds.
+        let slots = self.config.k.min(ring.len());
+        let mut inline = [Neighbor::ZERO; INLINE_NEIGHBORS];
+        let mut spilled = Vec::new();
+        let nearest = if slots <= INLINE_NEIGHBORS {
+            &mut inline[..slots]
+        } else {
+            spilled.resize(slots, Neighbor::ZERO);
+            &mut spilled[..]
+        };
+        let found = rank_nearest(ring, class, &coords, nearest);
+        if found == 0 {
+            return Prediction {
+                duration_s: self.config.class_priors[class],
+                neighbors: 0,
+                cold: true,
+            };
+        }
+        // Observed durations are validated positive, so every stored
+        // ln is finite; ε keeps an exact match's weight finite while
+        // still letting it outweigh any distant neighbor by ~12
+        // decades. Summing in rank order keeps the float reassociation
+        // identical for any insertion order of the same history.
+        let mut weight_sum = 0.0f64;
+        let mut log_sum = 0.0f64;
+        for n in &nearest[..found] {
+            let w = 1.0 / (EPSILON + n.dist2);
+            weight_sum += w;
+            log_sum += w * n.ln_duration;
+        }
+        Prediction {
+            duration_s: (log_sum / weight_sum).exp(),
+            neighbors: found,
+            cold: false,
+        }
+    }
+
+    /// [`HistoryStore::predict`] by collecting every same-class
+    /// candidate, sorting, and truncating to `k` — the reference the
+    /// in-place ranking is tested against.
+    #[cfg(test)]
+    fn predict_sorted(&self, sig: &Signature) -> Prediction {
+        let bucket = bucket_of(sig, self.config.seed, self.config.buckets);
+        let class = sig.class_index();
+        let coords = log_coords(sig);
         let mut ranked: Vec<(f64, f64)> = self.rings[bucket]
             .iter()
             .filter(|e| e.class == class)
@@ -239,12 +362,6 @@ impl HistoryStore {
         }
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
         ranked.truncate(self.config.k);
-        // Observed durations are validated positive, so ln is finite;
-        // ε keeps an exact match's weight finite while still letting
-        // it outweigh any distant neighbor by ~12 decades. Summing in
-        // ranked (sorted) order keeps the float reassociation
-        // identical for any insertion order of the same history.
-        const EPSILON: f64 = 1e-12;
         let mut weight_sum = 0.0f64;
         let mut log_sum = 0.0f64;
         for &(dist2, duration) in &ranked {
@@ -291,16 +408,7 @@ impl HistoryStore {
             )
         });
         for (bucket, class, coords, duration_s) in prepared {
-            let seq = self.seq;
-            self.insert(
-                bucket,
-                Entry {
-                    seq,
-                    class,
-                    coords,
-                    duration_s,
-                },
-            );
+            self.insert(bucket, Entry::new(self.seq, class, coords, duration_s));
         }
         Ok(())
     }
@@ -316,6 +424,7 @@ impl HistoryStore {
 mod tests {
     use super::*;
     use pai_core::Architecture;
+    use proptest::prelude::*;
 
     fn sig(class: Architecture, cnodes: usize, batch: usize, sw: f64, flops: f64) -> Signature {
         Signature {
@@ -482,5 +591,63 @@ mod tests {
         assert!(s.train(&batch, Threads::SERIAL).is_err());
         assert_eq!(s.observations(), 0);
         assert!(s.predict(&a).cold);
+    }
+
+    /// Magnitudes a workout signature draws from. cNodes and batch
+    /// share values, so an entry off by one step in cNodes and one off
+    /// by the same step in batch sit at bit-identical distances.
+    const SIZES: [usize; 3] = [1, 2, 4];
+
+    fn workout_sig(
+        (class, cnodes, batch, sw, flops): (usize, usize, usize, usize, usize),
+    ) -> Signature {
+        sig(
+            Architecture::ALL[class],
+            SIZES[cnodes],
+            SIZES[batch],
+            [1e6, 1e8][sw],
+            [1e9, 1e11][flops],
+        )
+    }
+
+    fn workout_features() -> impl Strategy<Value = (usize, usize, usize, usize, usize)> {
+        (0..NUM_CLASSES, 0..3usize, 0..3usize, 0..2usize, 0..2usize)
+    }
+
+    fn workout_duration() -> impl Strategy<Value = f64> {
+        // A small pool ties durations; the range keeps them distinct.
+        prop_oneof![Just(1.0), Just(3.0), Just(1e3), 0.1..1e4f64]
+    }
+
+    proptest! {
+        /// Ranking in place predicts what sorting every candidate and
+        /// truncating to k predicts, bit for bit: rings shared by
+        /// several classes, tied distances and durations, evictions,
+        /// and k from 1 past both the candidate count and the inline
+        /// buffer.
+        #[test]
+        fn in_place_ranking_matches_sort_and_truncate(
+            buckets in 1usize..3,
+            ring_capacity in 1usize..(3 * INLINE_NEIGHBORS),
+            k in 1usize..(2 * INLINE_NEIGHBORS + 8),
+            history in proptest::collection::vec((workout_features(), workout_duration()), 0..120),
+            probes in proptest::collection::vec(workout_features(), 1..8),
+        ) {
+            let mut cfg = HistoryConfig::with_priors(7, [10.0, 20.0, 30.0, 40.0, 50.0]);
+            cfg.buckets = buckets;
+            cfg.ring_capacity = ring_capacity;
+            cfg.k = k;
+            let mut s = HistoryStore::new(cfg).expect("valid config");
+            let probes: Vec<Signature> = probes.into_iter().map(workout_sig).collect();
+            for (features, duration) in history {
+                s.observe(&workout_sig(features), duration).expect("valid");
+                for probe in &probes {
+                    let (fast, reference) = (s.predict(probe), s.predict_sorted(probe));
+                    prop_assert_eq!(fast.duration_s.to_bits(), reference.duration_s.to_bits());
+                    prop_assert_eq!(fast.neighbors, reference.neighbors);
+                    prop_assert_eq!(fast.cold, reference.cold);
+                }
+            }
+        }
     }
 }

@@ -27,11 +27,19 @@
 //! heap in O(log n) rather than a scan of the queue. Head-of-line
 //! blocking is preserved either way: when the selected head does not
 //! fit, nothing behind it backfills. After every event the engine
-//! replays the head against the policy, then reprices every running
-//! job from the per-server communicating-replica counters — the same
-//! max-min NIC model `pai-sim::cluster` prices, maintained
-//! incrementally (`O(running + servers)` per event instead of a full
-//! placement rebuild).
+//! replays the head against the policy — asking it only while the
+//! cluster's free GPUs could hold the gang, since no valid assignment
+//! exists otherwise.
+//!
+//! Step times follow the same max-min NIC model `pai-sim::cluster`
+//! prices, kept incrementally in per-server communicating-replica
+//! counters. A job whose synchronization stays off Ethernet (silent,
+//! or a local gang contained in one server) is priced once, when it
+//! starts. Ethernet-riding jobs are repriced only after an event that
+//! moved a counter. The partial-server count behind the fragmentation
+//! integral is updated wherever a server's free count changes, so an
+//! event that moves no GPUs costs one pass over the running set to
+//! find the next event and one to advance it.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -132,12 +140,116 @@ struct Running {
     /// placement (always for `Ethernet` jobs, only when split for
     /// `Local` ones) — i.e. it counts toward NIC sharing.
     on_ethernet: bool,
+    /// Fractional steps executed; the job's [`JobState::executed`] is
+    /// stale until this dispatch ends.
+    executed: f64,
     /// Current per-step time under the live contention state.
     step_time: f64,
     /// Fractional steps at which this dispatch stops: the next crash
     /// point or the job's step count.
     boundary: f64,
     boundary_is_crash: bool,
+}
+
+/// A running job's per-step time from the live sharer counters —
+/// identical to `Placement::step_time_of` over a snapshot of the
+/// running set (a test pins this equivalence). Only an Ethernet-riding
+/// job's price reads `comm`.
+fn price(
+    job: &SchedJob,
+    assignment: &[(usize, usize)],
+    on_ethernet: bool,
+    eth_time: f64,
+    comm: &[usize],
+) -> f64 {
+    let sync_term = if on_ethernet {
+        let oversub = assignment
+            .iter()
+            .map(|&(server, _)| comm[server])
+            .max()
+            .unwrap_or(1)
+            .max(1);
+        eth_time * oversub as f64
+    } else if job.sync == SyncClass::Local {
+        job.local_sync_time.as_f64()
+    } else {
+        0.0
+    };
+    job.compute_time.as_f64() + sync_term
+}
+
+/// Per-server occupancy: free GPUs, NIC sharers, and the
+/// partial-server count, kept in step with every change to `free`.
+struct Servers {
+    /// Idle GPUs per server.
+    free: Vec<usize>,
+    /// Ethernet-riding replicas per server.
+    comm: Vec<usize>,
+    /// Servers neither idle nor full — the fragmentation integrand.
+    partial: usize,
+    per_server: usize,
+    /// Per server: the [`Servers::valid`] call that last saw it.
+    seen: Vec<u64>,
+    epoch: u64,
+}
+
+impl Servers {
+    fn new(num_servers: usize, per_server: usize) -> Self {
+        Servers {
+            free: vec![per_server; num_servers],
+            comm: vec![0; num_servers],
+            partial: 0,
+            per_server,
+            seen: vec![0; num_servers],
+            epoch: 0,
+        }
+    }
+
+    /// True when `assignment` names distinct in-range servers, each
+    /// with a positive count within its free GPUs, summing to `cnodes`.
+    fn valid(&mut self, assignment: &[(usize, usize)], cnodes: usize) -> bool {
+        self.epoch += 1;
+        let mut total = 0usize;
+        for &(server, count) in assignment {
+            if server >= self.free.len()
+                || count == 0
+                || count > self.free[server]
+                || self.seen[server] == self.epoch
+            {
+                return false;
+            }
+            self.seen[server] = self.epoch;
+            total += count;
+        }
+        total == cnodes
+    }
+
+    /// Takes `assignment`'s GPUs out of the free pool.
+    fn claim(&mut self, assignment: &[(usize, usize)], on_ethernet: bool) {
+        for &(server, count) in assignment {
+            self.set_free(server, self.free[server] - count);
+            if on_ethernet {
+                self.comm[server] += count;
+            }
+        }
+    }
+
+    /// Returns `assignment`'s GPUs to the free pool.
+    fn release(&mut self, assignment: &[(usize, usize)], on_ethernet: bool) {
+        for &(server, count) in assignment {
+            self.set_free(server, self.free[server] + count);
+            if on_ethernet {
+                self.comm[server] -= count;
+            }
+        }
+    }
+
+    fn set_free(&mut self, server: usize, idle: usize) {
+        let per_server = self.per_server;
+        let is_partial = |idle: usize| usize::from(idle > 0 && idle < per_server);
+        self.partial = self.partial + is_partial(idle) - is_partial(self.free[server]);
+        self.free[server] = idle;
+    }
 }
 
 /// Per-job bookkeeping that survives crash requeues.
@@ -492,8 +604,7 @@ pub fn run_ordered(
             predicted: f64::NAN,
         })
         .collect();
-    let mut free = vec![per_server; num_servers];
-    let mut comm = vec![0usize; num_servers];
+    let mut servers = Servers::new(num_servers, per_server);
     let mut running: Vec<Running> = Vec::new();
     let mut queue = ReadyQueue::new(jobs.len(), ordered, starvation_age);
     let mut waiting: Vec<(f64, usize)> = Vec::new();
@@ -534,7 +645,7 @@ pub fn run_ordered(
             }
         };
         for (slot, r) in running.iter().enumerate() {
-            let remaining = (r.boundary - state[r.job].executed).max(0.0);
+            let remaining = (r.boundary - r.executed).max(0.0);
             let at = if r.step_time > 0.0 {
                 now + remaining * r.step_time
             } else {
@@ -568,31 +679,25 @@ pub fn run_ordered(
         let elapsed = (time - now).max(0.0);
         if elapsed > 0.0 {
             busy_integral += busy_gpus as f64 * elapsed;
-            let partial = free
-                .iter()
-                .filter(|&&idle| idle > 0 && idle < per_server)
-                .count();
-            frag_integral += partial as f64 * elapsed;
-            for r in &running {
-                let s = &mut state[r.job];
-                s.executed = if r.step_time > 0.0 {
-                    (s.executed + elapsed / r.step_time).min(r.boundary)
+            frag_integral += servers.partial as f64 * elapsed;
+            for r in &mut running {
+                r.executed = if r.step_time > 0.0 {
+                    (r.executed + elapsed / r.step_time).min(r.boundary)
                 } else {
                     r.boundary
                 };
             }
         }
         now = time;
+        // Set when an Ethernet-riding gang starts or stops, i.e. when a
+        // NIC sharer counter moves.
+        let mut comm_changed = false;
 
         match class {
             CLASS_BOUNDARY => {
                 let r = running.swap_remove(slot);
-                for &(server, count) in &r.assignment {
-                    free[server] += count;
-                    if r.on_ethernet {
-                        comm[server] -= count;
-                    }
-                }
+                servers.release(&r.assignment, r.on_ethernet);
+                comm_changed |= r.on_ethernet;
                 busy_gpus -= jobs[r.job].cnodes;
                 let s = &mut state[r.job];
                 s.executed = r.boundary;
@@ -647,27 +752,18 @@ pub fn run_ordered(
 
         // Replay the ordering's head against the policy until it
         // blocks — head-of-line, no backfill behind a blocked head.
+        // Fewer free GPUs than the gang is wide admit no valid
+        // assignment, so the policy is not asked.
         while let Some(head) = queue.head(now) {
             let j = &jobs[head];
-            let assignment = match policy.place(j.cnodes, j.sync, &free) {
+            if capacity - busy_gpus < j.cnodes {
+                break;
+            }
+            let assignment = match policy.place(j.cnodes, j.sync, &servers.free) {
                 Some(a) => a,
                 None => break,
             };
-            let mut total = 0usize;
-            let mut seen: Vec<usize> = Vec::with_capacity(assignment.len());
-            for &(server, count) in &assignment {
-                if server >= num_servers || count == 0 || count > free[server] {
-                    return Err(SchedError::InvalidAssignment {
-                        policy: policy.name(),
-                        job: j.id,
-                    });
-                }
-                seen.push(server);
-                total += count;
-            }
-            seen.sort_unstable();
-            seen.dedup();
-            if total != j.cnodes || seen.len() != assignment.len() {
+            if !servers.valid(&assignment, j.cnodes) {
                 return Err(SchedError::InvalidAssignment {
                     policy: policy.name(),
                     job: j.id,
@@ -681,12 +777,8 @@ pub fn run_ordered(
                 SyncClass::Local => assignment.len() > 1,
                 SyncClass::Silent => false,
             };
-            for &(server, count) in &assignment {
-                free[server] -= count;
-                if on_ethernet {
-                    comm[server] += count;
-                }
-            }
+            servers.claim(&assignment, on_ethernet);
+            comm_changed |= on_ethernet;
             busy_gpus += j.cnodes;
             let s = &mut state[head];
             if s.first_start.is_none() {
@@ -701,37 +793,31 @@ pub fn run_ordered(
                 }
                 _ => (j.steps as f64, false),
             };
+            // Off Ethernet this price is final; on it, the reprice below
+            // refreshes it once every gang of this event has landed.
+            let step_time = price(j, &assignment, on_ethernet, eth_time[head], &servers.comm);
             running.push(Running {
                 job: head,
                 assignment,
                 on_ethernet,
-                step_time: 0.0,
+                executed: s.executed,
+                step_time,
                 boundary,
                 boundary_is_crash,
             });
             record(&mut events, &mut seq, now, EventKind::Start, head);
         }
 
-        // Reprice every running job from the live sharer counters —
-        // identical to Placement::step_time_of over a snapshot of the
-        // running set (a test pins this equivalence).
-        for r in &mut running {
-            let j = &jobs[r.job];
-            let sync_term = if r.on_ethernet {
-                let oversub = r
-                    .assignment
-                    .iter()
-                    .map(|&(server, _)| comm[server])
-                    .max()
-                    .unwrap_or(1)
-                    .max(1);
-                eth_time[r.job] * oversub as f64
-            } else if j.sync == SyncClass::Local {
-                j.local_sync_time.as_f64()
-            } else {
-                0.0
-            };
-            r.step_time = j.compute_time.as_f64() + sync_term;
+        if comm_changed {
+            for r in running.iter_mut().filter(|r| r.on_ethernet) {
+                r.step_time = price(
+                    &jobs[r.job],
+                    &r.assignment,
+                    true,
+                    eth_time[r.job],
+                    &servers.comm,
+                );
+            }
         }
     }
 
@@ -802,11 +888,14 @@ mod tests {
     use super::*;
     use crate::job::CrashPoint;
     use crate::policy::{FifoFirstFit, LocalityAware, PolicyKind, Spread};
-    use pai_core::Architecture;
+    use crate::stream::{realize_stream, templates_from_population, ArrivalConfig};
+    use pai_core::{Architecture, PerfModel};
     use pai_hw::Bytes;
     use pai_predict::Signature;
     use pai_sim::cluster::{ClusterJob, Placement};
+    use pai_trace::{FailureSampler, Population, PopulationConfig};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::testbed(0.7)
@@ -1127,6 +1216,81 @@ mod tests {
                 job: 7
             }
         );
+    }
+
+    /// First-fit that counts its calls, and the calls made while the
+    /// cluster's free GPUs could not hold the gang.
+    #[derive(Default)]
+    struct CountingFirstFit {
+        calls: AtomicUsize,
+        short: AtomicUsize,
+    }
+
+    impl Policy for CountingFirstFit {
+        fn name(&self) -> &'static str {
+            FifoFirstFit.name()
+        }
+        fn place(
+            &self,
+            cnodes: usize,
+            sync: SyncClass,
+            free: &[usize],
+        ) -> Option<Vec<(usize, usize)>> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            if free.iter().sum::<usize>() < cnodes {
+                self.short.fetch_add(1, Ordering::Relaxed);
+            }
+            FifoFirstFit.place(cnodes, sync, free)
+        }
+    }
+
+    #[test]
+    fn place_is_asked_only_when_free_gpus_can_hold_the_gang() {
+        let c = cluster();
+        // The bit-pin stream: about 1,650 of its ~3,700 head
+        // selections under first-fit find fewer free GPUs than the
+        // gang is wide.
+        let seed = 1_905_930;
+        let population = Population::generate(
+            &PopulationConfig::paper_scale(2_000).expect("valid scale"),
+            seed,
+        )
+        .expect("valid config");
+        let (templates, _) =
+            templates_from_population(&PerfModel::paper_default(), &population, 64);
+        let arrival = ArrivalConfig::for_offered_load(
+            &templates,
+            &c,
+            0.6,
+            ArrivalConfig::default().steps_range,
+        )
+        .expect("non-empty templates");
+        let jobs = realize_stream(
+            &templates,
+            &arrival,
+            &FailureSampler::paper_calibrated(),
+            seed,
+        )
+        .expect("valid stream");
+        for order in [QueueOrder::Fifo, QueueOrder::SjfOracle] {
+            let counting = CountingFirstFit::default();
+            let wrapped = run_ordered(&c, &jobs, &counting, &order, &cfg()).expect("runs");
+            let plain = run_ordered(&c, &jobs, &FifoFirstFit, &order, &cfg()).expect("runs");
+            assert!(
+                plain.cluster.mean_queueing_delay_s > 0.0,
+                "the stream must queue"
+            );
+            assert_eq!(counting.short.load(Ordering::Relaxed), 0);
+            // First-fit refuses only a capacity-short gang, so every
+            // call it gets places one.
+            let starts = plain
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::Start)
+                .count();
+            assert_eq!(counting.calls.load(Ordering::Relaxed), starts);
+            assert_eq!(wrapped, plain, "the gate must not change the schedule");
+        }
     }
 
     #[test]

@@ -30,6 +30,10 @@ use crate::job::SyncClass;
 /// positive counts within `free`, and counts summing to `cnodes`;
 /// `None` means "cannot place now" and leaves the job at the head of
 /// the FIFO queue.
+///
+/// The engine calls `place` only when `free` sums to at least
+/// `cnodes`: with fewer idle GPUs no valid placement exists, so the
+/// head waits without asking.
 pub trait Policy: Sync {
     /// Stable display name.
     fn name(&self) -> &'static str;
