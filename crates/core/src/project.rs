@@ -65,11 +65,6 @@ impl ProjectionOutcome {
     pub fn improves_throughput(&self) -> bool {
         self.throughput_speedup > 1.0
     }
-
-    /// True when the per-step time strictly improves.
-    pub fn improves_step_time(&self) -> bool {
-        self.single_cnode_speedup > 1.0
-    }
 }
 
 /// Projects a PS/Worker job onto an AllReduce architecture and predicts

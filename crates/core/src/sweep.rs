@@ -170,11 +170,6 @@ where
     SweepCurves { arch, samples }
 }
 
-/// Convenience: a base configuration with one Table III point applied.
-pub fn apply_point(base: &HardwareConfig, point: SweepPoint) -> HardwareConfig {
-    base.with_resource(point)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -105,11 +105,6 @@ impl HardwareConfig {
         }
     }
 
-    /// A copy with a different GPU.
-    pub fn with_gpu(&self, gpu: GpuSpec) -> HardwareConfig {
-        HardwareConfig { gpu, ..*self }
-    }
-
     /// A copy with one resource's capacity replaced (Table III axes).
     pub fn with_resource(&self, point: SweepPoint) -> HardwareConfig {
         let mut out = *self;

@@ -105,11 +105,6 @@ impl Bytes {
         self.0 / MB
     }
 
-    /// The value in binary gibibytes.
-    pub fn as_gib(self) -> f64 {
-        self.0 / GIB
-    }
-
     /// True when the volume is exactly zero.
     #[inline]
     pub fn is_zero(self) -> bool {

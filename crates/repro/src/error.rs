@@ -1,6 +1,6 @@
 //! The experiment layer's typed error.
 //!
-//! Experiments that drive the fallible simulator/placement APIs
+//! Experiments that drive the fallible simulator/scheduler APIs
 //! propagate their errors here instead of unwrapping, so the `repro`
 //! binary can report a broken invariant with context and a clean exit
 //! code rather than a panic.
@@ -10,7 +10,6 @@ use std::fmt;
 
 use pai_faults::FaultError;
 use pai_sched::SchedError;
-use pai_sim::cluster::PlacementError;
 use pai_sim::SimError;
 use pai_trace::TraceError;
 
@@ -25,8 +24,6 @@ pub enum ReproError {
     },
     /// A step simulation rejected its inputs.
     Sim(SimError),
-    /// A cluster placement rejected its inputs.
-    Placement(PlacementError),
     /// A fault plan rejected its inputs.
     Fault(FaultError),
     /// A scheduling run rejected its inputs.
@@ -45,7 +42,6 @@ impl fmt::Display for ReproError {
                 write!(f, "unknown experiment id '{id}'")
             }
             ReproError::Sim(e) => write!(f, "simulation failed: {e}"),
-            ReproError::Placement(e) => write!(f, "placement failed: {e}"),
             ReproError::Fault(e) => write!(f, "fault plan rejected: {e}"),
             ReproError::Sched(e) => write!(f, "scheduling failed: {e}"),
             ReproError::Json(e) => write!(f, "JSON serialization failed: {e}"),
@@ -59,7 +55,6 @@ impl Error for ReproError {
         match self {
             ReproError::UnknownExperiment { .. } => None,
             ReproError::Sim(e) => Some(e),
-            ReproError::Placement(e) => Some(e),
             ReproError::Fault(e) => Some(e),
             ReproError::Sched(e) => Some(e),
             ReproError::Json(e) => Some(e),
@@ -77,12 +72,6 @@ impl From<TraceError> for ReproError {
 impl From<SimError> for ReproError {
     fn from(e: SimError) -> Self {
         ReproError::Sim(e)
-    }
-}
-
-impl From<PlacementError> for ReproError {
-    fn from(e: PlacementError) -> Self {
-        ReproError::Placement(e)
     }
 }
 

@@ -5,13 +5,14 @@
 //!   methodology"): forward-only variants of the six case-study models
 //!   through the same estimate/measure pipeline;
 //! - [`cluster_mix`] — the Sec. VI cluster-operations view: place a
-//!   population-derived job mix onto the 64-server testbed and report
-//!   NIC-contention slowdowns and utilization.
+//!   population-derived job mix onto the 64-server testbed with
+//!   `pai-sched`'s placement and NIC-sharing price, and report
+//!   contention slowdowns and utilization.
 
 use pai_core::{Architecture, PerfModel, WorkloadFeatures};
 use pai_graph::zoo::{self, inference::all_inference};
-use pai_hw::{Bytes, LinkKind};
-use pai_sim::cluster::{place, ClusterJob};
+use pai_hw::{Bandwidth, ClusterSpec, LinkKind, LinkModel};
+use pai_sched::{place_mix, templates_from_population, FifoFirstFit, JobTemplate};
 use pai_sim::{SimConfig, StepSimulator};
 use serde_json::json;
 
@@ -75,68 +76,74 @@ pub fn inference() -> Result<ExperimentResult, ReproError> {
     })
 }
 
-/// Places the PS/Worker subpopulation's largest jobs plus local fillers
-/// onto the testbed and reports contention.
-///
-/// # Errors
-///
-/// Propagates any [`ReproError::Placement`] the testbed placement
-/// reports.
-pub fn cluster_mix(ctx: &Context) -> Result<ExperimentResult, ReproError> {
-    let cluster = pai_hw::ClusterSpec::testbed(0.7);
+/// The PS/Worker mix both cluster extensions place: medium jobs (the
+/// fleet's giants get dedicated sub-clusters), biggest first, each
+/// kept when it fits the GPUs the earlier ones left, priced by the
+/// context's model.
+fn ps_mix(ctx: &Context, cluster: &ClusterSpec) -> Vec<JobTemplate> {
     let mut ps: Vec<WorkloadFeatures> = ctx.population.jobs_of(Architecture::PsWorker);
-    // A realistic multi-tenant mix: medium jobs (the fleet's giants get
-    // dedicated sub-clusters), biggest first.
     ps.retain(|j| j.cnodes() <= 64);
     ps.sort_by_key(|j| std::cmp::Reverse(j.cnodes()));
-
-    let mut jobs = Vec::new();
+    let mut mix = Vec::new();
     let mut budget = cluster.total_gpus();
-    for (i, f) in ps.iter().enumerate() {
+    for f in ps {
         if f.cnodes() > budget {
             continue;
         }
         budget -= f.cnodes();
-        let b = ctx.model.breakdown(f);
-        jobs.push(ClusterJob {
-            id: i,
-            cnodes: f.cnodes(),
-            local_time: b.data_io() + b.computation(),
-            // The PS path's Ethernet payload.
-            ethernet_bytes: f.weight_bytes(),
-        });
+        mix.push(f);
         if budget == 0 {
             break;
         }
     }
-    let placement = place(&cluster, &jobs)?;
+    templates_from_population(&ctx.model, &mix, cluster.total_gpus()).0
+}
 
-    let mut slowdowns = Vec::with_capacity(jobs.len());
-    let mut step_times = Vec::with_capacity(jobs.len());
-    for j in &jobs {
-        slowdowns.push(placement.slowdown(j.id)?);
-        step_times.push(placement.job_step_time(j.id)?);
-    }
+/// Places the PS/Worker subpopulation's largest jobs first-fit onto
+/// the testbed and reports contention.
+///
+/// # Errors
+///
+/// Propagates any [`ReproError::Sched`] the placement reports.
+pub fn cluster_mix(ctx: &Context) -> Result<ExperimentResult, ReproError> {
+    let cluster = ClusterSpec::testbed(0.7);
+    let mix = ps_mix(ctx, &cluster);
+    let placed = place_mix(&cluster, &mix, &FifoFirstFit)?;
+
+    let slowdowns: Vec<f64> = mix
+        .iter()
+        .zip(&placed)
+        .map(|(job, p)| {
+            let solo = job.solo_step(&cluster);
+            if solo.is_zero() {
+                1.0
+            } else {
+                p.step_time_s / solo.as_f64()
+            }
+        })
+        .collect();
     let mean = slowdowns.iter().sum::<f64>() / slowdowns.len().max(1) as f64;
     let worst = slowdowns.iter().cloned().fold(1.0, f64::max);
-    let eth_bound = jobs
+    let eth_bound = mix
         .iter()
-        .zip(&step_times)
-        .filter(|(j, &t)| {
-            let comm = t - j.local_time;
-            comm.as_f64() > 0.5 * t.as_f64()
-        })
+        .zip(&placed)
+        .filter(|(job, p)| p.step_time_s - job.compute_time.as_f64() > 0.5 * p.step_time_s)
         .count() as f64
-        / jobs.len().max(1) as f64;
+        / mix.len().max(1) as f64;
+    let used: usize = mix.iter().map(|j| j.cnodes).sum();
+    let utilization = used as f64 / cluster.total_gpus() as f64;
+    let mut servers: Vec<usize> = placed
+        .iter()
+        .flat_map(|p| p.assignment.iter().map(|&(server, _)| server))
+        .collect();
+    servers.sort_unstable();
+    servers.dedup();
 
     let rows = vec![
         vec!["metric".to_string(), "value".to_string()],
-        vec!["jobs placed".into(), format!("{}", jobs.len())],
-        vec!["GPU utilization".into(), pct(placement.gpu_utilization())],
-        vec![
-            "servers used".into(),
-            format!("{}", placement.servers_used()),
-        ],
+        vec!["jobs placed".into(), format!("{}", mix.len())],
+        vec!["GPU utilization".into(), pct(utilization)],
+        vec!["servers used".into(), format!("{}", servers.len())],
         vec!["mean contention slowdown".into(), format!("{mean:.2}x")],
         vec!["worst contention slowdown".into(), format!("{worst:.2}x")],
         vec![
@@ -149,9 +156,9 @@ pub fn cluster_mix(ctx: &Context) -> Result<ExperimentResult, ReproError> {
         title: "Extension (Sec. VI): testbed placement with NIC contention",
         text: table(&rows),
         json: json!({
-            "jobs": jobs.len(),
-            "gpu_utilization": placement.gpu_utilization(),
-            "servers_used": placement.servers_used(),
+            "jobs": mix.len(),
+            "gpu_utilization": utilization,
+            "servers_used": servers.len(),
             "mean_slowdown": mean,
             "worst_slowdown": worst,
             "ethernet_bound_share": eth_bound,
@@ -164,55 +171,25 @@ pub fn cluster_mix(ctx: &Context) -> Result<ExperimentResult, ReproError> {
 ///
 /// # Errors
 ///
-/// Propagates any [`ReproError::Placement`] the testbed placement
-/// reports.
+/// Propagates any [`ReproError::Sched`] the placement reports.
 pub fn cluster_upgrade(ctx: &Context) -> Result<ExperimentResult, ReproError> {
-    let mk_cluster = |gbit: f64| {
-        pai_hw::ClusterSpec::new(
-            *pai_hw::ClusterSpec::testbed(0.7).server(),
-            64,
-            pai_hw::LinkModel::new(
-                LinkKind::Ethernet,
-                pai_hw::Bandwidth::from_gbit_per_sec(gbit),
-                0.7,
-            ),
-        )
-    };
-    let mut ps = ctx.population.jobs_of(Architecture::PsWorker);
-    ps.retain(|j| j.cnodes() <= 64);
-    ps.sort_by_key(|j| std::cmp::Reverse(j.cnodes()));
-    let mut jobs = Vec::new();
-    let mut budget = 512usize;
-    for (i, f) in ps.iter().enumerate() {
-        if f.cnodes() > budget {
-            continue;
-        }
-        budget -= f.cnodes();
-        let b = ctx.model.breakdown(f);
-        jobs.push((
-            ClusterJob {
-                id: i,
-                cnodes: f.cnodes(),
-                local_time: b.data_io() + b.computation(),
-                ethernet_bytes: f.weight_bytes() + Bytes::ZERO,
-            },
-            f.batch_size(),
-        ));
-        if budget == 0 {
-            break;
-        }
-    }
+    let testbed = ClusterSpec::testbed(0.7);
+    let mix = ps_mix(ctx, &testbed);
     let mut rows = vec![vec![
         "Ethernet".to_string(),
         "aggregate throughput (samples/s)".to_string(),
     ]];
     let mut through = Vec::new();
     for gbit in [25.0, 100.0] {
-        let cluster = mk_cluster(gbit);
-        let placement = place(&cluster, &jobs.iter().map(|(j, _)| *j).collect::<Vec<_>>())?;
+        let cluster = ClusterSpec::new(
+            *testbed.server(),
+            testbed.num_servers(),
+            LinkModel::new(LinkKind::Ethernet, Bandwidth::from_gbit_per_sec(gbit), 0.7),
+        );
+        let placed = place_mix(&cluster, &mix, &FifoFirstFit)?;
         let mut total = 0.0;
-        for (j, batch) in &jobs {
-            total += j.cnodes as f64 / placement.job_step_time(j.id)?.as_f64() * *batch as f64;
+        for (job, p) in mix.iter().zip(&placed) {
+            total += job.cnodes as f64 / p.step_time_s * job.record.features.batch_size() as f64;
         }
         rows.push(vec![format!("{gbit:.0} Gb/s"), format!("{total:.0}")]);
         through.push(total);

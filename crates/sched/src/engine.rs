@@ -31,21 +31,27 @@
 //! cluster's free GPUs could hold the gang, since no valid assignment
 //! exists otherwise.
 //!
-//! Step times follow the same max-min NIC model `pai-sim::cluster`
-//! prices, kept incrementally in per-server communicating-replica
-//! counters. A job whose synchronization stays off Ethernet (silent,
-//! or a local gang contained in one server) is priced once, when it
-//! starts. Ethernet-riding jobs are repriced only after an event that
-//! moved a counter. The partial-server count behind the fragmentation
-//! integral is updated wherever a server's free count changes, so an
-//! event that moves no GPUs costs one pass over the running set to
-//! find the next event and one to advance it.
+//! This module is the crate's one cluster model. Step times are the
+//! analytical model dilated by max-min fair NIC sharing: on a server
+//! whose NIC carries `k` replicas' Ethernet traffic each gets `1/k`
+//! of it, so a gang's Ethernet time stretches by the worst sharer
+//! count among its servers (`price`). The counts live in per-server
+//! counters (`Servers`) that the event loop keeps incrementally and
+//! [`crate::place_mix`] fills once for a whole mix on an idle cluster.
+//! A gang with zero weight volume is no sharer: max-min gives a
+//! zero-demand flow no share. A job that shares no NIC (silent, a
+//! local gang contained in one server, or a zero-volume gang) is
+//! priced once, when it starts; sharers are repriced only after an
+//! event that moved a counter. The partial-server count behind the
+//! fragmentation integral is updated wherever a server's free count
+//! changes, so an event that moves no GPUs costs one pass over the
+//! running set to find the next event and one to advance it.
 
 use std::collections::{BinaryHeap, VecDeque};
 
 use pai_faults::ExponentialBackoff;
-use pai_hw::{ClusterSpec, Seconds};
-use pai_predict::{CalibrationAccum, CalibrationReport, HistoryStore};
+use pai_hw::{Bytes, ClusterSpec, Seconds};
+use pai_predict::{CalibrationAccum, CalibrationReport, HistoryStore, NUM_CLASSES};
 use serde::{Deserialize, Serialize};
 
 use crate::error::SchedError;
@@ -136,10 +142,10 @@ pub struct SchedOutcome {
 struct Running {
     job: usize,
     assignment: Vec<(usize, usize)>,
-    /// True when the gang's synchronization rides Ethernet from this
-    /// placement (always for `Ethernet` jobs, only when split for
-    /// `Local` ones) — i.e. it counts toward NIC sharing.
-    on_ethernet: bool,
+    /// True when the gang counts toward NIC sharing (see
+    /// [`Servers::claim`]) — only such a job's price moves with the
+    /// counters.
+    shares_nic: bool,
     /// Fractional steps executed; the job's [`JobState::executed`] is
     /// stale until this dispatch ends.
     executed: f64,
@@ -151,18 +157,34 @@ struct Running {
     boundary_is_crash: bool,
 }
 
-/// A running job's per-step time from the live sharer counters —
-/// identical to `Placement::step_time_of` over a snapshot of the
-/// running set (a test pins this equivalence). Only an Ethernet-riding
-/// job's price reads `comm`.
-fn price(
-    job: &SchedJob,
+/// True when a gang's synchronization rides Ethernet from
+/// `assignment`: always for `Ethernet` jobs, only when split across
+/// servers for `Local` ones.
+fn rides_ethernet(sync: SyncClass, assignment: &[(usize, usize)]) -> bool {
+    match sync {
+        SyncClass::Ethernet => true,
+        // A split local gang spills its synchronization onto Ethernet;
+        // contained, it stays on PCIe/NVLink.
+        SyncClass::Local => assignment.len() > 1,
+        SyncClass::Silent => false,
+    }
+}
+
+/// A gang's per-step time from the sharer counters `comm`: its off-NIC
+/// `compute` time plus its synchronization. Riding Ethernet, that is
+/// the solo transfer time `eth_time` dilated by the worst sharer count
+/// among its servers; contained, a `Local` gang pays `local_sync`; a
+/// silent one pays nothing. Only an Ethernet-riding gang's price reads
+/// `comm`.
+pub(crate) fn price(
+    compute: Seconds,
+    sync: SyncClass,
+    local_sync: Seconds,
     assignment: &[(usize, usize)],
-    on_ethernet: bool,
     eth_time: f64,
     comm: &[usize],
 ) -> f64 {
-    let sync_term = if on_ethernet {
+    let sync_term = if rides_ethernet(sync, assignment) {
         let oversub = assignment
             .iter()
             .map(|&(server, _)| comm[server])
@@ -170,21 +192,21 @@ fn price(
             .unwrap_or(1)
             .max(1);
         eth_time * oversub as f64
-    } else if job.sync == SyncClass::Local {
-        job.local_sync_time.as_f64()
+    } else if sync == SyncClass::Local {
+        local_sync.as_f64()
     } else {
         0.0
     };
-    job.compute_time.as_f64() + sync_term
+    compute.as_f64() + sync_term
 }
 
 /// Per-server occupancy: free GPUs, NIC sharers, and the
 /// partial-server count, kept in step with every change to `free`.
-struct Servers {
+pub(crate) struct Servers {
     /// Idle GPUs per server.
-    free: Vec<usize>,
-    /// Ethernet-riding replicas per server.
-    comm: Vec<usize>,
+    pub(crate) free: Vec<usize>,
+    /// NIC-sharing replicas per server.
+    pub(crate) comm: Vec<usize>,
     /// Servers neither idle nor full — the fragmentation integrand.
     partial: usize,
     per_server: usize,
@@ -194,7 +216,7 @@ struct Servers {
 }
 
 impl Servers {
-    fn new(num_servers: usize, per_server: usize) -> Self {
+    pub(crate) fn new(num_servers: usize, per_server: usize) -> Self {
         Servers {
             free: vec![per_server; num_servers],
             comm: vec![0; num_servers],
@@ -207,7 +229,7 @@ impl Servers {
 
     /// True when `assignment` names distinct in-range servers, each
     /// with a positive count within its free GPUs, summing to `cnodes`.
-    fn valid(&mut self, assignment: &[(usize, usize)], cnodes: usize) -> bool {
+    pub(crate) fn valid(&mut self, assignment: &[(usize, usize)], cnodes: usize) -> bool {
         self.epoch += 1;
         let mut total = 0usize;
         for &(server, count) in assignment {
@@ -224,21 +246,33 @@ impl Servers {
         total == cnodes
     }
 
-    /// Takes `assignment`'s GPUs out of the free pool.
-    fn claim(&mut self, assignment: &[(usize, usize)], on_ethernet: bool) {
+    /// Takes `assignment`'s GPUs out of the free pool and, when the
+    /// gang rides Ethernet with a nonzero `weight_bytes`, counts its
+    /// replicas as NIC sharers. Returns whether it did: a zero-volume
+    /// gang puts no traffic on the NIC, so max-min sharing gives it no
+    /// share and it dilates no server-mate.
+    pub(crate) fn claim(
+        &mut self,
+        assignment: &[(usize, usize)],
+        sync: SyncClass,
+        weight_bytes: Bytes,
+    ) -> bool {
+        let shares_nic = rides_ethernet(sync, assignment) && !weight_bytes.is_zero();
         for &(server, count) in assignment {
             self.set_free(server, self.free[server] - count);
-            if on_ethernet {
+            if shares_nic {
                 self.comm[server] += count;
             }
         }
+        shares_nic
     }
 
-    /// Returns `assignment`'s GPUs to the free pool.
-    fn release(&mut self, assignment: &[(usize, usize)], on_ethernet: bool) {
+    /// Returns `assignment`'s GPUs to the free pool, and its sharers
+    /// when [`Servers::claim`] counted them.
+    fn release(&mut self, assignment: &[(usize, usize)], shares_nic: bool) {
         for &(server, count) in assignment {
             self.set_free(server, self.free[server] + count);
-            if on_ethernet {
+            if shares_nic {
                 self.comm[server] -= count;
             }
         }
@@ -487,7 +521,8 @@ pub fn run(
 /// Runs one built-in [`PolicyKind`] end to end — placement *and*
 /// queue ordering. The QSSF history hash is seeded by `seed`, and its
 /// cold-start priors come from the stream's per-class mean realized
-/// service demand ([`class_priors_from_jobs`]).
+/// service demand ([`class_priors_from_jobs`]); no other kind reads
+/// priors, so none other pays for them.
 ///
 /// # Errors
 ///
@@ -499,7 +534,11 @@ pub fn run_kind(
     seed: u64,
     config: &SchedConfig,
 ) -> Result<SchedOutcome, SchedError> {
-    let order = order_for_kind(kind, seed, class_priors_from_jobs(jobs, cluster));
+    let priors = match kind {
+        PolicyKind::Qssf => class_priors_from_jobs(jobs, cluster),
+        _ => [1.0; NUM_CLASSES],
+    };
+    let order = order_for_kind(kind, seed, priors);
     run_ordered(cluster, jobs, kind.policy(), &order, config)
 }
 
@@ -696,8 +735,8 @@ pub fn run_ordered(
         match class {
             CLASS_BOUNDARY => {
                 let r = running.swap_remove(slot);
-                servers.release(&r.assignment, r.on_ethernet);
-                comm_changed |= r.on_ethernet;
+                servers.release(&r.assignment, r.shares_nic);
+                comm_changed |= r.shares_nic;
                 busy_gpus -= jobs[r.job].cnodes;
                 let s = &mut state[r.job];
                 s.executed = r.boundary;
@@ -770,15 +809,8 @@ pub fn run_ordered(
                 });
             }
             queue.serve(head);
-            let on_ethernet = match j.sync {
-                SyncClass::Ethernet => true,
-                // A split local gang spills its synchronization onto
-                // Ethernet; contained, it stays on PCIe/NVLink.
-                SyncClass::Local => assignment.len() > 1,
-                SyncClass::Silent => false,
-            };
-            servers.claim(&assignment, on_ethernet);
-            comm_changed |= on_ethernet;
+            let shares_nic = servers.claim(&assignment, j.sync, j.weight_bytes);
+            comm_changed |= shares_nic;
             busy_gpus += j.cnodes;
             let s = &mut state[head];
             if s.first_start.is_none() {
@@ -793,13 +825,20 @@ pub fn run_ordered(
                 }
                 _ => (j.steps as f64, false),
             };
-            // Off Ethernet this price is final; on it, the reprice below
-            // refreshes it once every gang of this event has landed.
-            let step_time = price(j, &assignment, on_ethernet, eth_time[head], &servers.comm);
+            // A non-sharer's price is final; a sharer's is refreshed by
+            // the reprice below once every gang of this event has landed.
+            let step_time = price(
+                j.compute_time,
+                j.sync,
+                j.local_sync_time,
+                &assignment,
+                eth_time[head],
+                &servers.comm,
+            );
             running.push(Running {
                 job: head,
                 assignment,
-                on_ethernet,
+                shares_nic,
                 executed: s.executed,
                 step_time,
                 boundary,
@@ -809,11 +848,13 @@ pub fn run_ordered(
         }
 
         if comm_changed {
-            for r in running.iter_mut().filter(|r| r.on_ethernet) {
+            for r in running.iter_mut().filter(|r| r.shares_nic) {
+                let j = &jobs[r.job];
                 r.step_time = price(
-                    &jobs[r.job],
+                    j.compute_time,
+                    j.sync,
+                    j.local_sync_time,
                     &r.assignment,
-                    true,
                     eth_time[r.job],
                     &servers.comm,
                 );
@@ -888,12 +929,10 @@ mod tests {
     use super::*;
     use crate::job::CrashPoint;
     use crate::policy::{FifoFirstFit, LocalityAware, PolicyKind, Spread};
-    use crate::stream::{realize_stream, templates_from_population, ArrivalConfig};
-    use pai_core::{Architecture, PerfModel};
-    use pai_hw::Bytes;
+    use crate::stream::{realize_stream, templates_from_population, ArrivalConfig, JobTemplate};
+    use pai_core::{Architecture, PerfModel, WorkloadFeatures};
     use pai_predict::Signature;
-    use pai_sim::cluster::{ClusterJob, Placement};
-    use pai_trace::{FailureSampler, Population, PopulationConfig};
+    use pai_trace::{FailureSampler, JobRecord, Population, PopulationConfig};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -965,38 +1004,66 @@ mod tests {
         assert!((packed.jobs[0].jct_s - contended).abs() < 1e-9);
     }
 
+    /// `job` as a mix template for [`crate::place_mix`].
+    fn template(job: &SchedJob) -> JobTemplate {
+        let features = WorkloadFeatures::builder(job.signature.class)
+            .cnodes(job.cnodes)
+            .weight_bytes(job.weight_bytes)
+            .build();
+        JobTemplate {
+            record: JobRecord {
+                id: job.id,
+                features,
+            },
+            cnodes: job.cnodes,
+            compute_time: job.compute_time,
+            weight_bytes: job.weight_bytes,
+            sync: job.sync,
+            local_sync_time: job.local_sync_time,
+            signature: job.signature,
+        }
+    }
+
     #[test]
     fn contended_step_times_match_the_placement_model() {
         // Two 4-replica Ethernet jobs first-fit onto one server: the
         // engine's incremental sharer counters must price exactly what
-        // Placement::from_assignments prices.
+        // the one-shot placement of the same mix prices.
         let c = cluster();
         let a = job(0, 0.0, 40, 4, SyncClass::Ethernet);
         let b = job(1, 0.0, 40, 4, SyncClass::Ethernet);
         let out = run(&c, &[a.clone(), b.clone()], &FifoFirstFit, &cfg()).expect("runs");
-        let cluster_jobs = [
-            ClusterJob {
-                id: 0,
-                cnodes: 4,
-                local_time: a.compute_time,
-                ethernet_bytes: a.weight_bytes,
-            },
-            ClusterJob {
-                id: 1,
-                cnodes: 4,
-                local_time: b.compute_time,
-                ethernet_bytes: b.weight_bytes,
-            },
-        ];
         let snapshot =
-            Placement::from_assignments(&c, &cluster_jobs, &[vec![(0, 4)], vec![(0, 4)]])
-                .expect("valid assignment");
-        let contended = snapshot.job_step_time(0).expect("placed").as_f64();
+            crate::place_mix(&c, &[template(&a), template(&b)], &FifoFirstFit).expect("fits");
+        assert_eq!(snapshot[0].assignment, vec![(0, 4)]);
+        assert_eq!(snapshot[1].assignment, vec![(0, 4)]);
+        let contended = snapshot[0].step_time_s;
         // Both jobs run contended until both finish simultaneously.
         assert!((out.jobs[0].jct_s - 40.0 * contended).abs() < 1e-9);
         assert!((out.jobs[1].jct_s - 40.0 * contended).abs() < 1e-9);
         // 40 contended steps clear the bounded-slowdown floor.
         assert!(out.jobs[0].slowdown > 1.0);
+    }
+
+    #[test]
+    fn zero_volume_gangs_dilate_no_server_mate() {
+        // Two 4-replica Ethernet gangs share server 0, one with no
+        // weights: max-min gives a zero-demand flow no share, so the
+        // other runs exactly as it would alone there (its NIC shared
+        // only by its own replicas) and the silent one pays only its
+        // off-NIC time.
+        let c = cluster();
+        let mut empty = job(0, 0.0, 40, 4, SyncClass::Ethernet);
+        empty.weight_bytes = Bytes::ZERO;
+        let chatty = job(1, 0.0, 40, 4, SyncClass::Ethernet);
+        let alone = run(&c, std::slice::from_ref(&chatty), &FifoFirstFit, &cfg()).expect("runs");
+        let out = run(&c, &[empty.clone(), chatty.clone()], &FifoFirstFit, &cfg()).expect("runs");
+        let own_replicas = 40.0
+            * (chatty.compute_time.as_f64()
+                + 4.0 * c.ethernet().transfer_time(chatty.weight_bytes).as_f64());
+        assert_eq!(out.jobs[1].jct_s.to_bits(), alone.jobs[0].jct_s.to_bits());
+        assert!((out.jobs[1].jct_s - own_replicas).abs() < 1e-9);
+        assert!((out.jobs[0].jct_s - 40.0 * empty.compute_time.as_f64()).abs() < 1e-9);
     }
 
     #[test]

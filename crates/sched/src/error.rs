@@ -21,14 +21,16 @@ pub enum SchedError {
         /// The repeated job id.
         id: usize,
     },
-    /// A job requests more cNodes than the whole cluster has, so no
-    /// gang placement can ever admit it.
+    /// A job requests more cNodes than the cluster can give it, so no
+    /// gang placement can admit it: more than the whole cluster in a
+    /// stream, or more than the earlier jobs of a
+    /// [`crate::place_mix`] mix left free.
     JobTooLarge {
         /// The offending job id.
         id: usize,
         /// cNodes the job requests.
         requested: usize,
-        /// GPUs the cluster has.
+        /// GPUs the cluster has for it.
         capacity: usize,
     },
     /// An arrival-stream parameter is out of range.

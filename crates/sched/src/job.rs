@@ -14,8 +14,7 @@
 //!   — split across servers, the same bytes ride Ethernet and contend;
 //! - [`SyncClass::Ethernet`] jobs (PS/Worker, AllReduce-Cluster)
 //!   always ride Ethernet and dilate with the max-min NIC
-//!   oversubscription of the servers they touch, exactly as
-//!   `pai-sim::cluster` prices it.
+//!   oversubscription of the servers they touch (see [`crate::engine`]).
 
 use pai_core::Architecture;
 use pai_hw::{Bytes, ClusterSpec, Seconds};

@@ -19,9 +19,11 @@
 //!   gang the engine serves next — with a starvation bound for the
 //!   predictive orderings;
 //! - [`engine`] advances the fluid event loop, pricing running jobs
-//!   with the analytical model dilated by `pai-sim::cluster`'s
-//!   max-min NIC contention and requeueing crashed gangs with
-//!   backoff;
+//!   with the analytical model dilated by max-min NIC contention and
+//!   requeueing crashed gangs with backoff. It is the crate's one
+//!   cluster model: [`place_mix`] places a whole mix at once on an
+//!   idle cluster with the same placement checks, sharer counters and
+//!   price;
 //! - [`metrics`] reports queueing delay, JCT, slowdown vs solo, GPU
 //!   utilization, fragmentation, makespan, and JCT percentiles;
 //! - [`sweep`] maps policy × seed cross products through `pai-par`
@@ -31,6 +33,7 @@
 //! `(population, seed, policy)` reproduces the same event log
 //! bit-for-bit at any thread count.
 
+mod cluster;
 pub mod engine;
 pub mod error;
 pub mod job;
@@ -40,6 +43,7 @@ pub mod policy;
 pub mod stream;
 pub mod sweep;
 
+pub use cluster::{place_mix, PlacedJob};
 pub use engine::{run, run_kind, run_ordered, EventKind, EventRecord, SchedConfig, SchedOutcome};
 pub use error::SchedError;
 pub use job::{CrashPoint, SchedJob, SyncClass};

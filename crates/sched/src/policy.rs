@@ -8,8 +8,7 @@
 //! differ only in how much NIC sharing and fragmentation the layout
 //! produces:
 //!
-//! - [`FifoFirstFit`]: fill servers left to right (the baseline, and
-//!   the same heuristic `pai-sim::cluster::place` uses);
+//! - [`FifoFirstFit`]: fill servers left to right (the baseline);
 //! - [`BestFitPacked`]: tightest single-server fit, else fewest
 //!   servers — minimizes fragmentation at the cost of NIC sharing;
 //! - [`Spread`]: one replica at a time across the emptiest servers —

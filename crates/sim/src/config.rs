@@ -77,11 +77,6 @@ impl SimConfig {
         self.tensor_core_efficiency
     }
 
-    /// A copy over different hardware.
-    pub fn with_hardware(&self, hardware: HardwareConfig) -> SimConfig {
-        SimConfig { hardware, ..*self }
-    }
-
     /// A copy with a per-component efficiency override (Table VI
     /// injection).
     pub fn with_efficiency(&self, efficiency: Efficiency) -> SimConfig {

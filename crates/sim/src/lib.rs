@@ -18,8 +18,6 @@
 //!   replica); the makespan is the step time;
 //! - [`measure`] — [`measure::StepMeasurement`] (per-component busy
 //!   times) and per-op profile records (the `tf.RunMetadata` analog);
-//! - [`cluster`] — job placement and NIC-contention modeling for the
-//!   whole testbed (the Sec. VI cluster-operations view);
 //! - [`faulted`] — multi-step degraded runs under a
 //!   [`pai_faults::FaultPlan`]: stragglers, degraded NICs, PS retry
 //!   backoff, and crash/restart recovery with lost-work accounting;
@@ -61,7 +59,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod cluster;
 pub mod config;
 pub mod error;
 pub mod executor;

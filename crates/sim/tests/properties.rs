@@ -1,5 +1,6 @@
-//! Property tests for the step executor, testbed placement and
-//! fault-injected multi-step runs.
+//! Property tests for the step executor and fault-injected multi-step
+//! runs. Testbed placement is pai-sched's, and so are its properties
+//! (`crates/sched/tests/properties.rs`).
 
 use pai_collectives::{CommPlan, Transfer};
 use pai_faults::FaultPlan;
@@ -7,7 +8,6 @@ use pai_graph::op::{elementwise, matmul, Op};
 use pai_graph::{Graph, OpKind};
 use pai_hw::{Bytes, LinkKind, Seconds};
 use pai_par::{assert_serial_parallel_identical, Threads, EQUIVALENCE_THREADS};
-use pai_sim::cluster::{place, ClusterJob};
 use pai_sim::{SimConfig, StepSimulator};
 use proptest::prelude::*;
 
@@ -50,39 +50,6 @@ proptest! {
         let m = StepSimulator::new(SimConfig::testbed()).run(&g, &comm, 1).unwrap();
         let parts = m.data_io + m.computation() + m.comm_total();
         prop_assert!((m.total.as_f64() - parts.as_f64()).abs() < 1e-9 * parts.as_f64().max(1e-9));
-    }
-
-    #[test]
-    fn placement_respects_capacity_and_places_everyone(
-        sizes in proptest::collection::vec(1usize..64, 1..40),
-    ) {
-        let cluster = pai_hw::ClusterSpec::testbed(0.7);
-        let total: usize = sizes.iter().sum();
-        let jobs: Vec<ClusterJob> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| ClusterJob {
-                id: i,
-                cnodes: n,
-                local_time: Seconds::from_millis(10.0),
-                ethernet_bytes: Bytes::from_mb(10.0),
-            })
-            .collect();
-        match place(&cluster, &jobs) {
-            Ok(p) => {
-                prop_assert!(total <= cluster.total_gpus());
-                prop_assert!((p.gpu_utilization() - total as f64 / 512.0).abs() < 1e-9);
-                for job in &jobs {
-                    // Every job experiences at least its solo time and at
-                    // most full-server NIC sharing.
-                    prop_assert!(p.slowdown(job.id).unwrap() >= 1.0 - 1e-12);
-                    // A server NIC is shared by at most its 8 GPU slots.
-                    prop_assert!(p.nic_oversubscription(job.id).unwrap() <= 8);
-                    prop_assert!(p.spread(job.id).unwrap() >= job.cnodes.div_ceil(8));
-                }
-            }
-            Err(_) => prop_assert!(total > cluster.total_gpus()),
-        }
     }
 }
 

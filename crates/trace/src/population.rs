@@ -158,20 +158,6 @@ impl Population {
         Ok(Population { store })
     }
 
-    /// Wraps an already-filled columnar store (e.g. one a
-    /// [`crate::JobStream`] was drained into).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::EmptyPopulation`] when the store holds no
-    /// rows.
-    pub fn from_store(store: JobStore) -> Result<Population, TraceError> {
-        if store.is_empty() {
-            return Err(TraceError::EmptyPopulation);
-        }
-        Ok(Population { store })
-    }
-
     /// Number of jobs.
     pub fn len(&self) -> usize {
         self.store.len()
@@ -187,11 +173,6 @@ impl Population {
     /// `Population` itself).
     pub fn store(&self) -> &JobStore {
         &self.store
-    }
-
-    /// Consumes the population, releasing its store.
-    pub fn into_store(self) -> JobStore {
-        self.store
     }
 
     /// All records, **materialized** into a fresh array-of-structs

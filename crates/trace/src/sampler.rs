@@ -28,11 +28,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
     mean + std_dev * standard_normal(rng)
 }
 
-/// A log-normal draw: `exp(Normal(mu, sigma))`.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    normal(rng, mu, sigma).exp()
-}
-
 /// A log-uniform draw over `[lo, hi]` — equal mass per decade, the shape
 /// of the broad Fig. 6b weight-size marginals.
 ///
