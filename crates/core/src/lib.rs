@@ -87,7 +87,7 @@ pub use breakdown::{Breakdown, HardwareBreakdown};
 pub use codec::{crc32, model_fingerprint, ByteReader, ByteWriter, CheckpointError};
 pub use features::{FeatureViolation, RawFeatures, WorkloadFeatures, WorkloadFeaturesBuilder};
 pub use jobs::{IngestSink, Jobs};
-pub use model::{ComponentTimes, PerfModel};
+pub use model::{ComponentTimes, Eq1Terms, PerfModel};
 pub use overlap::OverlapMode;
 pub use project::{
     comm_bound_speedup, project_with, projections_with, ProjectionOutcome, ProjectionTarget,

@@ -17,7 +17,9 @@
 //! Every denominator is derated by the [`Efficiency`] assumption
 //! (70 % by default).
 
-use pai_hw::{Bandwidth, Bytes, Efficiency, FlopsRate, HardwareConfig, LinkKind, Seconds};
+use pai_hw::{
+    Bandwidth, Bytes, Efficiency, FlopsRate, HardwareConfig, LinkKind, Seconds, SweepAxis,
+};
 
 use crate::arch::Architecture;
 use crate::breakdown::Breakdown;
@@ -34,7 +36,8 @@ pub const GPUS_PER_SERVER: usize = 8;
 ///
 /// The Eq. 1 denominators — each medium's `B × eff` and the derated
 /// peak `peak_FLOPs × eff_compute` — are derived once, when the model
-/// is built, so pricing a job is five divisions and a combine.
+/// is built, so pricing a job is five divisions ([`PerfModel::terms`])
+/// and a combine ([`PerfModel::combine`]).
 ///
 /// # Examples
 ///
@@ -205,9 +208,76 @@ impl PerfModel {
     /// seed.
     #[inline]
     pub fn weight_traffic_time(&self, job: &WorkloadFeatures) -> Seconds {
+        weight_traffic(self.weight_legs(job))
+    }
+
+    /// `S_w / (B × eff)` on each slot of the job's padded Table II
+    /// media row.
+    #[inline]
+    fn weight_legs(&self, job: &WorkloadFeatures) -> [Seconds; 2] {
         let weight = job.weight_bytes().as_f64();
         let [first, second] = self.rates.weight[job.arch().index()];
-        Seconds::ZERO + Seconds::from_f64(weight / first) + Seconds::from_f64(weight / second)
+        [
+            Seconds::from_f64(weight / first),
+            Seconds::from_f64(weight / second),
+        ]
+    }
+
+    /// The job's Eq. 1 terms under this model's configuration: the
+    /// five divisions of [`PerfModel::component_times`], uncombined.
+    #[inline]
+    pub fn terms(&self, job: &WorkloadFeatures) -> Eq1Terms {
+        Eq1Terms {
+            data_io: self.data_io_time(job),
+            compute_bound: self.compute_bound_time(job),
+            memory_bound: self.memory_bound_time(job),
+            weight: self.weight_legs(job),
+        }
+    }
+
+    /// `terms` with every term that divides by `axis`'s rate derived
+    /// again under this model, the others kept: the PCIe axis moves `Td`
+    /// and any PCIe weight leg, Ethernet its weight leg, GPU FLOPs the
+    /// compute-bound half of `Tc` and GPU memory the memory-bound half.
+    ///
+    /// Each re-derived term is the division [`PerfModel::terms`] makes,
+    /// so when `terms` came from a model that differs from this one only
+    /// in `axis`'s rate, the result is bitwise `self.terms(job)`.
+    #[inline]
+    pub(crate) fn rederive(
+        &self,
+        axis: SweepAxis,
+        job: &WorkloadFeatures,
+        mut terms: Eq1Terms,
+    ) -> Eq1Terms {
+        let medium = match axis {
+            SweepAxis::Ethernet => LinkKind::Ethernet,
+            SweepAxis::Pcie => {
+                terms.data_io = self.data_io_time(job);
+                LinkKind::Pcie
+            }
+            SweepAxis::GpuFlops => {
+                terms.compute_bound = self.compute_bound_time(job);
+                return terms;
+            }
+            SweepAxis::GpuMemory => {
+                terms.memory_bound = self.memory_bound_time(job);
+                return terms;
+            }
+        };
+        let weight = job.weight_bytes().as_f64();
+        let rates = self.rates.weight[job.arch().index()];
+        for ((leg, rate), &kind) in terms
+            .weight
+            .iter_mut()
+            .zip(rates)
+            .zip(job.arch().weight_media())
+        {
+            if kind == medium {
+                *leg = Seconds::from_f64(weight / rate);
+            }
+        }
+        terms
     }
 
     /// The full per-step breakdown of Eq. 1: [`PerfModel::component_times`]
@@ -229,22 +299,26 @@ impl PerfModel {
     /// this crate reduces to, called once per job at population scale.
     ///
     /// One straight-line evaluation over the rates derived in
-    /// [`PerfModel::new`]: five divisions, each with the operands
-    /// `S / (B × eff)` or `#FLOPs / (peak × eff)` it always had, and a
-    /// total combined from exactly the same three parts, in the same
-    /// order, as [`Breakdown::total`], so the two paths agree bit for
-    /// bit.
+    /// [`PerfModel::new`]: five divisions ([`PerfModel::terms`]), each
+    /// with the operands `S / (B × eff)` or `#FLOPs / (peak × eff)` it
+    /// always had, then [`PerfModel::combine`].
     #[inline]
     pub fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes {
-        let td = self.data_io_time(job);
-        let tcc = self.compute_bound_time(job);
-        let tcm = self.memory_bound_time(job);
-        let tw = self.weight_traffic_time(job);
-        let parts = [td.as_f64(), (tcc + tcm).as_f64(), tw.as_f64()];
+        self.combine(&self.terms(job))
+    }
+
+    /// Combines Eq. 1 terms under the model's overlap mode: a total
+    /// from exactly the same three parts, in the same order, as
+    /// [`Breakdown::total`], so the two paths agree bit for bit.
+    #[inline]
+    pub fn combine(&self, terms: &Eq1Terms) -> ComponentTimes {
+        let tw = weight_traffic(terms.weight);
+        let computation = terms.compute_bound + terms.memory_bound;
+        let parts = [terms.data_io.as_f64(), computation.as_f64(), tw.as_f64()];
         ComponentTimes {
-            data_io: td,
-            compute_bound: tcc,
-            memory_bound: tcm,
+            data_io: terms.data_io,
+            compute_bound: terms.compute_bound,
+            memory_bound: terms.memory_bound,
             weight_traffic: tw,
             total: Seconds::from_f64(self.overlap.combine(&parts)),
         }
@@ -267,6 +341,33 @@ impl Default for PerfModel {
     fn default() -> Self {
         PerfModel::paper_default()
     }
+}
+
+/// One job's Eq. 1 terms under one configuration, before any backend
+/// combines them: `Td`, both halves of `Tc`, and `Tw` per medium.
+///
+/// [`PerfModel::terms`] derives them; [`crate::StepTimer::price_terms`]
+/// prices a job from them. A Table III sweep point moves one rate, so
+/// it derives again only the terms that divide by that rate and keeps
+/// the rest.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Eq1Terms {
+    /// `Td`: input data I/O time.
+    pub data_io: Seconds,
+    /// The compute-bound half of `Tc`.
+    pub compute_bound: Seconds,
+    /// The memory-bound half of `Tc`.
+    pub memory_bound: Seconds,
+    /// `S_w / (B × eff)` on each Table II weight medium of the job's
+    /// class, in path order. A class crossing fewer than two media
+    /// divides by `+∞` in the unused slots, which leaves a zero there.
+    pub weight: [Seconds; 2],
+}
+
+/// Total `Tw`: the weight legs added in path order to a `+0.0` seed.
+#[inline]
+fn weight_traffic([first, second]: [Seconds; 2]) -> Seconds {
+    Seconds::ZERO + first + second
 }
 
 /// The per-step Eq. 1 component times of one job, flattened.
@@ -671,6 +772,40 @@ mod tests {
             job in any_job(),
         ) {
             kernel_matches_reference(&model, &job)?;
+        }
+    }
+
+    proptest! {
+        /// Any base model, moved to any Table III point: deriving again
+        /// only the terms the point's rate moves lands bitwise on the
+        /// point model's own terms.
+        #[test]
+        fn rederiving_a_point_is_bitwise_its_own_terms(
+            base in any_model(),
+            job in any_job(),
+        ) {
+            let terms = base.terms(&job);
+            for point in SweepAxis::ALL.iter().flat_map(|a| a.points()) {
+                let varied = base.with_config(base.config().with_resource(point));
+                let got = varied.rederive(point.axis, &job, terms);
+                let want = varied.terms(&job);
+                for (term, a, b) in [
+                    ("data_io", got.data_io, want.data_io),
+                    ("compute_bound", got.compute_bound, want.compute_bound),
+                    ("memory_bound", got.memory_bound, want.memory_bound),
+                    ("weight[0]", got.weight[0], want.weight[0]),
+                    ("weight[1]", got.weight[1], want.weight[1]),
+                ] {
+                    prop_assert_eq!(
+                        a.as_f64().to_bits(),
+                        b.as_f64().to_bits(),
+                        "{} at {:?} for {:?}",
+                        term,
+                        point,
+                        job
+                    );
+                }
+            }
         }
     }
 

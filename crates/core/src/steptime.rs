@@ -16,11 +16,17 @@
 //! backend, the exposed remainder), and `total` is the step time under
 //! the backend's own combining rule. [`PerfModel`] satisfies this by
 //! construction; see `pai-dag` for the critical-path implementation.
+//!
+//! Pricing is two steps: derive the job's [`Eq1Terms`] under
+//! [`StepTimer::hardware`] ([`PerfModel::terms`]), then price the job
+//! from them ([`StepTimer::price_terms`]). `component_times` is the two
+//! in a row; a Table III sweep keeps the base terms and derives again
+//! only those one point's rate moves before it calls `price_terms`.
 
 use pai_hw::HardwareConfig;
 
 use crate::features::WorkloadFeatures;
-use crate::model::{ComponentTimes, PerfModel};
+use crate::model::{ComponentTimes, Eq1Terms, PerfModel};
 use pai_hw::Seconds;
 
 /// A pluggable per-step pricing backend.
@@ -52,6 +58,15 @@ pub trait StepTimer: Sync {
     /// primitive everything else derives from.
     fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes;
 
+    /// Prices `job` from its Eq. 1 terms under [`StepTimer::hardware`]:
+    /// the step `component_times` takes once it has derived them.
+    ///
+    /// Contract: with `terms` equal to
+    /// `PerfModel::new(*self.hardware(), _).terms(job)`, the result is
+    /// bitwise `self.component_times(job)` (the overlap mode plays no
+    /// part in the terms).
+    fn price_terms(&self, job: &WorkloadFeatures, terms: &Eq1Terms) -> ComponentTimes;
+
     /// `T_total` under the backend's combining rule.
     fn total_time(&self, job: &WorkloadFeatures) -> Seconds {
         self.component_times(job).total
@@ -72,6 +87,11 @@ impl StepTimer for PerfModel {
     #[inline]
     fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes {
         PerfModel::component_times(self, job)
+    }
+
+    #[inline]
+    fn price_terms(&self, _job: &WorkloadFeatures, terms: &Eq1Terms) -> ComponentTimes {
+        self.combine(terms)
     }
 
     // The inherent methods already cache nothing and combine the same

@@ -4,13 +4,23 @@
 //! value in Table III is applied (other resources held at their Table I
 //! baseline) and the mean per-job speedup is recorded against the
 //! normalized resource value — the exact series plotted in Fig. 11.
+//!
+//! Each Table III point moves one rate, and under Eq. 1 a rate reaches
+//! the step time only through the terms that divide by it. So the
+//! sweep derives each job's [`Eq1Terms`] once and, per point, derives
+//! again only the terms that point's rate moves: one division for
+//! Ethernet, GPU FLOPs or GPU memory, two for PCIe (`Td` and the PCIe
+//! weight leg).
+//!
+//! [`Eq1Terms`]: crate::model::Eq1Terms
 
 use pai_hw::{HardwareConfig, SweepAxis, SweepPoint};
 use serde::{Deserialize, Serialize};
 
 use crate::arch::Architecture;
 use crate::model::PerfModel;
-use crate::stats::weighted_mean;
+use crate::overlap::OverlapMode;
+use crate::steptime::StepTimer;
 
 /// One point of a Fig. 11 curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -48,9 +58,9 @@ impl SweepCurves {
     }
 
     /// The axis with the largest speedup at its top candidate — the
-    /// "most sensitive" resource the paper reads off each panel.
-    /// Falls back to the GPU axis when the panel has no samples.
-    pub fn most_sensitive_axis(&self) -> SweepAxis {
+    /// "most sensitive" resource the paper reads off each panel — or
+    /// `None` when the panel has no samples (a class with no jobs).
+    pub fn most_sensitive_axis(&self) -> Option<SweepAxis> {
         SweepAxis::ALL
             .into_iter()
             .filter(|&axis| !self.curve(axis).is_empty())
@@ -59,7 +69,6 @@ impl SweepCurves {
                 let sb = self.curve(b).last().map(|s| s.mean_speedup).unwrap_or(0.0);
                 sa.total_cmp(&sb)
             })
-            .unwrap_or(SweepAxis::ALL[0])
     }
 }
 
@@ -84,16 +93,14 @@ pub fn relevant_axes(arch: Architecture) -> Vec<SweepAxis> {
 ///
 /// `weights` weighs jobs in the mean (all-ones for the job-level mean).
 ///
-/// The per-job base times and the per-job speedups at each sweep point
-/// are chunked maps gathered in index order, so the speedup vector —
-/// and therefore the weighted mean, which folds it in the same order —
-/// is bit-for-bit identical at every thread count;
-/// [`pai_par::Threads::SERIAL`] is the single-threaded oracle.
+/// Every sample is bit-for-bit identical at every thread count;
+/// [`pai_par::Threads::SERIAL`] is the single-threaded oracle. An empty
+/// `jobs` gives a panel with no samples.
 ///
 /// # Panics
 ///
-/// Panics if `jobs` is empty, lengths mismatch, or any job's class
-/// differs from `arch`.
+/// Panics if lengths mismatch, any job's class differs from `arch`, or
+/// the weights of a non-empty `jobs` do not sum to a positive value.
 pub fn class_sweep<J: crate::jobs::Jobs + ?Sized>(
     model: &PerfModel,
     arch: Architecture,
@@ -111,18 +118,44 @@ pub fn class_sweep<J: crate::jobs::Jobs + ?Sized>(
     )
 }
 
+/// Chunks per worker thread in one window of [`class_sweep_with`]: a
+/// window holds one `speedup × weight` per job and sweep point until
+/// it is folded into the means, so it bounds the sweep's memory.
+const WINDOW_CHUNKS: usize = 16;
+
+/// One Table III point: its backend, and the model that derives again
+/// the terms its rate moves.
+struct Point<R> {
+    point: SweepPoint,
+    backend: R,
+    eq1: PerfModel,
+}
+
 /// [`class_sweep`] over any [`crate::steptime::StepTimer`] backend.
 ///
 /// Sweeping varies the hardware, so the caller supplies `rebuild`: a
 /// constructor of the backend over an arbitrary configuration (for
 /// [`PerfModel`] this is [`PerfModel::with_config`]; a DAG engine
 /// rebuilds itself around the varied model). The baseline is priced
-/// by `base`, each sweep point by `rebuild(base.hardware() + point)`.
+/// by `base`, each sweep point by `rebuild(base.hardware() + point)`,
+/// which must price the configuration it is given.
+///
+/// Each job's [`Eq1Terms`](crate::model::Eq1Terms) under
+/// `base.hardware()` are derived once. Each point derives again only
+/// the terms its rate moves and prices the job from them with
+/// [`StepTimer::price_terms`]. The terms it keeps are bitwise those
+/// the varied configuration would derive, so each speedup is bitwise
+/// `base.total_time(job) / varied.total_time(job)`.
+///
+/// Jobs are priced in windows of chunks; each mean folds
+/// `speedup × weight` in job-index order, starting from the `-0.0` the
+/// sum in [`crate::stats::weighted_mean`] starts from. So each mean is
+/// bitwise `weighted_mean` over the speedups, at any thread count.
 ///
 /// # Panics
 ///
-/// Panics if `jobs` is empty, lengths mismatch, or any job's class
-/// differs from `arch`.
+/// Panics if lengths mismatch, any job's class differs from `arch`, or
+/// the weights of a non-empty `jobs` do not sum to a positive value.
 pub fn class_sweep_with<B, R, F, J>(
     base: &B,
     rebuild: F,
@@ -132,41 +165,78 @@ pub fn class_sweep_with<B, R, F, J>(
     threads: pai_par::Threads,
 ) -> SweepCurves
 where
-    B: crate::steptime::StepTimer + ?Sized,
-    R: crate::steptime::StepTimer,
+    B: StepTimer + ?Sized,
+    R: StepTimer,
     F: Fn(HardwareConfig) -> R,
     J: crate::jobs::Jobs + ?Sized,
 {
-    assert!(!jobs.is_empty(), "sweep needs at least one job");
     assert_eq!(jobs.len(), weights.len(), "one weight per job required");
     for job in jobs.iter_jobs() {
         assert_eq!(job.arch(), arch, "all jobs must belong to the swept class");
     }
+    if jobs.is_empty() {
+        return SweepCurves {
+            arch,
+            samples: Vec::new(),
+        };
+    }
+    let weight_sum: f64 = weights.iter().sum();
+    assert!(weight_sum > 0.0, "weights must sum to a positive value");
+    // The terms do not depend on the overlap mode.
+    let eq1 = |config: HardwareConfig| PerfModel::new(config, OverlapMode::Serialized);
+    let base_eq1 = eq1(*base.hardware());
+    let points: Vec<Point<R>> = relevant_axes(arch)
+        .into_iter()
+        .flat_map(SweepAxis::points)
+        .map(|point| {
+            let config = base.hardware().with_resource(point);
+            Point {
+                point,
+                backend: rebuild(config),
+                eq1: eq1(config),
+            }
+        })
+        .collect();
+
     let chunk = pai_par::DEFAULT_CHUNK_SIZE;
-    let base_times: Vec<f64> = pai_par::scatter_gather(jobs.len(), chunk, threads, |_, range| {
-        range
-            .map(|i| base.total_time(&jobs.get(i)).as_f64())
-            .collect()
-    });
-    let mut samples = Vec::new();
-    for axis in relevant_axes(arch) {
-        for &value in axis.candidates() {
-            let point = SweepPoint { axis, value };
-            let varied = rebuild(base.hardware().with_resource(point));
-            let speedups: Vec<f64> =
-                pai_par::scatter_gather(jobs.len(), chunk, threads, |_, range| {
-                    range
-                        .map(|i| base_times[i] / varied.total_time(&jobs.get(i)).as_f64())
-                        .collect()
-                });
-            samples.push(SweepSample {
-                axis,
-                value,
-                normalized: varied.hardware().normalized_resource(axis),
-                mean_speedup: weighted_mean(&speedups, weights),
-            });
+    let window = WINDOW_CHUNKS * chunk * threads.get();
+    let mut sums = vec![-0.0; points.len()];
+    for start in (0..jobs.len()).step_by(window) {
+        let end = jobs.len().min(start + window);
+        let parts = pai_par::map_chunks(end - start, chunk, threads, |_, range| {
+            let range = start + range.start..start + range.end;
+            let mut out = Vec::with_capacity(range.len() * points.len());
+            for (i, &weight) in range.clone().zip(&weights[range]) {
+                let job = jobs.get(i);
+                let terms = base_eq1.terms(&job);
+                let base_time = base.price_terms(&job, &terms).total.as_f64();
+                for p in &points {
+                    let varied = p.eq1.rederive(p.point.axis, &job, terms);
+                    let speedup = base_time / p.backend.price_terms(&job, &varied).total.as_f64();
+                    out.push(speedup * weight);
+                }
+            }
+            out
+        });
+        for row in parts
+            .iter()
+            .flat_map(|part| part.chunks_exact(points.len()))
+        {
+            for (sum, &term) in sums.iter_mut().zip(row) {
+                *sum += term;
+            }
         }
     }
+    let samples = points
+        .iter()
+        .zip(sums)
+        .map(|(p, sum)| SweepSample {
+            axis: p.point.axis,
+            value: p.point.value,
+            normalized: p.backend.hardware().normalized_resource(p.point.axis),
+            mean_speedup: sum / weight_sum,
+        })
+        .collect();
     SweepCurves { arch, samples }
 }
 
@@ -203,7 +273,7 @@ mod tests {
             &vec![1.0; jobs.len()],
             pai_par::Threads::SERIAL,
         );
-        assert_eq!(curves.most_sensitive_axis(), SweepAxis::Ethernet);
+        assert_eq!(curves.most_sensitive_axis(), Some(SweepAxis::Ethernet));
     }
 
     #[test]
@@ -274,7 +344,35 @@ mod tests {
             &vec![1.0; jobs.len()],
             pai_par::Threads::SERIAL,
         );
-        assert_eq!(curves.most_sensitive_axis(), SweepAxis::GpuMemory);
+        assert_eq!(curves.most_sensitive_axis(), Some(SweepAxis::GpuMemory));
+    }
+
+    #[test]
+    fn an_empty_class_gives_an_empty_panel_with_no_axis() {
+        let none: &[WorkloadFeatures] = &[];
+        let curves = class_sweep(
+            &PerfModel::paper_default(),
+            Architecture::AllReduceCluster,
+            none,
+            &[],
+            pai_par::Threads::new(4),
+        );
+        assert_eq!(curves.arch, Architecture::AllReduceCluster);
+        assert!(curves.samples.is_empty());
+        assert_eq!(curves.most_sensitive_axis(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must sum to a positive value")]
+    fn rejects_weights_that_sum_to_zero() {
+        let jobs = ps_jobs();
+        let _ = class_sweep(
+            &PerfModel::paper_default(),
+            Architecture::PsWorker,
+            &jobs,
+            &vec![0.0; jobs.len()],
+            pai_par::Threads::SERIAL,
+        );
     }
 
     #[test]

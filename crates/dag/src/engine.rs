@@ -7,7 +7,7 @@
 //! simulations downstream of [`pai_core::StepTimer`] run on either
 //! backend behind this one switch.
 
-use pai_core::{Architecture, ComponentTimes, PerfModel, StepTimer, WorkloadFeatures};
+use pai_core::{Architecture, ComponentTimes, Eq1Terms, PerfModel, StepTimer, WorkloadFeatures};
 use pai_hw::HardwareConfig;
 use serde::{Deserialize, Serialize};
 
@@ -133,9 +133,16 @@ impl StepTimer for StepTimeEngine {
     }
 
     fn component_times(&self, job: &WorkloadFeatures) -> ComponentTimes {
+        self.price_terms(job, &self.model.terms(job))
+    }
+
+    /// The additive backend combines the terms; the DAG backends lay
+    /// `Td` and both halves of `Tc` out as the layered step and take the
+    /// weight traffic from the engine's own path for the job's class.
+    fn price_terms(&self, job: &WorkloadFeatures, terms: &Eq1Terms) -> ComponentTimes {
         match self.backend {
-            StepTimeBackend::Additive => self.model.component_times(job),
-            StepTimeBackend::Dag(strategy) => Layered::of(job, &self.model, self.layers)
+            StepTimeBackend::Additive => self.model.combine(terms),
+            StepTimeBackend::Dag(strategy) => Layered::of(job, terms, self.layers)
                 .evaluate(&self.paths[job.arch().index()], strategy)
                 .component_times(),
         }
@@ -147,8 +154,10 @@ mod tests {
     use super::*;
     use pai_core::model::GPUS_PER_SERVER;
     use pai_core::project::{project_with, ProjectionOutcome, ProjectionTarget};
+    use pai_core::stats::weighted_mean;
+    use pai_core::sweep::{class_sweep_with, relevant_axes, SweepCurves, SweepSample};
     use pai_core::{Architecture, OverlapMode};
-    use pai_hw::{Bytes, Flops};
+    use pai_hw::{Bytes, Flops, SweepPoint};
     use proptest::prelude::*;
 
     fn job(weight_gb: f64) -> WorkloadFeatures {
@@ -338,6 +347,219 @@ mod tests {
                     prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?}", target, job);
                     prop_assert_eq!(got, want);
                 }
+            }
+        }
+    }
+
+    /// `class_sweep_with` as it priced before it went term-wise: every
+    /// Table III point rebuilds the backend and prices each job from its
+    /// features again with the full kernel.
+    fn rebuild_and_reprice<B, R, F>(
+        base: &B,
+        rebuild: F,
+        arch: Architecture,
+        jobs: &[WorkloadFeatures],
+        weights: &[f64],
+    ) -> SweepCurves
+    where
+        B: StepTimer + ?Sized,
+        R: StepTimer,
+        F: Fn(HardwareConfig) -> R,
+    {
+        let base_times: Vec<f64> = jobs.iter().map(|j| base.total_time(j).as_f64()).collect();
+        let mut samples = Vec::new();
+        for axis in relevant_axes(arch) {
+            for &value in axis.candidates() {
+                let varied = rebuild(base.hardware().with_resource(SweepPoint { axis, value }));
+                let speedups: Vec<f64> = jobs
+                    .iter()
+                    .zip(&base_times)
+                    .map(|(job, &t)| t / varied.total_time(job).as_f64())
+                    .collect();
+                samples.push(SweepSample {
+                    axis,
+                    value,
+                    normalized: varied.hardware().normalized_resource(axis),
+                    mean_speedup: weighted_mean(&speedups, weights),
+                });
+            }
+        }
+        SweepCurves { arch, samples }
+    }
+
+    /// A size from 0 to 1e13: zero, uniform, or log-uniform from 1.
+    fn size() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), 0.0..=1e13, decades(0.0..=13.0)]
+    }
+
+    /// One class and 1–24 jobs of it with their sweep weights. cNode
+    /// counts fall on both sides of the 8-GPU server that bounds input
+    /// contention; a quarter of the jobs carry no weights and another
+    /// quarter are all zero.
+    fn swept_class() -> impl Strategy<Value = (Architecture, Vec<WorkloadFeatures>, Vec<f64>)> {
+        let row = (
+            prop_oneof![2..=8usize, 2..=4096usize],
+            (size(), size(), size(), size()),
+            0..4u8,
+            prop_oneof![Just(1.0), 0.25..=64.0f64],
+        );
+        (
+            0..Architecture::ALL.len(),
+            proptest::collection::vec(row, 1..=24),
+        )
+            .prop_map(|(arch, rows)| {
+                let arch = Architecture::ALL[arch];
+                let mut jobs = Vec::with_capacity(rows.len());
+                let mut weights = Vec::with_capacity(rows.len());
+                for (cnodes, (input, weight, flops, mem), kind, w) in rows {
+                    let cnodes = if arch == Architecture::OneWorkerOneGpu {
+                        1
+                    } else {
+                        cnodes
+                    };
+                    let (input, weight, flops, mem) = match kind {
+                        0 => (0.0, 0.0, 0.0, 0.0),
+                        1 => (input, 0.0, flops, mem),
+                        _ => (input, weight, flops, mem),
+                    };
+                    jobs.push(
+                        WorkloadFeatures::builder(arch)
+                            .cnodes(cnodes)
+                            .batch_size(32)
+                            .input_bytes(Bytes::from_f64(input))
+                            .weight_bytes(Bytes::from_f64(weight))
+                            .flops(Flops::from_f64(flops))
+                            .mem_access_bytes(Bytes::from_f64(mem))
+                            .build(),
+                    );
+                    weights.push(w);
+                }
+                (arch, jobs, weights)
+            })
+    }
+
+    /// Two panels agree on every axis and value and on the bits of
+    /// every normalized value and mean speedup.
+    fn same_bits(got: &SweepCurves, want: &SweepCurves) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.arch, want.arch);
+        prop_assert_eq!(got.samples.len(), want.samples.len());
+        for (a, b) in got.samples.iter().zip(&want.samples) {
+            prop_assert_eq!((a.axis, a.value.to_bits()), (b.axis, b.value.to_bits()));
+            prop_assert_eq!(a.normalized.to_bits(), b.normalized.to_bits(), "{:?}", a);
+            prop_assert_eq!(
+                a.mean_speedup.to_bits(),
+                b.mean_speedup.to_bits(),
+                "{:?} vs {:?}",
+                a,
+                b
+            );
+        }
+        Ok(())
+    }
+
+    /// The term-wise sweep against the rebuild-and-reprice reference on
+    /// `PerfModel` under both overlap modes and on every engine backend,
+    /// at one and four threads.
+    fn term_wise_sweep_matches_the_reference(
+        config: HardwareConfig,
+        arch: Architecture,
+        jobs: &[WorkloadFeatures],
+        weights: &[f64],
+    ) -> Result<(), TestCaseError> {
+        for overlap in OverlapMode::ALL {
+            let model = PerfModel::new(config, overlap);
+            let rebuild = |c| model.with_config(c);
+            let want = rebuild_and_reprice(&model, rebuild, arch, jobs, weights);
+            for threads in [1, 4] {
+                let got = class_sweep_with(
+                    &model,
+                    rebuild,
+                    arch,
+                    jobs,
+                    weights,
+                    pai_par::Threads::new(threads),
+                );
+                same_bits(&got, &want)?;
+            }
+        }
+        let model = PerfModel::new(config, OverlapMode::Serialized);
+        for backend in [
+            StepTimeBackend::Additive,
+            StepTimeBackend::Dag(OverlapStrategy::Serial),
+            StepTimeBackend::Dag(OverlapStrategy::Wfbp),
+            StepTimeBackend::Dag(OverlapStrategy::fused_default()),
+        ] {
+            let engine = StepTimeEngine::new(model, backend);
+            let rebuild = |c| StepTimeEngine::new(model.with_config(c), backend);
+            let want = rebuild_and_reprice(&engine, rebuild, arch, jobs, weights);
+            for threads in [1, 4] {
+                let got = class_sweep_with(
+                    &engine,
+                    rebuild,
+                    arch,
+                    jobs,
+                    weights,
+                    pai_par::Threads::new(threads),
+                );
+                same_bits(&got, &want)?;
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Every class (1wng's PCIe weight leg, AllReduce-Cluster's
+        /// Ethernet+NVLink path, contended input I/O), jobs with no
+        /// weights or no work at all, on either base configuration.
+        #[test]
+        fn term_wise_sweep_is_bitwise_the_rebuild_and_reprice_loop(
+            population in swept_class(),
+            testbed in any::<bool>(),
+        ) {
+            let (arch, jobs, weights) = population;
+            let config = if testbed {
+                HardwareConfig::testbed_default()
+            } else {
+                HardwareConfig::pai_default()
+            };
+            term_wise_sweep_matches_the_reference(config, arch, &jobs, &weights)?;
+        }
+    }
+
+    #[test]
+    fn term_wise_sweep_matches_the_reference_across_windows_and_threads() {
+        // 20 chunks: two windows at one thread, and one window split
+        // over the workers at two and four, so the in-order fold
+        // crosses both chunk and window seams.
+        let jobs: Vec<WorkloadFeatures> = (0..20_000)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033_988_75).fract();
+                WorkloadFeatures::builder(Architecture::PsWorker)
+                    .cnodes(2 + i % 300)
+                    .batch_size(64)
+                    .input_bytes(Bytes::from_mb(1.0 + 50.0 * x))
+                    .weight_bytes(Bytes::from_gb(if i % 7 == 0 { 0.0 } else { 4.0 * x }))
+                    .flops(Flops::from_tera(0.05 + x))
+                    .mem_access_bytes(Bytes::from_gb(0.5 + 30.0 * (1.0 - x)))
+                    .build()
+            })
+            .collect();
+        let weights: Vec<f64> = jobs.iter().map(|j| j.cnodes() as f64).collect();
+        let model = PerfModel::paper_default();
+        let rebuild = |c| model.with_config(c);
+        let want = rebuild_and_reprice(&model, rebuild, Architecture::PsWorker, &jobs, &weights);
+        for threads in [1, 2, 4] {
+            let got = class_sweep_with(
+                &model,
+                rebuild,
+                Architecture::PsWorker,
+                &jobs,
+                &weights,
+                pai_par::Threads::new(threads),
+            );
+            assert_eq!(got, want, "{threads} threads");
+            for (a, b) in got.samples.iter().zip(&want.samples) {
+                assert_eq!(a.mean_speedup.to_bits(), b.mean_speedup.to_bits());
             }
         }
     }

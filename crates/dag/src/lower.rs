@@ -24,7 +24,7 @@
 //! [`OverlapStrategy::Serial`]: crate::evaluate::OverlapStrategy::Serial
 
 use pai_core::model::GPUS_PER_SERVER;
-use pai_core::{Architecture, OverlapMode, PerfModel, WorkloadFeatures};
+use pai_core::{Architecture, Eq1Terms, OverlapMode, PerfModel, WorkloadFeatures};
 use pai_graph::{Graph, Op, OpClass, OpKind};
 use pai_hw::{Bytes, HardwareConfig, LinkKind, Seconds};
 
@@ -161,7 +161,7 @@ pub fn from_graph(graph: &Graph, job: &WorkloadFeatures, config: &HardwareConfig
 pub fn from_features(job: &WorkloadFeatures, config: &HardwareConfig, layers: usize) -> PricedStep {
     let step = Layered::of(
         job,
-        &PerfModel::new(*config, OverlapMode::Serialized),
+        &PerfModel::new(*config, OverlapMode::Serialized).terms(job),
         layers,
     );
     let (fwd_compute, fwd_memory) = step.stage(1.0);
@@ -236,15 +236,14 @@ pub(crate) struct Layered {
 impl Layered {
     /// The description of `job` at `layers` stages (clamped to ≥ 1),
     /// its class totals the `Td`, compute-bound and memory-bound terms
-    /// of `model`'s Eq. 1 kernel ([`PerfModel::component_times`]).
-    pub(crate) fn of(job: &WorkloadFeatures, model: &PerfModel, layers: usize) -> Self {
-        let ct = model.component_times(job);
+    /// of `terms` ([`PerfModel::terms`]).
+    pub(crate) fn of(job: &WorkloadFeatures, terms: &Eq1Terms, layers: usize) -> Self {
         let weight_bytes = job.weight_bytes();
         Layered {
             layers: layers.max(1),
-            io: ct.data_io,
-            compute: ct.compute_bound,
-            memory: ct.memory_bound,
+            io: terms.data_io,
+            compute: terms.compute_bound,
+            memory: terms.memory_bound,
             weight_bytes,
             sync: !weight_bytes.is_zero() && !job.arch().weight_media().is_empty(),
         }
@@ -461,7 +460,7 @@ mod tests {
             OverlapStrategy::Wfbp,
             OverlapStrategy::FusedWfbp { threshold },
         ] {
-            let closed = Layered::of(job, &model, layers).evaluate(&path, strategy);
+            let closed = Layered::of(job, &model.terms(job), layers).evaluate(&path, strategy);
             let fold = evaluate(&step, &path, strategy);
             let engine =
                 StepTimeEngine::new(model, StepTimeBackend::Dag(strategy)).with_layers(layers);

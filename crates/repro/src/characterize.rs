@@ -209,10 +209,9 @@ pub fn characterize(spec: &JobSpec, model: &PerfModel) -> Result<String, SpecErr
             ));
         }
     }
-    out.push_str(&format!(
-        "  most sensitive resource: {}\n",
-        curves.most_sensitive_axis().label()
-    ));
+    if let Some(axis) = curves.most_sensitive_axis() {
+        out.push_str(&format!("  most sensitive resource: {}\n", axis.label()));
+    }
     Ok(out)
 }
 

@@ -6,7 +6,7 @@ use pai_core::{characterize, Architecture, Breakdown, Ecdf};
 use pai_hw::LinkKind;
 use serde_json::json;
 
-use crate::render::{cdf_header, cdf_quantiles, pct, table};
+use crate::render::{cdf_header, cdf_row, ecdf, no_data_row, pct, table};
 use crate::{Context, ExperimentResult};
 
 /// The three classes analyzed in Sec. III.
@@ -58,34 +58,34 @@ pub fn fig6(ctx: &Context) -> ExperimentResult {
     let mut rows = vec![cdf_header("series")];
     let mut payload = Vec::new();
     for arch in [Architecture::OneWorkerMultiGpu, Architecture::PsWorker] {
-        let cdf = Ecdf::from_values(
+        let cdf = ecdf(
             ctx.population
                 .jobs_of(arch)
                 .iter()
                 .map(|j| j.cnodes() as f64),
         );
-        rows.push(cdf_quantiles(&format!("{} cNodes", arch.label()), &cdf));
+        rows.push(cdf_row(&format!("{} cNodes", arch.label()), cdf.as_ref()));
         payload.push(json!({
             "series": format!("{} cNodes", arch.label()),
-            "median": cdf.quantile(0.5),
-            "p99": cdf.quantile(0.99),
+            "median": cdf.as_ref().map(|c| c.quantile(0.5)),
+            "p99": cdf.as_ref().map(|c| c.quantile(0.99)),
         }));
     }
     for arch in ANALYZED {
-        let cdf = Ecdf::from_values(
+        let cdf = ecdf(
             ctx.population
                 .jobs_of(arch)
                 .iter()
                 .map(|j| j.weight_bytes().as_gb()),
         );
-        rows.push(cdf_quantiles(
+        rows.push(cdf_row(
             &format!("{} weights (GB)", arch.label()),
-            &cdf,
+            cdf.as_ref(),
         ));
         payload.push(json!({
             "series": format!("{} weight GB", arch.label()),
-            "median": cdf.quantile(0.5),
-            "max": cdf.max(),
+            "median": cdf.as_ref().map(|c| c.quantile(0.5)),
+            "max": cdf.as_ref().map(Ecdf::max),
         }));
     }
     ExperimentResult {
@@ -96,8 +96,37 @@ pub fn fig6(ctx: &Context) -> ExperimentResult {
     }
 }
 
+/// Fig. 7's job-level and cNode-level mean shares over `b`, or `None`
+/// when `b` is empty, and the table rows for both.
+fn mean_shares(
+    label: &str,
+    b: &[Breakdown],
+    weights: &[f64],
+    rows: &mut Vec<Vec<String>>,
+) -> (Option<[f64; 4]>, Option<[f64; 4]>) {
+    let (job, cnode) = if b.is_empty() {
+        (None, None)
+    } else {
+        (
+            Some(mean_fractions(b, &vec![1.0; b.len()])),
+            Some(mean_fractions(b, weights)),
+        )
+    };
+    for (level, shares) in [("job", job), ("cNode", cnode)] {
+        let label = format!("{label} ({level})");
+        rows.push(match shares {
+            Some(shares) => std::iter::once(label)
+                .chain(shares.iter().map(|&f| pct(f)))
+                .collect(),
+            None => no_data_row(&label, rows[0].len()),
+        });
+    }
+    (job, cnode)
+}
+
 /// Fig. 7: average execution-time breakdown per class, job-level and
-/// cNode-level.
+/// cNode-level. A class with no jobs gets marked rows and `null`
+/// shares.
 pub fn fig7(ctx: &Context) -> ExperimentResult {
     let mut rows = vec![vec![
         "class / level".to_string(),
@@ -108,39 +137,15 @@ pub fn fig7(ctx: &Context) -> ExperimentResult {
     ]];
     let mut payload = Vec::new();
     let mut all_b = Vec::new();
-    let mut all_w_job = Vec::new();
     let mut all_w_cnode = Vec::new();
     for arch in ANALYZED {
         let (b, weights) = breakdowns(ctx, arch);
-        let job = mean_fractions(&b, &vec![1.0; b.len()]);
-        let cnode = mean_fractions(&b, &weights);
-        rows.push(
-            std::iter::once(format!("{} (job)", arch.label()))
-                .chain(job.iter().map(|&f| pct(f)))
-                .collect(),
-        );
-        rows.push(
-            std::iter::once(format!("{} (cNode)", arch.label()))
-                .chain(cnode.iter().map(|&f| pct(f)))
-                .collect(),
-        );
+        let (job, cnode) = mean_shares(arch.label(), &b, &weights, &mut rows);
         payload.push(json!({"class": arch.label(), "job": job, "cnode": cnode}));
-        all_w_job.extend(std::iter::repeat_n(1.0, b.len()));
         all_w_cnode.extend(weights);
         all_b.extend(b);
     }
-    let all_job = mean_fractions(&all_b, &all_w_job);
-    let all_cnode = mean_fractions(&all_b, &all_w_cnode);
-    rows.push(
-        std::iter::once("all (job)".to_string())
-            .chain(all_job.iter().map(|&f| pct(f)))
-            .collect(),
-    );
-    rows.push(
-        std::iter::once("all (cNode)".to_string())
-            .chain(all_cnode.iter().map(|&f| pct(f)))
-            .collect(),
-    );
+    let (all_job, all_cnode) = mean_shares("all", &all_b, &all_w_cnode, &mut rows);
     payload.push(json!({"class": "all", "job": all_job, "cnode": all_cnode}));
     ExperimentResult {
         id: "fig7",
@@ -150,7 +155,8 @@ pub fn fig7(ctx: &Context) -> ExperimentResult {
     }
 }
 
-/// Fig. 8: per-component CDFs per class plus the per-hardware view.
+/// Fig. 8: per-component CDFs per class plus the per-hardware view. A
+/// series with no jobs gets a marked row and `null` statistics.
 pub fn fig8(ctx: &Context) -> ExperimentResult {
     let mut rows = vec![cdf_header("series (job-level)")];
     let mut payload = Vec::new();
@@ -163,11 +169,12 @@ pub fn fig8(ctx: &Context) -> ExperimentResult {
             ("memory", b.iter().map(|x| x.memory_fraction()).collect()),
         ];
         for (name, values) in series {
-            let cdf = Ecdf::from_values(values);
-            rows.push(cdf_quantiles(&format!("{} {}", arch.label(), name), &cdf));
+            let cdf = ecdf(values);
+            rows.push(cdf_row(&format!("{} {}", arch.label(), name), cdf.as_ref()));
             payload.push(json!({
                 "class": arch.label(), "component": name,
-                "mean": cdf.mean(), "p90": cdf.quantile(0.9),
+                "mean": cdf.as_ref().map(Ecdf::mean),
+                "p90": cdf.as_ref().map(|c| c.quantile(0.9)),
             }));
         }
     }
@@ -188,14 +195,11 @@ pub fn fig8(ctx: &Context) -> ExperimentResult {
             }
         }
     }
-    rows.push(cdf_quantiles(
-        "all GPU_FLOPs",
-        &Ecdf::from_values(gpu_flops),
-    ));
+    rows.push(cdf_row("all GPU_FLOPs", ecdf(gpu_flops).as_ref()));
     for (kind, values) in hw_series {
-        rows.push(cdf_quantiles(
+        rows.push(cdf_row(
             &format!("all {}", kind.label()),
-            &Ecdf::from_values(values),
+            ecdf(values).as_ref(),
         ));
     }
     ExperimentResult {

@@ -53,6 +53,29 @@ pub fn cdf_quantiles(label: &str, cdf: &pai_core::Ecdf) -> Vec<String> {
     row
 }
 
+/// The ECDF of `values`, or `None` for a series with no samples (a
+/// class a small population does not contain).
+pub fn ecdf<I: IntoIterator<Item = f64>>(values: I) -> Option<pai_core::Ecdf> {
+    let values: Vec<f64> = values.into_iter().collect();
+    (!values.is_empty()).then(|| pai_core::Ecdf::from_values(values))
+}
+
+/// [`cdf_quantiles`] for a series that may be empty: an empty one
+/// renders as a row of `-` marks.
+pub fn cdf_row(label: &str, cdf: Option<&pai_core::Ecdf>) -> Vec<String> {
+    match cdf {
+        Some(cdf) => cdf_quantiles(label, cdf),
+        None => no_data_row(label, cdf_header("").len()),
+    }
+}
+
+/// A `cells`-wide row that marks `label` as having no data.
+pub fn no_data_row(label: &str, cells: usize) -> Vec<String> {
+    std::iter::once(label.to_string())
+        .chain(std::iter::repeat_n("-".to_string(), cells - 1))
+        .collect()
+}
+
 /// Header matching [`cdf_quantiles`].
 pub fn cdf_header(first: &str) -> Vec<String> {
     let mut row = vec![first.to_string()];
@@ -100,6 +123,16 @@ mod tests {
     fn cdf_rows_match_header_width() {
         let cdf = Ecdf::from_values([1.0, 2.0, 3.0]);
         assert_eq!(cdf_header("x").len(), cdf_quantiles("x", &cdf).len());
+    }
+
+    #[test]
+    fn empty_series_render_as_marked_rows() {
+        assert!(ecdf(std::iter::empty()).is_none());
+        let row = cdf_row("x", None);
+        assert_eq!(row.len(), cdf_header("x").len());
+        assert!(row[1..].iter().all(|cell| cell == "-"));
+        let cdf = ecdf([1.0, 2.0]);
+        assert_eq!(cdf_row("x", cdf.as_ref())[1], "1.000");
     }
 
     #[test]

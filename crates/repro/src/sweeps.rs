@@ -4,6 +4,7 @@
 use pai_core::project::ProjectionTarget;
 use pai_core::sweep::SweepCurves;
 use pai_core::{class_sweep, Architecture};
+use pai_hw::SweepAxis;
 use serde_json::json;
 
 use crate::cluster::ANALYZED;
@@ -38,7 +39,7 @@ pub fn fig11(ctx: &Context) -> ExperimentResult {
         curves_rows(&curves, &mut rows);
         payload.push(json!({
             "class": arch.label(),
-            "most_sensitive": curves.most_sensitive_axis().label(),
+            "most_sensitive": curves.most_sensitive_axis().map(SweepAxis::label),
         }));
     }
 
@@ -66,7 +67,7 @@ pub fn fig11(ctx: &Context) -> ExperimentResult {
     curves_rows(&curves, &mut rows);
     payload.push(json!({
         "class": "AllReduce-Local (projected)",
-        "most_sensitive": curves.most_sensitive_axis().label(),
+        "most_sensitive": curves.most_sensitive_axis().map(SweepAxis::label),
     }));
 
     ExperimentResult {
@@ -80,7 +81,6 @@ pub fn fig11(ctx: &Context) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pai_hw::SweepAxis;
     use pai_par::Threads;
 
     fn ctx() -> Context {

@@ -43,6 +43,24 @@ impl SyncClass {
             Architecture::PsWorker | Architecture::AllReduceCluster => SyncClass::Ethernet,
         }
     }
+
+    /// Best-case (uncontended, locality-respecting) step time of a job
+    /// in this class: `compute_time` plus the synchronization it pays
+    /// on its own medium — nothing, the intra-server pass, or
+    /// `weight_bytes` over one of `cluster`'s NICs.
+    pub fn solo_step(
+        self,
+        compute_time: Seconds,
+        local_sync_time: Seconds,
+        weight_bytes: Bytes,
+        cluster: &ClusterSpec,
+    ) -> Seconds {
+        match self {
+            SyncClass::Silent => compute_time,
+            SyncClass::Local => compute_time + local_sync_time,
+            SyncClass::Ethernet => compute_time + cluster.ethernet().transfer_time(weight_bytes),
+        }
+    }
 }
 
 /// One deterministic crash drawn from the job's fault plan: at step
@@ -98,13 +116,12 @@ impl SchedJob {
     /// Best-case (uncontended, locality-respecting) step time on the
     /// given cluster: the denominator of the slowdown metric.
     pub fn solo_step(&self, cluster: &ClusterSpec) -> Seconds {
-        match self.sync {
-            SyncClass::Silent => self.compute_time,
-            SyncClass::Local => self.compute_time + self.local_sync_time,
-            SyncClass::Ethernet => {
-                self.compute_time + cluster.ethernet().transfer_time(self.weight_bytes)
-            }
-        }
+        self.sync.solo_step(
+            self.compute_time,
+            self.local_sync_time,
+            self.weight_bytes,
+            cluster,
+        )
     }
 }
 

@@ -47,13 +47,12 @@ impl JobTemplate {
     /// Best-case (uncontended, locality-respecting) step time —
     /// [`SchedJob::solo_step`] before the step count is realized.
     pub fn solo_step(&self, cluster: &ClusterSpec) -> Seconds {
-        match self.sync {
-            SyncClass::Silent => self.compute_time,
-            SyncClass::Local => self.compute_time + self.local_sync_time,
-            SyncClass::Ethernet => {
-                self.compute_time + cluster.ethernet().transfer_time(self.weight_bytes)
-            }
-        }
+        self.sync.solo_step(
+            self.compute_time,
+            self.local_sync_time,
+            self.weight_bytes,
+            cluster,
+        )
     }
 }
 

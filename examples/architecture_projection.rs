@@ -67,9 +67,9 @@ fn main() {
                 .unwrap_or(1.0);
             print!("  {}: {:.2}x", axis.label(), top);
         }
-        println!(
-            "  => most sensitive: {}",
-            curves.most_sensitive_axis().label()
-        );
+        match curves.most_sensitive_axis() {
+            Some(axis) => println!("  => most sensitive: {}", axis.label()),
+            None => println!("  => no jobs"),
+        }
     }
 }
