@@ -3,16 +3,17 @@
 //!
 //! Besides the criterion groups, this target writes
 //! `BENCH_parallel.json` at the repository root: jobs/sec for
-//! population generation and per-job characterization at 1 thread and
-//! at `PAR_THREADS` threads, with the host's core count alongside —
-//! a 1-core machine will honestly report a speedup near 1×.
+//! population generation and characterization (the headline
+//! `characterize` pass plus the AllReduce-Local projections) at 1
+//! thread and at `PAR_THREADS` threads, with the host's core count
+//! alongside — a 1-core machine will honestly report a speedup near 1×.
 
 mod common;
 
 use common::{time_best, TIMING_RUNS};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pai_core::project::ProjectionTarget;
-use pai_core::{Architecture, PerfModel};
+use pai_core::{characterize, Architecture, PerfModel};
 use pai_par::Threads;
 use pai_trace::{Population, PopulationConfig};
 use std::time::Duration;
@@ -65,7 +66,7 @@ fn bench_characterization(c: &mut Criterion) {
         let t = Threads::new(threads);
         group.bench_function(&format!("{threads}_threads"), |b| {
             b.iter(|| {
-                black_box(model.breakdowns(&jobs, t));
+                black_box(characterize(&model, &jobs, t));
                 black_box(model.projections(&ps, ProjectionTarget::AllReduceLocal, t));
             });
         });
@@ -95,7 +96,7 @@ fn emit_report(_c: &mut Criterion) {
             );
         });
         let char_s = time_best(|| {
-            black_box(model.breakdowns(&jobs, t));
+            black_box(characterize(&model, &jobs, t));
             black_box(model.projections(&ps, ProjectionTarget::AllReduceLocal, t));
         });
         rates.push((threads, JOBS as f64 / gen_s, JOBS as f64 / char_s));

@@ -46,7 +46,7 @@ fn bench_analytical_model(c: &mut Criterion) {
     group.bench_function("breakdown_six_models", |b| {
         b.iter(|| {
             for f in &features {
-                black_box(model.breakdown(f));
+                black_box(model.component_times(f));
             }
         })
     });

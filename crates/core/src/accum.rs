@@ -30,7 +30,7 @@
 //! fixed chunk-index order (see [`pai_par::fold_chunks`]). Under that
 //! discipline the merged state is a pure function of `(model, jobs)`.
 
-use pai_hw::{Bandwidth, LinkKind};
+use pai_hw::{Bandwidth, LinkKind, Seconds};
 use pai_par::{ChunkedVec, Threads, DEFAULT_CHUNK_SIZE};
 use serde::Serialize;
 
@@ -38,7 +38,7 @@ use crate::arch::Architecture;
 use crate::codec::{ByteReader, ByteWriter, CheckpointError};
 use crate::features::{FeatureViolation, WorkloadFeatures};
 use crate::jobs::{IngestSink, Jobs};
-use crate::model::{ComponentTimes, PerfModel};
+use crate::model::{ComponentTimes, Eq1Terms, PerfModel};
 use crate::project::{comm_bound_speedup, project_priced, ProjectionTarget};
 
 /// Models under this weight volume count as "small" (Sec. III-D: 90 %
@@ -257,9 +257,10 @@ impl HeadlineAccum {
     /// Folds one job into the running statistics.
     ///
     /// This is the streaming hot path: it evaluates the analytical
-    /// model ([`PerfModel::component_times`], two projections, the
-    /// 100 GbE what-if) entirely on the stack — no heap allocation per
-    /// job, so memory stays bounded at any stream length.
+    /// model ([`PerfModel::terms`] and their combination, two
+    /// projections, the 100 GbE what-if) entirely on the stack — no
+    /// heap allocation per job, so memory stays bounded at any stream
+    /// length.
     pub fn ingest(&mut self, job: &WorkloadFeatures) {
         let idx = job.arch().index();
         self.jobs += 1;
@@ -268,7 +269,8 @@ impl HeadlineAccum {
         if job.weight_bytes().as_gb() < SMALL_MODEL_GB {
             self.small_models += 1;
         }
-        let ct = self.model.component_times(job);
+        let terms = self.model.terms(job);
+        let ct = self.model.combine(&terms);
         // The three classes whose breakdowns Sec. III-B/D aggregates
         // (Fig. 7): 1w1g, 1wng and PS/Worker.
         if matches!(
@@ -287,12 +289,12 @@ impl HeadlineAccum {
             self.analyzed_cnodes += w;
         }
         if job.arch() == Architecture::PsWorker {
-            self.ingest_ps(job, &ct);
+            self.ingest_ps(job, &terms, &ct);
         }
     }
 
     /// The PS/Worker-only statistics: comm tail, projections, 100 GbE.
-    fn ingest_ps(&mut self, job: &WorkloadFeatures, ct: &ComponentTimes) {
+    fn ingest_ps(&mut self, job: &WorkloadFeatures, terms: &Eq1Terms, ct: &ComponentTimes) {
         self.ps_jobs += 1;
         let wf = ct.weight_fraction();
         if wf > HIGH_COMM_FRACTION {
@@ -303,16 +305,10 @@ impl HeadlineAccum {
         // Mean PS speedup from upgrading Ethernet to 100 Gbps: only
         // the Ethernet leg of Tw changes, so the projected total is
         // reassembled from the same parts in the same fold order as
-        // `Breakdown::total` — bit-identical to re-evaluating the
-        // model under the upgraded configuration.
-        let eth = self
-            .model
-            .transfer_time(LinkKind::Ethernet, job.weight_bytes())
-            .as_f64();
-        let pcie = self
-            .model
-            .transfer_time(LinkKind::Pcie, job.weight_bytes())
-            .as_f64();
+        // `PerfModel::combine` — bit-identical to re-evaluating the
+        // model under the upgraded configuration. PS/Worker's Table II
+        // path is Ethernet, then PCIe.
+        let [eth, pcie] = terms.weight.map(Seconds::as_f64);
         let base = ct.data_io.as_f64() + ct.computation().as_f64();
         let fast_total = base + (eth * self.eth_100g_scale + pcie);
         self.eth_ratio_sum += if fast_total > 0.0 {
@@ -704,7 +700,7 @@ pub fn characterize<J: Jobs + ?Sized>(
 /// the Ethernet bandwidth), the Ethernet leg of `Tw`, and the PCIe leg
 /// of `Tw`. A query rescales the Ethernet column by the bandwidth
 /// ratio and reassembles both totals with the same fold order as
-/// [`crate::breakdown::Breakdown::total`] — so at power-of-two ratios
+/// [`PerfModel::combine`] — so at power-of-two ratios
 /// (the paper's 25 → 100 GbE) the per-job speedups are bit-identical
 /// to a full re-evaluation, and ulp-close otherwise.
 #[derive(Debug, Clone, PartialEq)]
@@ -766,19 +762,13 @@ impl WhatIfIndex {
         if job.arch() != Architecture::PsWorker {
             return false;
         }
-        let ct = self.model.component_times(job);
+        // PS/Worker's Table II path is Ethernet, then PCIe.
+        let terms = self.model.terms(job);
+        let [eth, pcie] = terms.weight;
         self.base
-            .push(ct.data_io.as_f64() + ct.computation().as_f64());
-        self.eth.push(
-            self.model
-                .transfer_time(LinkKind::Ethernet, job.weight_bytes())
-                .as_f64(),
-        );
-        self.pcie.push(
-            self.model
-                .transfer_time(LinkKind::Pcie, job.weight_bytes())
-                .as_f64(),
-        );
+            .push(terms.data_io.as_f64() + (terms.compute_bound + terms.memory_bound).as_f64());
+        self.eth.push(eth.as_f64());
+        self.pcie.push(pcie.as_f64());
         true
     }
 
@@ -1074,10 +1064,11 @@ mod tests {
             })
             .copied()
             .collect();
-        let breakdowns = model.breakdowns(&analyzed, Threads::SERIAL);
+        let times: Vec<ComponentTimes> =
+            analyzed.iter().map(|j| model.component_times(j)).collect();
         let weights: Vec<f64> = analyzed.iter().map(|j| j.cnodes() as f64).collect();
-        let job_level = crate::breakdown::mean_fractions(&breakdowns, &vec![1.0; breakdowns.len()]);
-        let cnode_level = crate::breakdown::mean_fractions(&breakdowns, &weights);
+        let job_level = crate::breakdown::mean_fractions(&times, &vec![1.0; times.len()]);
+        let cnode_level = crate::breakdown::mean_fractions(&times, &weights);
         for k in 0..4 {
             assert!(
                 (stats.job_level_fractions[k] - job_level[k]).abs() < 1e-9,

@@ -23,8 +23,11 @@
 //! - [`accum`] — incremental characterization: the mergeable
 //!   [`HeadlineAccum`], one-shot [`characterize`], and the
 //!   resident-column [`WhatIfIndex`] query layer
-//! - [`breakdown`] — per-component times, percentages, job-level and
-//!   cNode-level aggregation, per-hardware views (Fig. 7, Fig. 8)
+//! - [`model`] — the [`PerfModel`] kernel: a job's [`Eq1Terms`] and
+//!   their combination into [`ComponentTimes`], its per-step
+//!   decomposition and percentages (Fig. 7, Fig. 8)
+//! - [`breakdown`] — job-level and cNode-level aggregation and the
+//!   per-hardware view (Fig. 7, Fig. 8a)
 //! - [`throughput`](mod@throughput) — Eq. 2
 //! - [`project`] — PS/Worker → AllReduce-Local / AllReduce-Cluster
 //!   what-if projection (Fig. 9, Fig. 10) and the Eq. 3 speedup bound
@@ -57,9 +60,9 @@
 //!     .build();
 //!
 //! let model = PerfModel::paper_default();
-//! let b = model.breakdown(&job);
+//! let ct = model.component_times(&job);
 //! // Weight traffic dominates: 1 GB over 25 Gbps Ethernet + 10 GB/s PCIe.
-//! assert!(b.weight_fraction() > 0.5);
+//! assert!(ct.weight_fraction() > 0.5);
 //! ```
 
 pub mod accum;
@@ -83,7 +86,7 @@ pub use accum::{
     accumulate, characterize, FracHist, HeadlineAccum, HeadlineStats, WhatIfIndex, WhatIfSummary,
 };
 pub use arch::Architecture;
-pub use breakdown::{Breakdown, HardwareBreakdown};
+pub use breakdown::HardwareBreakdown;
 pub use codec::{crc32, model_fingerprint, ByteReader, ByteWriter, CheckpointError};
 pub use features::{FeatureViolation, RawFeatures, WorkloadFeatures, WorkloadFeaturesBuilder};
 pub use jobs::{IngestSink, Jobs};

@@ -20,9 +20,9 @@
 use pai_hw::{
     Bandwidth, Bytes, Efficiency, FlopsRate, HardwareConfig, LinkKind, Seconds, SweepAxis,
 };
+use serde::{Deserialize, Serialize};
 
 use crate::arch::Architecture;
-use crate::breakdown::Breakdown;
 use crate::features::WorkloadFeatures;
 use crate::overlap::OverlapMode;
 
@@ -51,8 +51,8 @@ pub const GPUS_PER_SERVER: usize = 8;
 /// let job = WorkloadFeatures::builder(Architecture::OneWorkerOneGpu)
 ///     .flops(Flops::from_tera(1.56))
 ///     .build();
-/// let b = model.breakdown(&job);
-/// assert!((b.compute_bound().as_f64() - 0.1486).abs() < 1e-3);
+/// let ct = model.component_times(&job);
+/// assert!((ct.compute_bound.as_f64() - 0.1486).abs() < 1e-3);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
@@ -63,13 +63,11 @@ pub struct PerfModel {
 
 /// The effective rates every Eq. 1 term divides by, derived from a
 /// configuration by the same products a [`pai_hw::LinkModel`] and
-/// [`FlopsRate::scale`] form: `B × eff` per medium and
-/// `peak_FLOPs × eff_compute`.
+/// [`FlopsRate::scale`] form: `B × eff` for PCIe (`Td`), HBM and each
+/// weight medium, and `peak_FLOPs × eff_compute`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Rates {
     pcie: Bandwidth,
-    nvlink: Bandwidth,
-    ethernet: Bandwidth,
     hbm: Bandwidth,
     compute: FlopsRate,
     /// Each class's Table II weight media, in path order, as effective
@@ -91,24 +89,12 @@ impl Rates {
         });
         Rates {
             pcie: link(LinkKind::Pcie),
-            nvlink: link(LinkKind::NvLink),
-            ethernet: link(LinkKind::Ethernet),
             hbm: link(LinkKind::HbmMemory),
             compute: config
                 .gpu()
                 .peak_flops()
                 .scale(config.efficiency().compute()),
             weight,
-        }
-    }
-
-    #[inline]
-    fn link(&self, kind: LinkKind) -> Bandwidth {
-        match kind {
-            LinkKind::Pcie => self.pcie,
-            LinkKind::NvLink => self.nvlink,
-            LinkKind::Ethernet => self.ethernet,
-            LinkKind::HbmMemory => self.hbm,
         }
     }
 }
@@ -159,13 +145,6 @@ impl PerfModel {
         PerfModel { overlap, ..*self }
     }
 
-    /// Time to move `volume` over one medium at its effective
-    /// bandwidth: `S / (B × eff)`.
-    #[inline]
-    pub(crate) fn transfer_time(&self, kind: LinkKind, volume: Bytes) -> Seconds {
-        volume / self.rates.link(kind)
-    }
-
     /// `Td`: input-data I/O time over PCIe, including the local
     /// PCIe-sharing contention factor for multi-GPU-per-server classes.
     #[inline]
@@ -188,24 +167,10 @@ impl PerfModel {
         job.mem_access_bytes() / self.rates.hbm
     }
 
-    /// `Tw` split by medium: the weight volume crosses every medium on
-    /// its class's Table II path once per step. 1w1g communicates
-    /// nothing regardless of the recorded weight volume.
-    pub fn weight_traffic_by_medium(&self, job: &WorkloadFeatures) -> Vec<(LinkKind, Seconds)> {
-        job.arch()
-            .weight_media()
-            .iter()
-            .map(|&kind| (kind, self.transfer_time(kind, job.weight_bytes())))
-            .collect()
-    }
-
-    /// Total `Tw`.
-    ///
-    /// Sums the per-medium times in Table II media order without
-    /// materializing the split or branching on the class. Bit-identical
-    /// to summing [`PerfModel::weight_traffic_by_medium`] as `Seconds`:
-    /// the same quotients, added in the same order to the same `+0.0`
-    /// seed.
+    /// Total `Tw`: the weight volume crosses every medium on its
+    /// class's Table II path once per step (1w1g communicates nothing
+    /// regardless of the recorded weight volume), and the per-medium
+    /// times add in path order to a `+0.0` seed.
     #[inline]
     pub fn weight_traffic_time(&self, job: &WorkloadFeatures) -> Seconds {
         weight_traffic(self.weight_legs(job))
@@ -280,23 +245,9 @@ impl PerfModel {
         terms
     }
 
-    /// The full per-step breakdown of Eq. 1: [`PerfModel::component_times`]
-    /// plus the per-medium split of `Tw`.
-    pub fn breakdown(&self, job: &WorkloadFeatures) -> Breakdown {
-        let ct = self.component_times(job);
-        Breakdown::new(
-            ct.data_io,
-            ct.compute_bound,
-            ct.memory_bound,
-            ct.weight_traffic,
-            self.weight_traffic_by_medium(job),
-            self.overlap,
-        )
-    }
-
-    /// The flat Eq. 1 component times, with no per-medium split and
-    /// therefore no heap allocation — the kernel every pricing path in
-    /// this crate reduces to, called once per job at population scale.
+    /// The job's per-step Eq. 1 decomposition — the kernel every
+    /// pricing path in this crate reduces to, called once per job at
+    /// population scale with no heap allocation.
     ///
     /// One straight-line evaluation over the rates derived in
     /// [`PerfModel::new`]: five divisions ([`PerfModel::terms`]), each
@@ -307,9 +258,9 @@ impl PerfModel {
         self.combine(&self.terms(job))
     }
 
-    /// Combines Eq. 1 terms under the model's overlap mode: a total
-    /// from exactly the same three parts, in the same order, as
-    /// [`Breakdown::total`], so the two paths agree bit for bit.
+    /// Combines Eq. 1 terms under the model's overlap mode: `Tw` is the
+    /// weight legs folded in path order, and the total combines
+    /// `[Td, Tcc + Tcm, Tw]`.
     #[inline]
     pub fn combine(&self, terms: &Eq1Terms) -> ComponentTimes {
         let tw = weight_traffic(terms.weight);
@@ -370,15 +321,11 @@ fn weight_traffic([first, second]: [Seconds; 2]) -> Seconds {
     Seconds::ZERO + first + second
 }
 
-/// The per-step Eq. 1 component times of one job, flattened.
-///
-/// The allocation-free sibling of [`Breakdown`]: it drops the
-/// per-medium weight-traffic split (the only heap-owning field) and
-/// caches the combined total, so the streaming accumulators can
-/// evaluate millions of jobs without touching the allocator. Fractions
-/// follow [`Breakdown`]'s conventions exactly, including the Fig. 7
-/// legend order and the zero-total guard.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The per-step Eq. 1 decomposition of one job (Fig. 7, Fig. 8): `Td`,
+/// both halves of `Tc`, `Tw` and the total under the model's overlap
+/// mode. [`crate::HardwareBreakdown`] gives the per-hardware view from
+/// the same job's [`Eq1Terms`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ComponentTimes {
     /// `Td`: input data I/O time.
     pub data_io: Seconds,
@@ -414,8 +361,8 @@ impl ComponentTimes {
     }
 
     /// The four shares in Fig. 7's legend order:
-    /// `[data, weights, compute-bound, memory-bound]` — the same order
-    /// and arithmetic as [`Breakdown::fractions`].
+    /// `[data, weights, compute-bound, memory-bound]`; all zero when the
+    /// total is zero. Under ideal overlap they may sum to more than 1.
     pub fn fractions(&self) -> [f64; 4] {
         [
             self.fraction(self.data_io),
@@ -437,6 +384,7 @@ pub fn with_optimizer_state(trainable: Bytes, slots_per_weight: usize) -> Bytes 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakdown::HardwareBreakdown;
     use pai_hw::{Flops, SweepAxis, SweepPoint};
     use proptest::prelude::*;
 
@@ -467,9 +415,8 @@ mod tests {
         let job = ps_job(1.0).remapped(Architecture::AllReduceLocal, 8);
         let tw = m.weight_traffic_time(&job).as_f64();
         assert!((tw - 1e9 / (50e9 * 0.7)).abs() < 1e-12);
-        let media = m.weight_traffic_by_medium(&job);
-        assert_eq!(media.len(), 1);
-        assert_eq!(media[0].0, LinkKind::NvLink);
+        assert_eq!(job.arch().weight_media(), [LinkKind::NvLink]);
+        assert_eq!(m.terms(&job).weight[1], Seconds::ZERO);
     }
 
     #[test]
@@ -479,7 +426,7 @@ mod tests {
             .weight_bytes(Bytes::from_gb(5.0))
             .build();
         assert!(m.weight_traffic_time(&job).is_zero());
-        assert!(m.weight_traffic_by_medium(&job).is_empty());
+        assert_eq!(m.terms(&job).weight, [Seconds::ZERO; 2]);
     }
 
     #[test]
@@ -515,17 +462,17 @@ mod tests {
     fn breakdown_total_is_component_sum() {
         let m = PerfModel::paper_default();
         let job = ps_job(2.0);
-        let b = m.breakdown(&job);
-        let sum = b.data_io() + b.computation() + b.weight_traffic();
-        assert!((b.total().as_f64() - sum.as_f64()).abs() < 1e-12);
+        let ct = m.component_times(&job);
+        let sum = ct.data_io + ct.computation() + ct.weight_traffic;
+        assert!((ct.total.as_f64() - sum.as_f64()).abs() < 1e-12);
     }
 
     #[test]
     fn ideal_overlap_takes_max() {
         let m = PerfModel::paper_default().with_overlap(OverlapMode::Ideal);
         let job = ps_job(10.0); // Tw dominates massively
-        let b = m.breakdown(&job);
-        assert!((b.total().as_f64() - b.weight_traffic().as_f64()).abs() < 1e-12);
+        let ct = m.component_times(&job);
+        assert!((ct.total.as_f64() - ct.weight_traffic.as_f64()).abs() < 1e-12);
     }
 
     #[test]
@@ -551,36 +498,6 @@ mod tests {
         let t = m.total_time(&job).as_f64();
         let expected = 16.0 / t * 256.0;
         assert!((m.throughput(&job) - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    fn component_times_agree_with_breakdown_bitwise() {
-        let m = PerfModel::paper_default();
-        for weight_gb in [0.1, 1.0, 7.5, 40.0] {
-            let job = ps_job(weight_gb);
-            let b = m.breakdown(&job);
-            let ct = m.component_times(&job);
-            assert_eq!(
-                ct.data_io.as_f64().to_bits(),
-                b.data_io().as_f64().to_bits()
-            );
-            assert_eq!(
-                ct.weight_traffic.as_f64().to_bits(),
-                b.weight_traffic().as_f64().to_bits()
-            );
-            assert_eq!(ct.total.as_f64().to_bits(), b.total().as_f64().to_bits());
-            assert_eq!(
-                ct.computation().as_f64().to_bits(),
-                b.computation().as_f64().to_bits()
-            );
-            for (a, e) in ct.fractions().iter().zip(b.fractions()) {
-                assert_eq!(a.to_bits(), e.to_bits());
-            }
-            assert_eq!(
-                ct.weight_fraction().to_bits(),
-                b.weight_fraction().to_bits()
-            );
-        }
     }
 
     #[test]
@@ -704,7 +621,7 @@ mod tests {
             })
     }
 
-    /// The kernel, the per-medium split and the breakdown against the
+    /// The kernel and its per-medium weight legs against the
     /// term-by-term reference, every field compared by its bits.
     fn kernel_matches_reference(
         model: &PerfModel,
@@ -730,22 +647,46 @@ mod tests {
                 model
             );
         }
-        let split = model.weight_traffic_by_medium(job);
-        let media = job.arch().weight_media();
-        prop_assert_eq!(split.len(), media.len());
-        for (&(kind, t), &medium) in split.iter().zip(media) {
+        let legs = model.terms(job).weight;
+        for (&t, &medium) in legs.iter().zip(job.arch().weight_media()) {
             let want = model
                 .config()
                 .link(medium)
                 .transfer_time(job.weight_bytes());
-            prop_assert_eq!(kind, medium);
             prop_assert_eq!(t.as_f64().to_bits(), want.as_f64().to_bits());
         }
-        prop_assert_eq!(
-            model.breakdown(job).total().as_f64().to_bits(),
-            want.total.as_f64().to_bits()
-        );
+        for t in &legs[job.arch().weight_media().len()..] {
+            prop_assert!(t.is_zero(), "padded leg {:?} for {:?}", t, job);
+        }
         Ok(())
+    }
+
+    /// The per-hardware view as `Breakdown::by_hardware` built it: each
+    /// medium's `LinkModel` transfer time, folded onto its component
+    /// from `Td` and zero seeds, with the reference total.
+    fn by_hardware_reference(model: &PerfModel, job: &WorkloadFeatures) -> HardwareBreakdown {
+        let want = reference(model, job);
+        let mut pcie = want.data_io;
+        let mut ethernet = Seconds::ZERO;
+        let mut nvlink = Seconds::ZERO;
+        let mut hbm = Seconds::ZERO;
+        for &kind in job.arch().weight_media() {
+            let t = model.config().link(kind).transfer_time(job.weight_bytes());
+            match kind {
+                LinkKind::Pcie => pcie += t,
+                LinkKind::Ethernet => ethernet += t,
+                LinkKind::NvLink => nvlink += t,
+                LinkKind::HbmMemory => hbm += t,
+            }
+        }
+        HardwareBreakdown {
+            gpu_flops: want.compute_bound,
+            gpu_memory: want.memory_bound + hbm,
+            pcie,
+            ethernet,
+            nvlink,
+            total: want.total,
+        }
     }
 
     proptest! {
@@ -772,6 +713,47 @@ mod tests {
             job in any_job(),
         ) {
             kernel_matches_reference(&model, &job)?;
+        }
+    }
+
+    proptest! {
+        /// The per-hardware view built from one job's terms and total
+        /// against the `by_hardware` reference, every field and every
+        /// share by its bits (signed zeros included).
+        #[test]
+        fn hardware_breakdown_is_bitwise_the_by_hardware_reference(
+            model in any_model(),
+            job in any_job(),
+        ) {
+            let terms = model.terms(&job);
+            let got = HardwareBreakdown::new(job.arch(), &terms, model.combine(&terms).total);
+            let want = by_hardware_reference(&model, &job);
+            for (field, a, b) in [
+                ("gpu_flops", got.gpu_flops, want.gpu_flops),
+                ("gpu_memory", got.gpu_memory, want.gpu_memory),
+                ("pcie", got.pcie, want.pcie),
+                ("ethernet", got.ethernet, want.ethernet),
+                ("nvlink", got.nvlink, want.nvlink),
+                ("total", got.total, want.total),
+            ] {
+                prop_assert_eq!(
+                    a.as_f64().to_bits(),
+                    b.as_f64().to_bits(),
+                    "{}: {:?} vs reference {:?} for {:?} under {:?}",
+                    field,
+                    a,
+                    b,
+                    job,
+                    model
+                );
+            }
+            for kind in [LinkKind::Pcie, LinkKind::Ethernet, LinkKind::NvLink, LinkKind::HbmMemory] {
+                prop_assert_eq!(got.fraction(kind).to_bits(), want.fraction(kind).to_bits());
+            }
+            prop_assert_eq!(
+                got.gpu_flops_fraction().to_bits(),
+                want.gpu_flops_fraction().to_bits()
+            );
         }
     }
 

@@ -93,7 +93,7 @@ pub fn weight_fraction_sensitivity<J: Jobs + ?Sized>(
             let m = model.with_efficiency(scenario.efficiency());
             let fractions = jobs
                 .iter_jobs()
-                .map(|j| m.breakdown(&j).weight_fraction())
+                .map(|j| m.component_times(&j).weight_fraction())
                 .collect::<Vec<_>>();
             SensitivityCurve {
                 scenario,

@@ -2,7 +2,9 @@
 //! Eq. 3, and breakdown identities.
 
 use pai_core::project::{project, ProjectionTarget};
-use pai_core::{comm_bound_speedup, Architecture, OverlapMode, PerfModel, WorkloadFeatures};
+use pai_core::{
+    comm_bound_speedup, Architecture, HardwareBreakdown, OverlapMode, PerfModel, WorkloadFeatures,
+};
 use pai_hw::{Bytes, Efficiency, Flops};
 use proptest::prelude::*;
 
@@ -83,8 +85,8 @@ proptest! {
             .mem_access_bytes(job.mem_access_bytes())
             .build();
         prop_assert!(
-            m.breakdown(&heavier).weight_fraction()
-                >= m.breakdown(&job).weight_fraction() - 1e-12
+            m.component_times(&heavier).weight_fraction()
+                >= m.component_times(&job).weight_fraction() - 1e-12
         );
     }
 
@@ -93,18 +95,20 @@ proptest! {
         let ser = PerfModel::paper_default();
         let ideal = ser.with_overlap(OverlapMode::Ideal);
         prop_assert!(
-            ideal.breakdown(&job).weight_fraction()
-                >= ser.breakdown(&job).weight_fraction() - 1e-12
+            ideal.component_times(&job).weight_fraction()
+                >= ser.component_times(&job).weight_fraction() - 1e-12
         );
     }
 
     #[test]
     fn by_hardware_times_partition_the_total(job in ps_job()) {
-        let b = PerfModel::paper_default().breakdown(&job);
-        let h = b.by_hardware();
+        let m = PerfModel::paper_default();
+        let terms = m.terms(&job);
+        let total = m.combine(&terms).total;
+        let h = HardwareBreakdown::new(job.arch(), &terms, total);
         let sum = h.gpu_flops + h.gpu_memory + h.pcie + h.ethernet + h.nvlink;
-        prop_assert!((sum.as_f64() - b.total().as_f64()).abs()
-            <= 1e-9 * b.total().as_f64().max(1e-12));
+        prop_assert!((sum.as_f64() - total.as_f64()).abs()
+            <= 1e-9 * total.as_f64().max(1e-12));
     }
 }
 
@@ -113,10 +117,9 @@ proptest! {
     // keep the case count low.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// ISSUE acceptance: per-job model evaluation, architecture
-    /// projection, the Table III sweep and the streaming headline
-    /// accumulator are bit-for-bit identical at every worker-thread
-    /// count.
+    /// Per-job model evaluation, architecture projection, the Table III
+    /// sweep and the streaming headline accumulator are bit-for-bit
+    /// identical at every worker-thread count.
     #[test]
     fn characterization_is_thread_count_invariant(
         jobs in proptest::collection::vec(ps_job(), 1..400),
@@ -125,10 +128,10 @@ proptest! {
         use pai_par::{assert_serial_parallel_identical, EQUIVALENCE_THREADS, Threads};
 
         let m = PerfModel::paper_default();
-        let b = assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
-            m.breakdowns(&jobs, t)
+        let times = assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
+            pai_par::map_items(&jobs, pai_par::DEFAULT_CHUNK_SIZE, t, |j| m.component_times(j))
         });
-        prop_assert_eq!(b.len(), jobs.len());
+        prop_assert_eq!(times.len(), jobs.len());
 
         assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |t| {
             m.projections(&jobs, ProjectionTarget::AllReduceLocal, t)

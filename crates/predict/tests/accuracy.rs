@@ -28,8 +28,8 @@ fn observations() -> Vec<Observation> {
     (0..population.len())
         .map(|i| {
             let features = population.get(i);
-            let b = model.breakdown(&features);
-            let step = (b.data_io() + b.computation() + b.weight_traffic()).as_f64();
+            let ct = model.component_times(&features);
+            let step = (ct.data_io + ct.computation() + ct.weight_traffic).as_f64();
             Observation {
                 sig: Signature::of(&features),
                 duration_s: step * STEPS,

@@ -8,7 +8,7 @@
 //! `(T_predict − T_actual) / T_actual`.
 
 use pai_collectives::CommPlan;
-use pai_core::{Breakdown, PerfModel};
+use pai_core::{ComponentTimes, PerfModel};
 use pai_graph::zoo::ModelSpec;
 use pai_hw::Seconds;
 use pai_pearl::{comm_plan, ModelComm, Strategy};
@@ -25,7 +25,7 @@ pub struct ValidationReport {
     /// Replica count used.
     pub cnodes: usize,
     /// The analytical per-component estimate (70 % assumption).
-    pub estimated: Breakdown,
+    pub estimated: ComponentTimes,
     /// Total estimated step time.
     pub estimated_total: Seconds,
     /// The simulated measurement (Table VI efficiencies + overhead).
@@ -65,8 +65,8 @@ pub fn plan_for(model: &ModelSpec, cnodes: usize) -> CommPlan {
 pub fn validate_model(model: &ModelSpec, cnodes: usize) -> ValidationReport {
     let features = extract_features(model, cnodes);
     let analytical = PerfModel::testbed_default();
-    let estimated = analytical.breakdown(&features);
-    let estimated_total = estimated.total();
+    let estimated = analytical.component_times(&features);
+    let estimated_total = estimated.total;
 
     let arch = architecture_of(model.arch(), cnodes);
     let contention = arch.input_contention_factor(cnodes, pai_core::model::GPUS_PER_SERVER);

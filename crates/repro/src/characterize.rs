@@ -129,7 +129,8 @@ impl JobSpec {
 /// Returns [`SpecError`] when the spec is invalid.
 pub fn characterize(spec: &JobSpec, model: &PerfModel) -> Result<String, SpecError> {
     let job = spec.to_features()?;
-    let b = model.breakdown(&job);
+    let ct = model.component_times(&job);
+    let [data, weights, compute, memory] = ct.fractions();
     let mut out = String::new();
     out.push_str(&format!("job: {job}\n\n"));
 
@@ -141,25 +142,25 @@ pub fn characterize(spec: &JobSpec, model: &PerfModel) -> Result<String, SpecErr
         ],
         vec![
             "input data I/O".into(),
-            format!("{}", b.data_io()),
-            pct(b.data_fraction()),
+            format!("{}", ct.data_io),
+            pct(data),
         ],
         vec![
             "weight traffic".into(),
-            format!("{}", b.weight_traffic()),
-            pct(b.weight_fraction()),
+            format!("{}", ct.weight_traffic),
+            pct(weights),
         ],
         vec![
             "compute-bound".into(),
-            format!("{}", b.compute_bound()),
-            pct(b.compute_fraction()),
+            format!("{}", ct.compute_bound),
+            pct(compute),
         ],
         vec![
             "memory-bound".into(),
-            format!("{}", b.memory_bound()),
-            pct(b.memory_fraction()),
+            format!("{}", ct.memory_bound),
+            pct(memory),
         ],
-        vec!["total".into(), format!("{}", b.total()), "100.0%".into()],
+        vec!["total".into(), format!("{}", ct.total), "100.0%".into()],
     ]));
     out.push_str(&format!(
         "\nthroughput (Eq. 2): {:.0} samples/s\n",

@@ -1,8 +1,7 @@
 //! Cluster-level collective behavior: Fig. 5–8 and the Sec. III-D
 //! summary.
 
-use pai_core::breakdown::mean_fractions;
-use pai_core::{characterize, Architecture, Breakdown, Ecdf};
+use pai_core::{characterize, Architecture, Ecdf, HardwareBreakdown, HeadlineStats};
 use pai_hw::LinkKind;
 use serde_json::json;
 
@@ -15,13 +14,6 @@ pub const ANALYZED: [Architecture; 3] = [
     Architecture::OneWorkerMultiGpu,
     Architecture::PsWorker,
 ];
-
-fn breakdowns(ctx: &Context, arch: Architecture) -> (Vec<Breakdown>, Vec<f64>) {
-    let jobs = ctx.population.jobs_of(arch);
-    let weights: Vec<f64> = jobs.iter().map(|j| j.cnodes() as f64).collect();
-    let b = ctx.model.breakdowns(&jobs, ctx.threads);
-    (b, weights)
-}
 
 /// Fig. 5: constitution of workloads at job and cNode level.
 pub fn fig5(ctx: &Context) -> ExperimentResult {
@@ -96,21 +88,19 @@ pub fn fig6(ctx: &Context) -> ExperimentResult {
     }
 }
 
-/// Fig. 7's job-level and cNode-level mean shares over `b`, or `None`
-/// when `b` is empty, and the table rows for both.
+/// Fig. 7's job-level and cNode-level mean shares from one
+/// [`characterize`] pass, or `None` when it saw no analyzed job, and
+/// the table rows for both.
 fn mean_shares(
     label: &str,
-    b: &[Breakdown],
-    weights: &[f64],
+    h: &HeadlineStats,
     rows: &mut Vec<Vec<String>>,
 ) -> (Option<[f64; 4]>, Option<[f64; 4]>) {
-    let (job, cnode) = if b.is_empty() {
+    let analyzed: u64 = ANALYZED.iter().map(|a| h.class_counts[a.index()]).sum();
+    let (job, cnode) = if analyzed == 0 {
         (None, None)
     } else {
-        (
-            Some(mean_fractions(b, &vec![1.0; b.len()])),
-            Some(mean_fractions(b, weights)),
-        )
+        (Some(h.job_level_fractions), Some(h.cnode_level_fractions))
     };
     for (level, shares) in [("job", job), ("cNode", cnode)] {
         let label = format!("{label} ({level})");
@@ -125,8 +115,9 @@ fn mean_shares(
 }
 
 /// Fig. 7: average execution-time breakdown per class, job-level and
-/// cNode-level. A class with no jobs gets marked rows and `null`
-/// shares.
+/// cNode-level: [`characterize`] over each class, and the "all" rows
+/// from the pass `summary` reads. A class with no jobs gets marked rows
+/// and `null` shares.
 pub fn fig7(ctx: &Context) -> ExperimentResult {
     let mut rows = vec![vec![
         "class / level".to_string(),
@@ -136,16 +127,13 @@ pub fn fig7(ctx: &Context) -> ExperimentResult {
         "memory-bound".to_string(),
     ]];
     let mut payload = Vec::new();
-    let mut all_b = Vec::new();
-    let mut all_w_cnode = Vec::new();
     for arch in ANALYZED {
-        let (b, weights) = breakdowns(ctx, arch);
-        let (job, cnode) = mean_shares(arch.label(), &b, &weights, &mut rows);
+        let h = characterize(&ctx.model, &ctx.population.jobs_of(arch), ctx.threads);
+        let (job, cnode) = mean_shares(arch.label(), &h, &mut rows);
         payload.push(json!({"class": arch.label(), "job": job, "cnode": cnode}));
-        all_w_cnode.extend(weights);
-        all_b.extend(b);
     }
-    let (all_job, all_cnode) = mean_shares("all", &all_b, &all_w_cnode, &mut rows);
+    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
+    let (all_job, all_cnode) = mean_shares("all", &h, &mut rows);
     payload.push(json!({"class": "all", "job": all_job, "cnode": all_cnode}));
     ExperimentResult {
         id: "fig7",
@@ -155,29 +143,12 @@ pub fn fig7(ctx: &Context) -> ExperimentResult {
     }
 }
 
-/// Fig. 8: per-component CDFs per class plus the per-hardware view. A
-/// series with no jobs gets a marked row and `null` statistics.
+/// Fig. 8: per-component CDFs per class plus the per-hardware view,
+/// each analyzed job priced once. A series with no jobs gets a marked
+/// row and `null` statistics.
 pub fn fig8(ctx: &Context) -> ExperimentResult {
     let mut rows = vec![cdf_header("series (job-level)")];
     let mut payload = Vec::new();
-    for arch in ANALYZED {
-        let (b, _) = breakdowns(ctx, arch);
-        let series: [(&str, Vec<f64>); 4] = [
-            ("data", b.iter().map(|x| x.data_fraction()).collect()),
-            ("weights", b.iter().map(|x| x.weight_fraction()).collect()),
-            ("compute", b.iter().map(|x| x.compute_fraction()).collect()),
-            ("memory", b.iter().map(|x| x.memory_fraction()).collect()),
-        ];
-        for (name, values) in series {
-            let cdf = ecdf(values);
-            rows.push(cdf_row(&format!("{} {}", arch.label(), name), cdf.as_ref()));
-            payload.push(json!({
-                "class": arch.label(), "component": name,
-                "mean": cdf.as_ref().map(Ecdf::mean),
-                "p90": cdf.as_ref().map(|c| c.quantile(0.9)),
-            }));
-        }
-    }
     // Per-hardware view (Fig. 8a) over all analyzed jobs.
     let mut hw_series: Vec<(LinkKind, Vec<f64>)> = vec![
         (LinkKind::HbmMemory, Vec::new()),
@@ -186,9 +157,28 @@ pub fn fig8(ctx: &Context) -> ExperimentResult {
     ];
     let mut gpu_flops = Vec::new();
     for arch in ANALYZED {
-        let (b, _) = breakdowns(ctx, arch);
-        for x in &b {
-            let hb = x.by_hardware();
+        let jobs = ctx.population.jobs_of(arch);
+        let priced = pai_par::map_items(&jobs, pai_par::DEFAULT_CHUNK_SIZE, ctx.threads, |j| {
+            let terms = ctx.model.terms(j);
+            let ct = ctx.model.combine(&terms);
+            (
+                ct.fractions(),
+                HardwareBreakdown::new(arch, &terms, ct.total),
+            )
+        });
+        for (k, name) in ["data", "weights", "compute", "memory"]
+            .into_iter()
+            .enumerate()
+        {
+            let cdf = ecdf(priced.iter().map(|(f, _)| f[k]));
+            rows.push(cdf_row(&format!("{} {}", arch.label(), name), cdf.as_ref()));
+            payload.push(json!({
+                "class": arch.label(), "component": name,
+                "mean": cdf.as_ref().map(Ecdf::mean),
+                "p90": cdf.as_ref().map(|c| c.quantile(0.9)),
+            }));
+        }
+        for (_, hb) in &priced {
             gpu_flops.push(hb.gpu_flops_fraction());
             for (kind, values) in hw_series.iter_mut() {
                 values.push(hb.fraction(*kind));

@@ -9,7 +9,7 @@
 //!   `pai-sched`'s placement and NIC-sharing price, and report
 //!   contention slowdowns and utilization.
 
-use pai_core::{Architecture, PerfModel, WorkloadFeatures};
+use pai_core::{characterize, Architecture, PerfModel, WorkloadFeatures};
 use pai_graph::zoo::{self, inference::all_inference};
 use pai_hw::{Bandwidth, ClusterSpec, LinkKind, LinkModel};
 use pai_sched::{place_mix, templates_from_population, FifoFirstFit, JobTemplate};
@@ -46,12 +46,12 @@ pub fn inference() -> Result<ExperimentResult, ReproError> {
             .flops(stats.flops)
             .mem_access_bytes(stats.mem_access_memory_bound)
             .build();
-        let estimated = model.breakdown(&features);
+        let estimated = model.component_times(&features);
         let measured = sim.run(spec.graph(), &pai_collectives::CommPlan::new(), 1)?;
         rows.push(vec![
             spec.name().to_string(),
             format!("{}", spec.resident_bytes()),
-            ms(estimated.total()),
+            ms(estimated.total),
             ms(measured.total),
             pct(measured.fraction(measured.data_io)),
             pct(measured.fraction(measured.compute_bound)),
@@ -60,7 +60,7 @@ pub fn inference() -> Result<ExperimentResult, ReproError> {
         payload.push(json!({
             "model": spec.name(),
             "resident_mb": spec.resident_bytes().as_mb(),
-            "estimated_s": estimated.total().as_f64(),
+            "estimated_s": estimated.total.as_f64(),
             "simulated_s": measured.total.as_f64(),
             "training_s_for_reference": {
                 "flops_ratio": stats.flops.as_f64()
@@ -208,14 +208,14 @@ pub fn cluster_upgrade(ctx: &Context) -> Result<ExperimentResult, ReproError> {
 /// What the cluster looks like after adopting the paper's advice:
 /// every PS/Worker job whose throughput improves on AllReduce-Local is
 /// ported (Sec. III-C1 notes the port "saves system resources
-/// significantly"); the rest stay. Recomputes the Fig. 7 aggregate.
+/// significantly"); the rest stay. Recomputes the Fig. 7 aggregate;
+/// the "before" shares are the [`characterize`] pass `summary` reads.
 pub fn adoption(ctx: &Context) -> ExperimentResult {
     use pai_core::breakdown::mean_fractions;
     use pai_core::project::{project, ProjectionTarget};
 
-    let mut breakdowns_before = Vec::new();
-    let mut weights_before = Vec::new();
-    let mut breakdowns_after = Vec::new();
+    let mut total_before = 0.0;
+    let mut times_after = Vec::new();
     let mut weights_after = Vec::new();
     let mut ported = 0usize;
     let mut cnodes_saved = 0usize;
@@ -226,9 +226,7 @@ pub fn adoption(ctx: &Context) -> ExperimentResult {
         Architecture::PsWorker,
     ] {
         for job in ctx.population.jobs_of(arch) {
-            let b = ctx.model.breakdown(&job);
-            breakdowns_before.push(b.clone());
-            weights_before.push(job.cnodes() as f64);
+            total_before += job.cnodes() as f64;
             let projected = if arch == Architecture::PsWorker {
                 project(&ctx.model, &job, ProjectionTarget::AllReduceLocal)
                     .filter(|o| o.improves_throughput())
@@ -239,20 +237,20 @@ pub fn adoption(ctx: &Context) -> ExperimentResult {
                 Some(o) => {
                     ported += 1;
                     cnodes_saved += job.cnodes() - o.projected.cnodes();
-                    breakdowns_after.push(ctx.model.breakdown(&o.projected));
+                    times_after.push(ctx.model.component_times(&o.projected));
                     weights_after.push(o.projected.cnodes() as f64);
                 }
                 None => {
-                    breakdowns_after.push(b);
+                    times_after.push(ctx.model.component_times(&job));
                     weights_after.push(job.cnodes() as f64);
                 }
             }
         }
     }
 
-    let before = mean_fractions(&breakdowns_before, &weights_before);
-    let after = mean_fractions(&breakdowns_after, &weights_after);
-    let total_before: f64 = weights_before.iter().sum();
+    let before =
+        characterize(&ctx.model, ctx.population.store(), ctx.threads).cnode_level_fractions;
+    let after = mean_fractions(&times_after, &weights_after);
     let total_after: f64 = weights_after.iter().sum();
 
     let mut rows = vec![vec![

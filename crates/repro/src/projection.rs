@@ -94,14 +94,14 @@ pub fn fig10(ctx: &Context) -> ExperimentResult {
     let outs = ctx
         .model
         .projections(&ps, ProjectionTarget::AllReduceLocal, ctx.threads);
-    let breakdowns = pai_par::map_items(&outs, pai_par::DEFAULT_CHUNK_SIZE, ctx.threads, |o| {
-        ctx.model.breakdown(&o.projected)
+    let after = pai_par::map_items(&outs, pai_par::DEFAULT_CHUNK_SIZE, ctx.threads, |o| {
+        ctx.model.component_times(&o.projected)
     });
     let before = pai_par::map_items(&outs, pai_par::DEFAULT_CHUNK_SIZE, ctx.threads, |o| {
-        ctx.model.breakdown(&o.original)
+        ctx.model.component_times(&o.original)
     });
-    let ones = vec![1.0; breakdowns.len()];
-    let after_mean = mean_fractions(&breakdowns, &ones);
+    let ones = vec![1.0; after.len()];
+    let after_mean = mean_fractions(&after, &ones);
     let before_mean = mean_fractions(&before, &ones);
 
     let mut rows = vec![vec![
@@ -144,7 +144,10 @@ pub fn fig16(ctx: &Context) -> Result<ExperimentResult, crate::ReproError> {
     let mut rows = vec![cdf_header("series")];
     let mut shares = Vec::new();
     for (label, model) in [("non-overlap", &ctx.model), ("ideal overlap", &ideal)] {
-        let cdf = Ecdf::from_values(ps.iter().map(|j| model.breakdown(j).weight_fraction()));
+        let cdf = Ecdf::from_values(
+            ps.iter()
+                .map(|j| model.component_times(j).weight_fraction()),
+        );
         rows.push(cdf_quantiles(&format!("weight share, {label}"), &cdf));
         shares.push((label, cdf.mean()));
     }

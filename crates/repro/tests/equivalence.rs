@@ -3,8 +3,8 @@
 //! render byte-identical text and JSON at any worker-thread count.
 //!
 //! This is the top of the determinism stack — it transitively pins
-//! `Population::builder(..).threads(..)`, `PerfModel::breakdowns`,
-//! `PerfModel::projections`, `class_sweep`, `characterize`,
+//! `Population::builder(..).threads(..)`, `PerfModel::projections`,
+//! `class_sweep`, `characterize`,
 //! `policy_sweep` and `StepSimulator::run_faulted` behind the public
 //! experiment API.
 

@@ -8,7 +8,8 @@
 //! or an accidental determinism break (fix the code).
 
 use pai_core::characterize;
-use pai_repro::cluster::summary;
+use pai_repro::cluster::{fig7, summary};
+use pai_repro::extensions::adoption;
 use pai_repro::scorecard::claims;
 use pai_repro::stream::stream;
 use pai_repro::{Context, POPULATION, SEED};
@@ -167,5 +168,36 @@ fn summary_scorecard_and_characterize_report_one_headline() {
             .find(|c| c.statement == statement)
             .unwrap_or_else(|| panic!("no claim '{statement}'"));
         assert_eq!(claim.reproduced.to_bits(), value.to_bits(), "{statement}");
+    }
+}
+
+#[test]
+fn fig7_all_rows_and_adoption_before_read_the_headline_pass() {
+    // Fig. 7's "all" rows and ext-adoption's "before" shares come from
+    // the `characterize` pass `summary` reads, so they print its bits.
+    let ctx = Context::with_size(2_000);
+    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
+    let fig7_json = fig7(&ctx).json;
+    let all = fig7_json
+        .as_array()
+        .expect("fig7 is an array of class rows")
+        .iter()
+        .find(|row| row["class"] == "all")
+        .expect("fig7 has an \"all\" row");
+    let before = &adoption(&ctx).json["before"];
+    let bits = |v: &serde_json::Value| v.as_f64().expect("f64").to_bits();
+    for k in 0..4 {
+        let (job, cnode) = (h.job_level_fractions[k], h.cnode_level_fractions[k]);
+        assert_eq!(bits(&all["job"][k]), job.to_bits(), "fig7 all job[{k}]");
+        assert_eq!(
+            bits(&all["cnode"][k]),
+            cnode.to_bits(),
+            "fig7 all cnode[{k}]"
+        );
+        assert_eq!(
+            bits(&before[k]),
+            cnode.to_bits(),
+            "ext-adoption before[{k}]"
+        );
     }
 }

@@ -17,12 +17,12 @@ fn main() {
     let (mut jw, mut cw, mut ctot) = (0.0, 0.0, 0.0);
     let (mut jd, mut jcc, mut jcm) = (0.0, 0.0, 0.0);
     for f in &feats {
-        let b = model.breakdown(f);
-        jw += b.weight_fraction();
-        jd += b.data_fraction();
-        jcc += b.compute_fraction();
-        jcm += b.memory_fraction();
-        cw += f.cnodes() as f64 * b.weight_fraction();
+        let [data, weights, compute, memory] = model.component_times(f).fractions();
+        jw += weights;
+        jd += data;
+        jcc += compute;
+        jcm += memory;
+        cw += f.cnodes() as f64 * weights;
         ctot += f.cnodes() as f64;
     }
     let n = feats.len() as f64;
@@ -38,7 +38,7 @@ fn main() {
     let ps = pop.jobs_of(Architecture::PsWorker);
     let over80 = ps
         .iter()
-        .filter(|f| model.breakdown(f).weight_fraction() > 0.8)
+        .filter(|f| model.component_times(f).weight_fraction() > 0.8)
         .count() as f64
         / ps.len() as f64;
     println!("PS jobs >80% comm: {:.3} (target >0.40)", over80);

@@ -586,8 +586,7 @@ mod tests {
         let pop = small_pop();
         let model = PerfModel::paper_default();
         for f in pop.features().iter().take(100) {
-            let b = model.breakdown(f);
-            let sum: f64 = b.fractions().iter().sum();
+            let sum: f64 = model.component_times(f).fractions().iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
         }
     }
@@ -600,7 +599,7 @@ mod tests {
         let io: Vec<f64> = pop
             .jobs_of(Architecture::OneWorkerOneGpu)
             .iter()
-            .map(|f| model.breakdown(f).data_fraction())
+            .map(|f| model.component_times(f).fractions()[0])
             .collect();
         let heavy = io.iter().filter(|&&p| p > 0.5).count() as f64 / io.len() as f64;
         assert!((0.02..0.10).contains(&heavy), "heavy-I/O fraction {heavy}");

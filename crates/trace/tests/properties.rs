@@ -36,14 +36,14 @@ proptest! {
         let pop = Population::generate(&PopulationConfig::paper_scale(200).unwrap(), seed).unwrap();
         let m = PerfModel::paper_default();
         for rec in pop.records() {
-            let b = m.breakdown(&rec.features);
-            prop_assert!(b.total().as_f64().is_finite());
-            prop_assert!(b.total().as_f64() > 0.0);
-            let sum: f64 = b.fractions().iter().sum();
+            let ct = m.component_times(&rec.features);
+            prop_assert!(ct.total.as_f64().is_finite());
+            prop_assert!(ct.total.as_f64() > 0.0);
+            let sum: f64 = ct.fractions().iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-9);
             // Non-communicating class never shows weight traffic.
             if rec.features.arch() == Architecture::OneWorkerOneGpu {
-                prop_assert_eq!(b.weight_fraction(), 0.0);
+                prop_assert_eq!(ct.weight_fraction(), 0.0);
             }
         }
     }

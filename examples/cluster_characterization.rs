@@ -37,9 +37,9 @@ fn main() {
     println!("\nper-class average breakdown [data / weights / compute / memory]:");
     for arch in classes {
         let jobs = pop.jobs_of(arch);
-        let breakdowns: Vec<_> = jobs.iter().map(|j| model.breakdown(j)).collect();
+        let times: Vec<_> = jobs.iter().map(|j| model.component_times(j)).collect();
         let cnode_weights: Vec<f64> = jobs.iter().map(|j| j.cnodes() as f64).collect();
-        let job_level = mean_fractions(&breakdowns, &vec![1.0; breakdowns.len()]);
+        let job_level = mean_fractions(&times, &vec![1.0; times.len()]);
         let fmt = |f: [f64; 4]| {
             f.iter()
                 .map(|x| format!("{:4.1}%", x * 100.0))
@@ -47,7 +47,7 @@ fn main() {
                 .join(" / ")
         };
         println!("  {:<10} {}", arch.label(), fmt(job_level));
-        all.extend(breakdowns);
+        all.extend(times);
         all_weights.extend(cnode_weights);
     }
 
@@ -59,7 +59,10 @@ fn main() {
 
     // The PS/Worker communication tail.
     let ps = pop.jobs_of(Architecture::PsWorker);
-    let comm = Ecdf::from_values(ps.iter().map(|j| model.breakdown(j).weight_fraction()));
+    let comm = Ecdf::from_values(
+        ps.iter()
+            .map(|j| model.component_times(j).weight_fraction()),
+    );
     println!(
         "PS/Worker jobs spending >80% of the step communicating: {:.1}% (paper: >40%)",
         comm.fraction_above(0.8) * 100.0

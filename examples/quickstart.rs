@@ -24,31 +24,28 @@ fn main() {
         .build();
 
     let model = PerfModel::paper_default();
-    let b = model.breakdown(&job);
+    let ct = model.component_times(&job);
+    let [data, weights, compute, memory] = ct.fractions();
 
     println!("workload: {job}");
     println!("predicted step breakdown ({}):", model.overlap());
-    println!(
-        "  input data I/O : {}  ({:.1}%)",
-        b.data_io(),
-        b.data_fraction() * 100.0
-    );
+    println!("  input data I/O : {}  ({:.1}%)", ct.data_io, data * 100.0);
     println!(
         "  weight traffic : {}  ({:.1}%)",
-        b.weight_traffic(),
-        b.weight_fraction() * 100.0
+        ct.weight_traffic,
+        weights * 100.0
     );
     println!(
         "  compute-bound  : {}  ({:.1}%)",
-        b.compute_bound(),
-        b.compute_fraction() * 100.0
+        ct.compute_bound,
+        compute * 100.0
     );
     println!(
         "  memory-bound   : {}  ({:.1}%)",
-        b.memory_bound(),
-        b.memory_fraction() * 100.0
+        ct.memory_bound,
+        memory * 100.0
     );
-    println!("  total          : {}", b.total());
+    println!("  total          : {}", ct.total);
     println!(
         "  throughput     : {:.0} samples/s (Eq. 2)",
         model.throughput(&job)

@@ -40,8 +40,8 @@
 //!     .flops(Flops::from_tera(0.5))
 //!     .mem_access_bytes(Bytes::from_gb(20.0))
 //!     .build();
-//! let breakdown = PerfModel::paper_default().breakdown(&features);
-//! assert!(breakdown.total().as_f64() > 0.0);
+//! let ct = PerfModel::paper_default().component_times(&features);
+//! assert!(ct.total.as_f64() > 0.0);
 //! ```
 //!
 //! Streaming characterization — headline statistics accumulate one

@@ -118,7 +118,7 @@ fn speech_anomaly_comes_from_tiny_kernels() {
     // and a large share of its kernels are launch-gap floored.
     let r = validate_model(&zoo::speech(), 1);
     let m = &r.measured;
-    assert!(m.memory_bound.as_f64() > 5.0 * r.estimated.memory_bound().as_f64());
+    assert!(m.memory_bound.as_f64() > 5.0 * r.estimated.memory_bound.as_f64());
     assert!(m.kernels > 40_000);
 
     // At healthy (70 %) bandwidth those same kernels fall below the
@@ -144,13 +144,9 @@ fn every_zoo_model_flows_through_feature_extraction() {
         };
         let f = extract_features(&m, cnodes);
         assert_eq!(f.batch_size(), m.batch_size());
-        let b = PerfModel::testbed_default().breakdown(&f);
-        assert!(
-            b.total().as_f64() > 0.0,
-            "{} has a zero-time step",
-            m.name()
-        );
-        let frac_sum: f64 = b.fractions().iter().sum();
+        let ct = PerfModel::testbed_default().component_times(&f);
+        assert!(ct.total.as_f64() > 0.0, "{} has a zero-time step", m.name());
+        let frac_sum: f64 = ct.fractions().iter().sum();
         assert!((frac_sum - 1.0).abs() < 1e-9);
     }
 }

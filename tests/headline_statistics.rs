@@ -42,7 +42,7 @@ fn ninety_percent_of_jobs_train_small_models() {
 fn weight_communication_is_62_percent_at_the_cnode_level() {
     let pop = population();
     let m = model();
-    let mut breakdowns = Vec::new();
+    let mut times = Vec::new();
     let mut weights = Vec::new();
     for arch in [
         Architecture::OneWorkerOneGpu,
@@ -50,11 +50,11 @@ fn weight_communication_is_62_percent_at_the_cnode_level() {
         Architecture::PsWorker,
     ] {
         for job in pop.jobs_of(arch) {
-            breakdowns.push(m.breakdown(&job));
+            times.push(m.component_times(&job));
             weights.push(job.cnodes() as f64);
         }
     }
-    let fractions = mean_fractions(&breakdowns, &weights);
+    let fractions = mean_fractions(&times, &weights);
     assert!(
         (fractions[1] - 0.62).abs() < 0.05,
         "cNode-level communication share {}",
@@ -63,7 +63,7 @@ fn weight_communication_is_62_percent_at_the_cnode_level() {
     // Memory-bound exceeds compute-bound (paper: 22% vs 13%).
     assert!(fractions[3] > fractions[2]);
     // Job-level communication sits near 22%.
-    let job_fracs = mean_fractions(&breakdowns, &vec![1.0; breakdowns.len()]);
+    let job_fracs = mean_fractions(&times, &vec![1.0; times.len()]);
     assert!(
         (job_fracs[1] - 0.22).abs() < 0.05,
         "job-level {}",
@@ -78,7 +78,7 @@ fn forty_percent_of_ps_jobs_are_over_80_percent_communication() {
     let ps = pop.jobs_of(Architecture::PsWorker);
     let over = ps
         .iter()
-        .filter(|j| m.breakdown(j).weight_fraction() > 0.8)
+        .filter(|j| m.component_times(j).weight_fraction() > 0.8)
         .count() as f64
         / ps.len() as f64;
     assert!(over > 0.37, "only {over} of PS jobs over 80% comm");

@@ -43,13 +43,13 @@ proptest! {
     #[test]
     fn breakdown_components_are_nonnegative_and_additive(job in features()) {
         let m = PerfModel::paper_default();
-        let b = m.breakdown(&job);
-        let sum = b.data_io() + b.compute_bound() + b.memory_bound() + b.weight_traffic();
+        let ct = m.component_times(&job);
+        let sum = ct.data_io + ct.compute_bound + ct.memory_bound + ct.weight_traffic;
         // Serialized total is exactly the component sum.
-        prop_assert!((b.total().as_f64() - sum.as_f64()).abs() <= 1e-9 * sum.as_f64().max(1e-12));
+        prop_assert!((ct.total.as_f64() - sum.as_f64()).abs() <= 1e-9 * sum.as_f64().max(1e-12));
         // Fractions normalize.
-        let frac: f64 = b.fractions().iter().sum();
-        if b.total().as_f64() > 0.0 {
+        let frac: f64 = ct.fractions().iter().sum();
+        if ct.total.as_f64() > 0.0 {
             prop_assert!((frac - 1.0).abs() < 1e-9);
         }
     }
