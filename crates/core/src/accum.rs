@@ -148,8 +148,8 @@ impl FracHist {
     /// # Errors
     ///
     /// [`CheckpointError::Truncated`] when the payload ends early and
-    /// [`CheckpointError::InvalidField`] when the bin count is not this
-    /// build's [`FRAC_BINS`].
+    /// [`CheckpointError::InvalidField`] when the bin count is not the
+    /// 256 bins this build uses.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<FracHist, CheckpointError> {
         let bins_len = r.u32()? as usize;
         if bins_len != FRAC_BINS {

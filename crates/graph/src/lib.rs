@@ -48,7 +48,7 @@ pub mod zoo;
 
 pub use dtype::DType;
 pub use graph::{Graph, GraphStats, NodeId};
-pub use op::{Op, OpClass, OpKind};
+pub use op::{Op, OpClass, OpKind, OpType};
 pub use param::{ParamInventory, ParamKind, ParamSpec};
 pub use shape::Shape;
 pub use tensor::TensorMeta;

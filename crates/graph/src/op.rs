@@ -37,6 +37,68 @@ impl fmt::Display for OpClass {
     }
 }
 
+/// An operator's type without its shapes — the op-type string of a
+/// `tf.RunMetadata` node record, the key per-op profiles are grouped
+/// and ranked by. [`OpKind::op_type`] maps each kind to one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum OpType {
+    /// [`OpKind::MatMul`].
+    MatMul,
+    /// [`OpKind::Conv2d`].
+    Conv2d,
+    /// [`OpKind::ElementWise`].
+    ElementWise,
+    /// [`OpKind::Reduce`].
+    Reduce,
+    /// [`OpKind::Softmax`].
+    Softmax,
+    /// [`OpKind::LayerNorm`].
+    LayerNorm,
+    /// [`OpKind::EmbeddingLookup`].
+    EmbeddingLookup,
+    /// [`OpKind::EmbeddingUpdate`].
+    EmbeddingUpdate,
+    /// [`OpKind::DataLoad`].
+    DataLoad,
+}
+
+impl OpType {
+    /// The display label ("MatMul", "Conv2D", "ElementWise"…).
+    pub fn label(self) -> &'static str {
+        match self {
+            OpType::MatMul => "MatMul",
+            OpType::Conv2d => "Conv2D",
+            OpType::ElementWise => "ElementWise",
+            OpType::Reduce => "Reduce",
+            OpType::Softmax => "Softmax",
+            OpType::LayerNorm => "LayerNorm",
+            OpType::EmbeddingLookup => "EmbeddingLookup",
+            OpType::EmbeddingUpdate => "EmbeddingUpdate",
+            OpType::DataLoad => "DataLoad",
+        }
+    }
+
+    /// The resource class (Sec. II-B3).
+    pub fn class(self) -> OpClass {
+        match self {
+            OpType::MatMul | OpType::Conv2d => OpClass::ComputeBound,
+            OpType::ElementWise
+            | OpType::Reduce
+            | OpType::Softmax
+            | OpType::LayerNorm
+            | OpType::EmbeddingLookup
+            | OpType::EmbeddingUpdate => OpClass::MemoryBound,
+            OpType::DataLoad => OpClass::Io,
+        }
+    }
+}
+
+impl fmt::Display for OpType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.label())
+    }
+}
+
 /// Where an operator executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Device {
@@ -153,18 +215,24 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// The op type, shapes dropped.
+    pub fn op_type(&self) -> OpType {
+        match self {
+            OpKind::MatMul { .. } => OpType::MatMul,
+            OpKind::Conv2d { .. } => OpType::Conv2d,
+            OpKind::ElementWise { .. } => OpType::ElementWise,
+            OpKind::Reduce { .. } => OpType::Reduce,
+            OpKind::Softmax { .. } => OpType::Softmax,
+            OpKind::LayerNorm { .. } => OpType::LayerNorm,
+            OpKind::EmbeddingLookup { .. } => OpType::EmbeddingLookup,
+            OpKind::EmbeddingUpdate { .. } => OpType::EmbeddingUpdate,
+            OpKind::DataLoad { .. } => OpType::DataLoad,
+        }
+    }
+
     /// The resource class (Sec. II-B3).
     pub fn class(&self) -> OpClass {
-        match self {
-            OpKind::MatMul { .. } | OpKind::Conv2d { .. } => OpClass::ComputeBound,
-            OpKind::ElementWise { .. }
-            | OpKind::Reduce { .. }
-            | OpKind::Softmax { .. }
-            | OpKind::LayerNorm { .. }
-            | OpKind::EmbeddingLookup { .. }
-            | OpKind::EmbeddingUpdate { .. } => OpClass::MemoryBound,
-            OpKind::DataLoad { .. } => OpClass::Io,
-        }
+        self.op_type().class()
     }
 
     /// FLOPs performed (multiply-add counted as 2, the convention
@@ -300,19 +368,10 @@ impl OpKind {
         )
     }
 
-    /// A short kind label for display and profiling records.
+    /// A short kind label for display and profiling records: the op
+    /// type's [`OpType::label`].
     pub fn kind_label(&self) -> &'static str {
-        match self {
-            OpKind::MatMul { .. } => "MatMul",
-            OpKind::Conv2d { .. } => "Conv2D",
-            OpKind::ElementWise { .. } => "ElementWise",
-            OpKind::Reduce { .. } => "Reduce",
-            OpKind::Softmax { .. } => "Softmax",
-            OpKind::LayerNorm { .. } => "LayerNorm",
-            OpKind::EmbeddingLookup { .. } => "EmbeddingLookup",
-            OpKind::EmbeddingUpdate { .. } => "EmbeddingUpdate",
-            OpKind::DataLoad { .. } => "DataLoad",
-        }
+        self.op_type().label()
     }
 }
 
@@ -493,6 +552,8 @@ mod tests {
     #[test]
     fn labels_and_display() {
         assert_eq!(matmul(1, 1, 1).kind_label(), "MatMul");
+        assert_eq!(OpType::Conv2d.to_string(), "Conv2D");
+        assert_eq!(format!("[{:<8}]", OpType::Reduce), "[Reduce  ]");
         let op = Op::new("fc1", matmul(1, 2, 3));
         assert_eq!(op.to_string(), "fc1 (MatMul)");
         assert!(!OpClass::MemoryBound.to_string().is_empty());

@@ -7,6 +7,7 @@
 
 use std::fmt::Write as _;
 
+use pai_graph::Graph;
 use pai_hw::Seconds;
 
 use crate::runmeta::RunMetadata;
@@ -37,7 +38,12 @@ fn pct_of(part: Seconds, total: Seconds) -> f64 {
     }
 }
 
-/// Renders the report.
+/// Renders the report of a step simulated on `graph`, which names the
+/// hottest ops.
+///
+/// # Panics
+///
+/// Panics if a profiled op is not a node of `graph`.
 ///
 /// # Examples
 ///
@@ -56,11 +62,11 @@ fn pct_of(part: Seconds, total: Seconds) -> f64 {
 ///     JobMeta { arch: Architecture::OneWorkerOneGpu, cnodes: 1, batch_size: 64 },
 ///     step,
 /// );
-/// let report = render(&meta, &ReportOptions::default());
+/// let report = render(&meta, model.graph(), &ReportOptions::default());
 /// assert!(report.contains("hottest ops"));
 /// # Ok::<(), pai_sim::SimError>(())
 /// ```
-pub fn render(meta: &RunMetadata, options: &ReportOptions) -> String {
+pub fn render(meta: &RunMetadata, graph: &Graph, options: &ReportOptions) -> String {
     let m = &meta.step;
     let mut out = String::new();
     let _ = writeln!(out, "profile: {meta}");
@@ -95,7 +101,8 @@ pub fn render(meta: &RunMetadata, options: &ReportOptions) -> String {
     if options.top_ops > 0 {
         let _ = writeln!(out, "\nhottest ops:");
         for op in meta.top_ops(options.top_ops) {
-            let _ = writeln!(out, "  {:<40} {}  ({})", op.name, op.duration, op.kind);
+            let name = graph.node(op.op).name();
+            let _ = writeln!(out, "  {name:<40} {}  ({})", op.duration, op.kind);
         }
     }
     out
@@ -111,7 +118,7 @@ mod tests {
     use pai_graph::{Graph, Op};
     use pai_sim::{SimConfig, StepSimulator};
 
-    fn meta() -> RunMetadata {
+    fn meta() -> (RunMetadata, Graph) {
         let mut g = Graph::new("toy");
         let a = g.add(Op::new("big_matmul", matmul(2048, 2048, 2048)));
         let b = g.add(Op::new("activation", elementwise(1, 1 << 20, 1)));
@@ -119,20 +126,23 @@ mod tests {
         let step = StepSimulator::new(SimConfig::testbed())
             .run(&g, &CommPlan::new(), 1)
             .unwrap();
-        RunMetadata::new(
+        let meta = RunMetadata::new(
             JobMeta {
                 arch: Architecture::OneWorkerOneGpu,
                 cnodes: 1,
                 batch_size: 32,
             },
             step,
-        )
+        );
+        (meta, g)
     }
 
     #[test]
     fn report_names_the_hottest_op() {
-        let r = render(&meta(), &ReportOptions::default());
-        assert!(r.contains("big_matmul"));
+        let (m, g) = meta();
+        let r = render(&m, &g, &ReportOptions::default());
+        let mut hottest = r.lines().skip_while(|l| !l.contains("hottest ops"));
+        assert!(hottest.nth(1).unwrap().contains("big_matmul"));
         assert!(r.contains("component shares"));
         assert!(r.contains("framework overhead"));
         assert!(r.contains("MatMul"));
@@ -140,8 +150,10 @@ mod tests {
 
     #[test]
     fn options_prune_sections() {
+        let (m, g) = meta();
         let r = render(
-            &meta(),
+            &m,
+            &g,
             &ReportOptions {
                 top_ops: 0,
                 kind_histogram: false,
@@ -154,8 +166,8 @@ mod tests {
 
     #[test]
     fn shares_are_percentages() {
-        let m = meta();
-        let r = render(&m, &ReportOptions::default());
+        let (m, g) = meta();
+        let r = render(&m, &g, &ReportOptions::default());
         // Every component line carries a percentage.
         let pct_lines = r.lines().filter(|l| l.contains('%')).count();
         assert!(pct_lines >= 5, "{r}");

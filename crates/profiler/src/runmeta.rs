@@ -39,24 +39,21 @@ impl RunMetadata {
     }
 
     /// Total kernel time grouped by op kind label ("MatMul",
-    /// "ElementWise"…), sorted by kind — the view behind statements
+    /// "ElementWise"…), sorted by label — the view behind statements
     /// like Fig. 13a's "2.8x for MatMul".
-    pub fn time_by_kind(&self) -> BTreeMap<String, Seconds> {
-        let mut out: BTreeMap<String, Seconds> = BTreeMap::new();
+    pub fn time_by_kind(&self) -> BTreeMap<&'static str, Seconds> {
+        let mut out: BTreeMap<&'static str, Seconds> = BTreeMap::new();
         for op in &self.step.ops {
-            *out.entry(op.kind.clone()).or_insert(Seconds::ZERO) += op.duration;
+            *out.entry(op.kind.label()).or_insert(Seconds::ZERO) += op.duration;
         }
         out
     }
 
-    /// The `k` longest-running ops, descending.
+    /// The `k` longest-running ops, descending; ties keep profile
+    /// order.
     pub fn top_ops(&self, k: usize) -> Vec<&OpProfile> {
         let mut ops: Vec<&OpProfile> = self.step.ops.iter().collect();
-        ops.sort_by(|a, b| {
-            b.duration
-                .partial_cmp(&a.duration)
-                .expect("durations are finite")
-        });
+        ops.sort_by(|a, b| b.duration.as_f64().total_cmp(&a.duration.as_f64()));
         ops.truncate(k);
         ops
     }

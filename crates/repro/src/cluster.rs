@@ -132,8 +132,7 @@ pub fn fig7(ctx: &Context) -> ExperimentResult {
         let (job, cnode) = mean_shares(arch.label(), &h, &mut rows);
         payload.push(json!({"class": arch.label(), "job": job, "cnode": cnode}));
     }
-    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
-    let (all_job, all_cnode) = mean_shares("all", &h, &mut rows);
+    let (all_job, all_cnode) = mean_shares("all", ctx.headline(), &mut rows);
     payload.push(json!({"class": "all", "job": all_job, "cnode": all_cnode}));
     ExperimentResult {
         id: "fig7",
@@ -200,10 +199,10 @@ pub fn fig8(ctx: &Context) -> ExperimentResult {
     }
 }
 
-/// Sec. III-D: the headline observations, read from one
+/// Sec. III-D: the headline observations, read from the context's one
 /// [`characterize`] pass (the numbers `stream` reports as `batch`).
 pub fn summary(ctx: &Context) -> ExperimentResult {
-    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
+    let h = ctx.headline();
     let rows = vec![
         vec![
             "observation".to_string(),

@@ -9,7 +9,7 @@
 //!   `pai-sched`'s placement and NIC-sharing price, and report
 //!   contention slowdowns and utilization.
 
-use pai_core::{characterize, Architecture, PerfModel, WorkloadFeatures};
+use pai_core::{Architecture, PerfModel, WorkloadFeatures};
 use pai_graph::zoo::{self, inference::all_inference};
 use pai_hw::{Bandwidth, ClusterSpec, LinkKind, LinkModel};
 use pai_sched::{place_mix, templates_from_population, FifoFirstFit, JobTemplate};
@@ -209,7 +209,8 @@ pub fn cluster_upgrade(ctx: &Context) -> Result<ExperimentResult, ReproError> {
 /// every PS/Worker job whose throughput improves on AllReduce-Local is
 /// ported (Sec. III-C1 notes the port "saves system resources
 /// significantly"); the rest stay. Recomputes the Fig. 7 aggregate;
-/// the "before" shares are the [`characterize`] pass `summary` reads.
+/// the "before" shares are the context's one headline pass
+/// ([`Context::headline`]), the one `summary` reads.
 pub fn adoption(ctx: &Context) -> ExperimentResult {
     use pai_core::breakdown::mean_fractions;
     use pai_core::project::{project, ProjectionTarget};
@@ -248,8 +249,7 @@ pub fn adoption(ctx: &Context) -> ExperimentResult {
         }
     }
 
-    let before =
-        characterize(&ctx.model, ctx.population.store(), ctx.threads).cnode_level_fractions;
+    let before = ctx.headline().cnode_level_fractions;
     let after = mean_fractions(&times_after, &weights_after);
     let total_after: f64 = weights_after.iter().sum();
 

@@ -25,7 +25,9 @@ pub mod sensitivity_x;
 pub mod stream;
 pub mod sweeps;
 
-use pai_core::PerfModel;
+use std::sync::OnceLock;
+
+use pai_core::{characterize, HeadlineStats, PerfModel};
 use pai_par::Threads;
 use pai_trace::{Population, PopulationConfig};
 use serde_json::Value;
@@ -68,6 +70,9 @@ pub struct Context {
     /// Every experiment output is bit-for-bit identical at any value —
     /// the `PAI_THREADS` knob only changes wall-clock time.
     pub threads: Threads,
+    /// The one [`characterize()`] pass over the population, run on
+    /// first use.
+    headline: OnceLock<HeadlineStats>,
 }
 
 impl Context {
@@ -105,7 +110,17 @@ impl Context {
             population,
             model: PerfModel::paper_default(),
             threads,
+            headline: OnceLock::new(),
         }
+    }
+
+    /// The population's headline statistics: one [`characterize()`]
+    /// pass per context, run on first use and shared by `summary`, the
+    /// scorecard's fleet claims, `stream`'s batch side, fig7's "all"
+    /// rows and ext-adoption's "before" shares.
+    pub fn headline(&self) -> &HeadlineStats {
+        self.headline
+            .get_or_init(|| characterize(&self.model, self.population.store(), self.threads))
     }
 }
 
@@ -240,5 +255,19 @@ mod tests {
             Err(ReproError::UnknownExperiment { .. })
         ));
         assert!(run_experiment("table1", &ctx).is_ok());
+    }
+
+    #[test]
+    fn the_headline_pass_runs_once_per_context() {
+        let ctx = Context::with_size(200);
+        let first: *const HeadlineStats = ctx.headline();
+        for id in ["summary", "scorecard", "stream", "fig7", "ext-adoption"] {
+            run_experiment(id, &ctx).unwrap();
+        }
+        assert!(std::ptr::eq(first, ctx.headline()));
+        assert_eq!(
+            *ctx.headline(),
+            characterize(&ctx.model, ctx.population.store(), ctx.threads)
+        );
     }
 }

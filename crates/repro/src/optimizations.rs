@@ -12,7 +12,7 @@
 
 use pai_graph::passes::{apply_mixed_precision, fuse_elementwise};
 use pai_graph::zoo::{self, ModelSpec, MultiInterestsConfig};
-use pai_graph::Graph;
+use pai_graph::{Graph, OpClass, OpType};
 use pai_pearl::{comm_plan, ModelComm, Strategy};
 use pai_profiler::validate::plan_for;
 use pai_sim::{SimConfig, StepMeasurement, StepSimulator};
@@ -41,7 +41,7 @@ fn run_variant(
 fn matmul_time(m: &StepMeasurement) -> f64 {
     m.ops
         .iter()
-        .filter(|o| o.kind == "MatMul" || o.kind == "Conv2D")
+        .filter(|o| matches!(o.kind, OpType::MatMul | OpType::Conv2d))
         .map(|o| o.duration.as_f64())
         .sum()
 }
@@ -50,7 +50,7 @@ fn matmul_time(m: &StepMeasurement) -> f64 {
 fn elementwise_time(m: &StepMeasurement) -> f64 {
     m.ops
         .iter()
-        .filter(|o| o.class == "memory-bound")
+        .filter(|o| o.class == OpClass::MemoryBound)
         .map(|o| o.duration.as_f64())
         .sum()
 }

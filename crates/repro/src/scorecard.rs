@@ -4,7 +4,6 @@
 //! This is the machine-checkable core of EXPERIMENTS.md — run
 //! `repro scorecard` to audit the whole reproduction in one shot.
 
-use pai_core::characterize;
 use pai_profiler::validate::validate_all;
 use serde_json::json;
 
@@ -42,9 +41,9 @@ impl Claim {
 }
 
 /// Recomputes every claim from the context. The fleet-level claims
-/// all read one [`characterize`] pass.
+/// all read its one headline pass ([`Context::headline`]).
 pub fn claims(ctx: &Context) -> Vec<Claim> {
-    let h = characterize(&ctx.model, ctx.population.store(), ctx.threads);
+    let h = ctx.headline();
     let mut out = vec![
         // Fleet composition.
         Claim {

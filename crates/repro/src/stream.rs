@@ -3,8 +3,9 @@
 //!
 //! Three passes over the same `(config, seed)` job sequence:
 //!
-//! 1. **Batch**: [`pai_core::characterize`] over the resident columnar
-//!    store at the context's thread count.
+//! 1. **Batch**: the context's one headline pass
+//!    ([`crate::Context::headline`]), [`pai_core::characterize`] over
+//!    the resident columnar store at the context's thread count.
 //! 2. **Streaming**: one job at a time from [`pai_trace::JobStream`]
 //!    into a [`pai_trace::StreamSession`] — no population ever
 //!    resident, constant memory.
@@ -19,7 +20,6 @@
 //! so `target/repro/stream.json` is byte-identical at any
 //! `PAI_THREADS`.
 
-use pai_core::characterize;
 use pai_trace::{JobStream, StreamSession};
 use serde_json::json;
 
@@ -32,7 +32,7 @@ pub const WHATIF_GBPS: [f64; 3] = [50.0, 100.0, 400.0];
 
 /// The `stream` experiment.
 pub fn stream(ctx: &Context) -> ExperimentResult {
-    let batch = characterize(&ctx.model, ctx.population.store(), ctx.threads);
+    let batch = ctx.headline();
 
     let mut session = StreamSession::with_whatif(ctx.model);
     let jobs = JobStream::new(&ctx.config, SEED)
@@ -42,7 +42,7 @@ pub fn stream(ctx: &Context) -> ExperimentResult {
         session.ingest(&job);
     }
     let streamed = session.stats();
-    let identical = batch == streamed;
+    let identical = *batch == streamed;
 
     let index = session
         .into_whatif()

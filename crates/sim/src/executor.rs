@@ -200,20 +200,21 @@ impl StepSimulator {
             .copied()
             .fold(Seconds::ZERO, Seconds::max);
 
-        // Price each op once for every replica: its class, lane
-        // occupancy and pure kernel time, indexed by node.
+        // Price each op once for every replica: its type and class,
+        // lane occupancy and pure kernel time, indexed by node.
         let timing: Vec<_> = graph
             .nodes()
             .map(|(_, op)| {
                 let kind = op.kind();
-                let class = kind.class();
+                let op_type = kind.op_type();
+                let class = op_type.class();
                 if class == OpClass::Io {
                     let volume = kind.pcie_bytes().scale(input_scale as f64);
                     let dur = hw.link(LinkKind::Pcie).transfer_time(volume);
-                    (class, dur, Seconds::ZERO)
+                    (op_type, class, dur, Seconds::ZERO)
                 } else {
                     let kernel = self.kernel_time(kind);
-                    (class, kernel.max(launch_gap), kernel)
+                    (op_type, class, kernel.max(launch_gap), kernel)
                 }
             })
             .collect();
@@ -233,7 +234,7 @@ impl StepSimulator {
             ready.fill(Seconds::ZERO);
             let mut drained = Seconds::ZERO;
             for &id in &order {
-                let (class, dur, _) = timing[id.index()];
+                let (_, class, dur, _) = timing[id.index()];
                 let (begin, finish) = if class == OpClass::Io {
                     pcie.run(ready[id.index()], dur)
                 } else {
@@ -269,7 +270,7 @@ impl StepSimulator {
         let mut kernels = 0usize;
         let mut ops = Vec::with_capacity(if keep_profiles { order.len() } else { 0 });
         for id in &order {
-            let (class, dur, kernel) = timing[id.index()];
+            let (kind, class, dur, kernel) = timing[id.index()];
             if class != OpClass::Io {
                 healthy_compute += dur;
                 let stretched = dur.scale(stretch);
@@ -282,11 +283,10 @@ impl StepSimulator {
                 kernels += 1;
             }
             if keep_profiles {
-                let op = graph.node(*id);
                 ops.push(OpProfile {
-                    name: op.name().to_string(),
-                    kind: op.kind().kind_label().to_string(),
-                    class: class.to_string(),
+                    op: *id,
+                    kind,
+                    class,
                     start: start[id.index()],
                     duration: dur,
                     kernel_time: kernel,
@@ -446,10 +446,25 @@ mod tests {
         let m = StepSimulator::new(SimConfig::testbed())
             .run(&g, &CommPlan::new(), 1)
             .unwrap();
-        assert_eq!(m.ops.len(), g.len());
-        assert!(m.ops.iter().all(|p| !p.name.is_empty()));
+        // One record per node, typed from the node's own kind.
+        let mut seen: Vec<usize> = m.ops.iter().map(|p| p.op.index()).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..g.len()).collect::<Vec<_>>());
+        for p in &m.ops {
+            let kind = g.node(p.op).kind();
+            assert_eq!((p.kind, p.class), (kind.op_type(), kind.class()));
+        }
         // Starts are non-decreasing along the chain.
         assert!(m.ops[0].start <= m.ops[1].start);
+    }
+
+    #[test]
+    fn profiles_round_trip_through_serde() {
+        use serde::{Deserialize as _, Serialize as _};
+        let m = StepSimulator::new(SimConfig::testbed())
+            .run(&toy_graph(), &CommPlan::new(), 1)
+            .unwrap();
+        assert_eq!(StepMeasurement::from_value(&m.to_value()).unwrap(), m);
     }
 
     /// Asserts two measurements agree bit for bit on every field but
@@ -721,8 +736,8 @@ mod tests {
             g.connect(load, join);
             g.connect(mm, join);
             let m = sim.run(&g, &CommPlan::new(), 1).unwrap();
-            let profile = |name: &str| m.ops.iter().find(|p| p.name == name).unwrap();
-            let (load, mm, join) = (profile("in"), profile("mm"), profile("join"));
+            let profile = |id| m.ops.iter().find(|p| p.op == id).unwrap();
+            let (load, mm, join) = (profile(load), profile(mm), profile(join));
             assert!(load.start.is_zero() && mm.start.is_zero());
             let later = load.duration.max(mm.duration);
             assert_ne!(load.duration, mm.duration);

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use pai_graph::{NodeId, OpClass, OpType};
 use pai_hw::{LinkKind, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -9,14 +10,15 @@ use crate::error::SimError;
 
 /// One op's profile record — the `tf.RunMetadata` analog (device
 /// placement, kernel timing, op attributes; Sec. II-B1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OpProfile {
-    /// Op name from the graph.
-    pub name: String,
-    /// Kind label ("MatMul", "ElementWise"…).
-    pub kind: String,
-    /// "compute-bound" / "memory-bound" / "io".
-    pub class: String,
+    /// The op's node in the graph the step ran on; its name is
+    /// `graph.node(op).name()`.
+    pub op: NodeId,
+    /// Op type (MatMul, ElementWise…).
+    pub kind: OpType,
+    /// Resource class.
+    pub class: OpClass,
     /// Scheduled start time within the step.
     pub start: Seconds,
     /// Occupancy duration (kernel time or launch-gap floor).

@@ -14,7 +14,7 @@
 //!   code bypasses them and turns recoverable misconfiguration into an
 //!   abort mid-experiment.
 //! - [`WALL_CLOCK`]: wall-clock and OS-entropy reads make runs
-//!   unreproducible; all randomness must flow from seeded [`SplitMix64`]
+//!   unreproducible; all randomness must flow from seeded `SplitMix64`
 //!   streams and all "time" from the simulated clock.
 //! - [`LOSSY_FLOAT_CAST`]: the model crates carry FLOP/byte counts that
 //!   exceed 2^24; an `as f32` cast silently rounds them and skews every

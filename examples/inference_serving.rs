@@ -52,6 +52,7 @@ fn main() {
         "\nBERT serving profile:\n{}",
         render(
             &meta,
+            bert.graph(),
             &ReportOptions {
                 top_ops: 5,
                 kind_histogram: true
