@@ -77,12 +77,13 @@ pub fn place_mix(
                 capacity: free_gpus,
             });
         }
-        let Some(assignment) = policy.place(job.cnodes, job.sync, &servers.free) else {
+        let mut assignment = Vec::new();
+        if !policy.place(job.cnodes, job.sync, &servers.free_gpus(), &mut assignment) {
             return Err(SchedError::Stalled {
                 policy: policy.name(),
                 job: id,
             });
-        };
+        }
         if !servers.valid(&assignment, job.cnodes) {
             return Err(SchedError::InvalidAssignment {
                 policy: policy.name(),
@@ -93,18 +94,21 @@ pub fn place_mix(
         free_gpus -= job.cnodes;
         assignments.push(assignment);
     }
+    let mut server_set = Vec::new();
     Ok(jobs
         .iter()
         .zip(assignments)
         .map(|(job, assignment)| {
             let eth_time = cluster.ethernet().transfer_time(job.weight_bytes).as_f64();
+            servers.mark(&assignment, &mut server_set);
             let step_time_s = price(
                 job.compute_time,
                 job.sync,
                 job.local_sync_time,
                 &assignment,
+                &server_set,
                 eth_time,
-                &servers.comm,
+                &servers,
             );
             PlacedJob {
                 assignment,
@@ -118,7 +122,7 @@ pub fn place_mix(
 mod tests {
     use super::*;
     use crate::job::SyncClass;
-    use crate::policy::FifoFirstFit;
+    use crate::policy::{FifoFirstFit, FreeGpus};
     use pai_core::{Architecture, WorkloadFeatures};
     use pai_hw::{Bandwidth, Bytes, LinkKind, LinkModel, Seconds};
     use pai_predict::Signature;
@@ -319,8 +323,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "refuse-all"
         }
-        fn place(&self, _: usize, _: SyncClass, _: &[usize]) -> Option<Vec<(usize, usize)>> {
-            None
+        fn place(
+            &self,
+            _: usize,
+            _: SyncClass,
+            _: &FreeGpus<'_>,
+            _: &mut Vec<(usize, usize)>,
+        ) -> bool {
+            false
         }
     }
 
@@ -330,8 +340,15 @@ mod tests {
         fn name(&self) -> &'static str {
             "overcommit"
         }
-        fn place(&self, cnodes: usize, _: SyncClass, _: &[usize]) -> Option<Vec<(usize, usize)>> {
-            Some(vec![(0, cnodes), (0, cnodes)])
+        fn place(
+            &self,
+            cnodes: usize,
+            _: SyncClass,
+            _: &FreeGpus<'_>,
+            out: &mut Vec<(usize, usize)>,
+        ) -> bool {
+            out.extend([(0, cnodes), (0, cnodes)]);
+            true
         }
     }
 

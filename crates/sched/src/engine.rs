@@ -38,14 +38,21 @@
 //! count among its servers (`price`). The counts live in per-server
 //! counters (`Servers`) that the event loop keeps incrementally and
 //! [`crate::place_mix`] fills once for a whole mix on an idle cluster.
-//! A gang with zero weight volume is no sharer: max-min gives a
-//! zero-demand flow no share. A job that shares no NIC (silent, a
-//! local gang contained in one server, or a zero-volume gang) is
-//! priced once, when it starts; sharers are repriced only after an
-//! event that moved a counter. The partial-server count behind the
-//! fragmentation integral is updated wherever a server's free count
-//! changes, so an event that moves no GPUs costs one pass over the
-//! running set to find the next event and one to advance it.
+//! Beside the counters, `Servers` indexes the servers by level: for
+//! every free-GPU count and every sharer count, a bitset of the
+//! servers holding it, updated wherever a counter moves. Policies read
+//! the free index through [`FreeGpus`] and place into a reused buffer;
+//! a gang's worst sharer count is the highest sharer level meeting the
+//! gang's own server bitset. A gang with zero weight volume is no
+//! sharer: max-min gives a zero-demand flow no share. A job that
+//! shares no NIC (silent, a local gang contained in one server, or a
+//! zero-volume gang) is priced once, when it starts; after an event,
+//! only the sharers with a server whose sharer count moved are
+//! repriced. The partial-server count behind the fragmentation
+//! integral is updated wherever a server's free count changes, so an
+//! event that moves no GPUs costs one pass over the running set to
+//! find the next event and one to advance it, and a start allocates
+//! nothing once released gangs' buffers are there to reuse.
 
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -60,7 +67,7 @@ use crate::metrics::{percentile, ClusterMetrics, JobMetrics, BOUNDED_SLOWDOWN_TA
 use crate::order::{
     class_priors_from_jobs, order_for_kind, PredictorSource, QueueOrder, QSSF_STARVATION_AGE_S,
 };
-use crate::policy::{Policy, PolicyKind};
+use crate::policy::{FreeGpus, Policy, PolicyKind};
 
 /// Engine knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -142,6 +149,8 @@ pub struct SchedOutcome {
 struct Running {
     job: usize,
     assignment: Vec<(usize, usize)>,
+    /// The assignment's servers as a bitset ([`Servers::mark`]).
+    server_set: Vec<u64>,
     /// True when the gang counts toward NIC sharing (see
     /// [`Servers::claim`]) — only such a job's price moves with the
     /// counters.
@@ -157,6 +166,10 @@ struct Running {
     boundary_is_crash: bool,
 }
 
+/// An ended gang's assignment and server-set buffers, kept for a
+/// later start to reuse.
+type GangBuffers = (Vec<(usize, usize)>, Vec<u64>);
+
 /// True when a gang's synchronization rides Ethernet from
 /// `assignment`: always for `Ethernet` jobs, only when split across
 /// servers for `Local` ones.
@@ -170,28 +183,23 @@ fn rides_ethernet(sync: SyncClass, assignment: &[(usize, usize)]) -> bool {
     }
 }
 
-/// A gang's per-step time from the sharer counters `comm`: its off-NIC
+/// A gang's per-step time from the sharer counters: its off-NIC
 /// `compute` time plus its synchronization. Riding Ethernet, that is
 /// the solo transfer time `eth_time` dilated by the worst sharer count
-/// among its servers; contained, a `Local` gang pays `local_sync`; a
-/// silent one pays nothing. Only an Ethernet-riding gang's price reads
-/// `comm`.
+/// among its servers, `server_set` ([`Servers::oversub`]); contained, a
+/// `Local` gang pays `local_sync`; a silent one pays nothing. Only an
+/// Ethernet-riding gang's price reads the counters.
 pub(crate) fn price(
     compute: Seconds,
     sync: SyncClass,
     local_sync: Seconds,
     assignment: &[(usize, usize)],
+    server_set: &[u64],
     eth_time: f64,
-    comm: &[usize],
+    servers: &Servers,
 ) -> f64 {
     let sync_term = if rides_ethernet(sync, assignment) {
-        let oversub = assignment
-            .iter()
-            .map(|&(server, _)| comm[server])
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        eth_time * oversub as f64
+        eth_time * servers.oversub(server_set) as f64
     } else if sync == SyncClass::Local {
         local_sync.as_f64()
     } else {
@@ -200,13 +208,59 @@ pub(crate) fn price(
     compute.as_f64() + sync_term
 }
 
-/// Per-server occupancy: free GPUs, NIC sharers, and the
-/// partial-server count, kept in step with every change to `free`.
+/// True when bitsets `a` and `b` share a server.
+fn meets(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// Servers indexed by a per-server count: for each count
+/// `0..=capacity`, a bitset of the servers holding it, `words` 64-bit
+/// words long (bit `s % 64` of word `s / 64` is server `s`).
+struct Levels {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Levels {
+    /// `servers` servers, every one at `count`, for counts up to
+    /// `capacity`.
+    fn new(servers: usize, words: usize, capacity: usize, count: usize) -> Self {
+        let mut bits = vec![0u64; (capacity + 1) * words];
+        for server in 0..servers {
+            bits[count * words + server / 64] |= 1 << (server % 64);
+        }
+        Levels { words, bits }
+    }
+
+    /// The servers at `count`.
+    fn level(&self, count: usize) -> &[u64] {
+        &self.bits[count * self.words..(count + 1) * self.words]
+    }
+
+    /// Moves `server` from count `from` to count `to`.
+    fn shift(&mut self, server: usize, from: usize, to: usize) {
+        let (word, bit) = (server / 64, 1u64 << (server % 64));
+        self.bits[from * self.words + word] &= !bit;
+        self.bits[to * self.words + word] |= bit;
+    }
+}
+
+/// Per-server occupancy: free GPUs, NIC sharers, their level indices,
+/// and the partial-server count, kept in step with every change to
+/// `free` and `comm`.
 pub(crate) struct Servers {
     /// Idle GPUs per server.
-    pub(crate) free: Vec<usize>,
-    /// NIC-sharing replicas per server.
-    pub(crate) comm: Vec<usize>,
+    free: Vec<usize>,
+    /// NIC-sharing replicas per server; never above `per_server`, since
+    /// each sharer holds one of the server's GPUs.
+    comm: Vec<usize>,
+    /// The servers by `free`.
+    by_free: Levels,
+    /// The servers by `comm`.
+    by_comm: Levels,
+    /// The servers whose `comm` moved since the last
+    /// [`Servers::settle`].
+    moved: Vec<u64>,
     /// Servers neither idle nor full — the fragmentation integrand.
     partial: usize,
     per_server: usize,
@@ -217,14 +271,23 @@ pub(crate) struct Servers {
 
 impl Servers {
     pub(crate) fn new(num_servers: usize, per_server: usize) -> Self {
+        let words = num_servers.div_ceil(64).max(1);
         Servers {
             free: vec![per_server; num_servers],
             comm: vec![0; num_servers],
+            by_free: Levels::new(num_servers, words, per_server, per_server),
+            by_comm: Levels::new(num_servers, words, per_server, 0),
+            moved: vec![0; words],
             partial: 0,
             per_server,
             seen: vec![0; num_servers],
             epoch: 0,
         }
+    }
+
+    /// The idle GPUs as a policy sees them.
+    pub(crate) fn free_gpus(&self) -> FreeGpus<'_> {
+        FreeGpus::new(&self.free, &self.by_free.bits, self.by_free.words)
     }
 
     /// True when `assignment` names distinct in-range servers, each
@@ -261,7 +324,7 @@ impl Servers {
         for &(server, count) in assignment {
             self.set_free(server, self.free[server] - count);
             if shares_nic {
-                self.comm[server] += count;
+                self.set_comm(server, self.comm[server] + count);
             }
         }
         shares_nic
@@ -273,7 +336,7 @@ impl Servers {
         for &(server, count) in assignment {
             self.set_free(server, self.free[server] + count);
             if shares_nic {
-                self.comm[server] -= count;
+                self.set_comm(server, self.comm[server] - count);
             }
         }
     }
@@ -282,8 +345,68 @@ impl Servers {
         let per_server = self.per_server;
         let is_partial = |idle: usize| usize::from(idle > 0 && idle < per_server);
         self.partial = self.partial + is_partial(idle) - is_partial(self.free[server]);
+        self.by_free.shift(server, self.free[server], idle);
         self.free[server] = idle;
     }
+
+    fn set_comm(&mut self, server: usize, sharers: usize) {
+        self.by_comm.shift(server, self.comm[server], sharers);
+        self.comm[server] = sharers;
+        self.moved[server / 64] |= 1 << (server % 64);
+    }
+
+    /// Writes `assignment`'s servers into `server_set` as a bitset.
+    pub(crate) fn mark(&self, assignment: &[(usize, usize)], server_set: &mut Vec<u64>) {
+        server_set.clear();
+        server_set.resize(self.by_comm.words, 0);
+        for &(server, _) in assignment {
+            server_set[server / 64] |= 1 << (server % 64);
+        }
+    }
+
+    /// The worst sharer count among the servers in `server_set`, at
+    /// least 1: the highest sharer level that meets the set.
+    fn oversub(&self, server_set: &[u64]) -> usize {
+        (2..=self.per_server)
+            .rev()
+            .find(|&sharers| meets(self.by_comm.level(sharers), server_set))
+            .unwrap_or(1)
+    }
+
+    /// True when a server in `server_set` moved its sharer count since
+    /// the last [`Servers::settle`].
+    fn moved_in(&self, server_set: &[u64]) -> bool {
+        meets(&self.moved, server_set)
+    }
+
+    /// Forgets which sharer counts moved.
+    fn settle(&mut self) {
+        self.moved.fill(0);
+    }
+
+    /// A cluster of `free.len()` servers of `per_server` GPUs, server
+    /// `s` with `free[s]` of them idle.
+    #[cfg(test)]
+    pub(crate) fn with_free(free: &[usize], per_server: usize) -> Servers {
+        let mut servers = Servers::new(free.len(), per_server);
+        for (server, &idle) in free.iter().enumerate() {
+            servers.set_free(server, idle);
+        }
+        servers
+    }
+}
+
+/// The worst sharer count among `assignment`'s servers, at least 1,
+/// by walking the assignment: the reference [`Servers::oversub`] is
+/// tested against.
+#[cfg(test)]
+fn oversub_by_walk(assignment: &[(usize, usize)], comm: &[usize]) -> usize {
+    assignment
+        .iter()
+        .map(|&(server, _)| comm[server])
+        .max()
+        .unwrap_or(1)
+        .max(1)
 }
 
 /// Per-job bookkeeping that survives crash requeues.
@@ -645,6 +768,10 @@ pub fn run_ordered(
         .collect();
     let mut servers = Servers::new(num_servers, per_server);
     let mut running: Vec<Running> = Vec::new();
+    // The policy's output buffer, and ended gangs' assignment and
+    // server-set buffers for later starts to reuse.
+    let mut placement: Vec<(usize, usize)> = Vec::new();
+    let mut spare: Vec<GangBuffers> = Vec::new();
     let mut queue = ReadyQueue::new(jobs.len(), ordered, starvation_age);
     let mut waiting: Vec<(f64, usize)> = Vec::new();
     let mut events: Vec<EventRecord> = Vec::new();
@@ -737,6 +864,7 @@ pub fn run_ordered(
                 let r = running.swap_remove(slot);
                 servers.release(&r.assignment, r.shares_nic);
                 comm_changed |= r.shares_nic;
+                spare.push((r.assignment, r.server_set));
                 busy_gpus -= jobs[r.job].cnodes;
                 let s = &mut state[r.job];
                 s.executed = r.boundary;
@@ -798,18 +926,21 @@ pub fn run_ordered(
             if capacity - busy_gpus < j.cnodes {
                 break;
             }
-            let assignment = match policy.place(j.cnodes, j.sync, &servers.free) {
-                Some(a) => a,
-                None => break,
-            };
-            if !servers.valid(&assignment, j.cnodes) {
+            placement.clear();
+            if !policy.place(j.cnodes, j.sync, &servers.free_gpus(), &mut placement) {
+                break;
+            }
+            if !servers.valid(&placement, j.cnodes) {
                 return Err(SchedError::InvalidAssignment {
                     policy: policy.name(),
                     job: j.id,
                 });
             }
             queue.serve(head);
+            let (mut assignment, mut server_set) = spare.pop().unwrap_or_default();
+            std::mem::swap(&mut assignment, &mut placement);
             let shares_nic = servers.claim(&assignment, j.sync, j.weight_bytes);
+            servers.mark(&assignment, &mut server_set);
             comm_changed |= shares_nic;
             busy_gpus += j.cnodes;
             let s = &mut state[head];
@@ -832,12 +963,14 @@ pub fn run_ordered(
                 j.sync,
                 j.local_sync_time,
                 &assignment,
+                &server_set,
                 eth_time[head],
-                &servers.comm,
+                &servers,
             );
             running.push(Running {
                 job: head,
                 assignment,
+                server_set,
                 shares_nic,
                 executed: s.executed,
                 step_time,
@@ -847,18 +980,25 @@ pub fn run_ordered(
             record(&mut events, &mut seq, now, EventKind::Start, head);
         }
 
+        // Only a sharer with a server whose count moved can price
+        // differently now.
         if comm_changed {
-            for r in running.iter_mut().filter(|r| r.shares_nic) {
+            for r in running
+                .iter_mut()
+                .filter(|r| r.shares_nic && servers.moved_in(&r.server_set))
+            {
                 let j = &jobs[r.job];
                 r.step_time = price(
                     j.compute_time,
                     j.sync,
                     j.local_sync_time,
                     &r.assignment,
+                    &r.server_set,
                     eth_time[r.job],
-                    &servers.comm,
+                    &servers,
                 );
             }
+            servers.settle();
         }
     }
 
@@ -1043,6 +1183,38 @@ mod tests {
         assert!((out.jobs[1].jct_s - 40.0 * contended).abs() < 1e-9);
         // 40 contended steps clear the bounded-slowdown floor.
         assert!(out.jobs[0].slowdown > 1.0);
+    }
+
+    #[test]
+    fn contended_step_times_match_across_a_bitset_word_boundary() {
+        // 72 servers take two bitset words. A 135-replica spread gang
+        // lands two replicas on servers 0–62 and one on 63–71, so a
+        // 2-replica spread gang then takes servers 63 and 64, one on
+        // each side of the boundary. Every NIC the two share carries
+        // two sharers, and so does each of the wide gang's first 63
+        // servers.
+        let testbed = cluster();
+        let c = ClusterSpec::new(*testbed.server(), 72, testbed.ethernet());
+        let wide = job(0, 0.0, 40, 135, SyncClass::Ethernet);
+        let narrow = job(1, 0.0, 40, 2, SyncClass::Ethernet);
+        let jobs = [wide.clone(), narrow.clone()];
+        let out = run(&c, &jobs, &Spread, &cfg()).expect("runs");
+        let snapshot =
+            crate::place_mix(&c, &[template(&wide), template(&narrow)], &Spread).expect("fits");
+        let expected: Vec<(usize, usize)> =
+            (0..72).map(|s| (s, if s < 63 { 2 } else { 1 })).collect();
+        assert_eq!(snapshot[0].assignment, expected);
+        assert_eq!(snapshot[1].assignment, vec![(63, 1), (64, 1)]);
+        for (j, placed) in jobs.iter().zip(&snapshot) {
+            let contended =
+                j.compute_time.as_f64() + c.ethernet().transfer_time(j.weight_bytes).as_f64() * 2.0;
+            assert_eq!(placed.step_time_s.to_bits(), contended.to_bits());
+        }
+        // Both gangs run contended until both finish together, at the
+        // step time the one-shot placement prices.
+        for (m, placed) in out.jobs.iter().zip(&snapshot) {
+            assert!((m.jct_s - 40.0 * placed.step_time_s).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -1234,8 +1406,14 @@ mod tests {
         fn name(&self) -> &'static str {
             "refuse-all"
         }
-        fn place(&self, _: usize, _: SyncClass, _: &[usize]) -> Option<Vec<(usize, usize)>> {
-            None
+        fn place(
+            &self,
+            _: usize,
+            _: SyncClass,
+            _: &FreeGpus<'_>,
+            _: &mut Vec<(usize, usize)>,
+        ) -> bool {
+            false
         }
     }
 
@@ -1244,8 +1422,15 @@ mod tests {
         fn name(&self) -> &'static str {
             "overcommit"
         }
-        fn place(&self, cnodes: usize, _: SyncClass, _: &[usize]) -> Option<Vec<(usize, usize)>> {
-            Some(vec![(0, cnodes), (0, cnodes)])
+        fn place(
+            &self,
+            cnodes: usize,
+            _: SyncClass,
+            _: &FreeGpus<'_>,
+            out: &mut Vec<(usize, usize)>,
+        ) -> bool {
+            out.extend([(0, cnodes), (0, cnodes)]);
+            true
         }
     }
 
@@ -1301,13 +1486,14 @@ mod tests {
             &self,
             cnodes: usize,
             sync: SyncClass,
-            free: &[usize],
-        ) -> Option<Vec<(usize, usize)>> {
+            free: &FreeGpus<'_>,
+            out: &mut Vec<(usize, usize)>,
+        ) -> bool {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            if free.iter().sum::<usize>() < cnodes {
+            if free.per_server().iter().sum::<usize>() < cnodes {
                 self.short.fetch_add(1, Ordering::Relaxed);
             }
-            FifoFirstFit.place(cnodes, sync, free)
+            FifoFirstFit.place(cnodes, sync, free, out)
         }
     }
 
@@ -1502,6 +1688,113 @@ mod tests {
                 }
                 let expected = select_head(&scan, ordered, now, STARVE).map(|i| scan[i].job);
                 prop_assert_eq!(index.head(now), expected);
+            }
+        }
+    }
+
+    /// Servers in the level-index workout (two bitset words).
+    const INDEX_SERVERS: usize = 100;
+    /// GPUs per server in the workout.
+    const INDEX_GPUS: usize = 8;
+
+    /// One step of a level-index workout: claim the `(server, count)`
+    /// picks clamped to the free GPUs, with a sync class and a weight
+    /// volume, or release the `n`-th (mod the count) live gang.
+    #[derive(Debug, Clone)]
+    enum IndexOp {
+        Claim(Vec<(usize, usize)>, u8, bool),
+        Release(usize),
+    }
+
+    fn index_op() -> impl Strategy<Value = IndexOp> {
+        let picks = proptest::collection::vec((0..INDEX_SERVERS, 1..=INDEX_GPUS), 1..12);
+        prop_oneof![
+            (picks, 0u8..3, any::<bool>()).prop_map(|(p, sync, w)| IndexOp::Claim(p, sync, w)),
+            (0usize..64).prop_map(IndexOp::Release),
+        ]
+    }
+
+    /// Both level indices against a recount of their counters.
+    fn check_indices(servers: &Servers) -> Result<(), TestCaseError> {
+        for (levels, counts, name) in [
+            (&servers.by_free, &servers.free, "free"),
+            (&servers.by_comm, &servers.comm, "comm"),
+        ] {
+            for count in 0..=INDEX_GPUS {
+                let set = levels.level(count);
+                for (s, &at) in counts.iter().enumerate() {
+                    let bit = set[s / 64] >> (s % 64) & 1 == 1;
+                    prop_assert_eq!(bit, at == count, "{} index: server {} at {}", name, s, at);
+                }
+                // No bit past the last server.
+                let listed: u32 = set.iter().map(|w| w.count_ones()).sum();
+                let held = counts.iter().filter(|&&at| at == count).count();
+                prop_assert_eq!(listed as usize, held);
+            }
+        }
+        let partial = servers
+            .free
+            .iter()
+            .filter(|&&idle| idle > 0 && idle < INDEX_GPUS)
+            .count();
+        prop_assert_eq!(servers.partial, partial);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random claims and releases on a 100-server cluster: after
+        /// every step the free and sharer indices partition the servers
+        /// exactly by their counters, the partial count matches a
+        /// recount, and the index's worst sharer count for every live
+        /// gang and for the step's picks equals the assignment walk.
+        #[test]
+        fn level_indices_track_the_counters(
+            ops in proptest::collection::vec(index_op(), 1..200),
+        ) {
+            let mut servers = Servers::new(INDEX_SERVERS, INDEX_GPUS);
+            let mut live: Vec<(Vec<(usize, usize)>, bool)> = Vec::new();
+            let mut server_set = Vec::new();
+            for op in ops {
+                let mut probe = Vec::new();
+                match op {
+                    IndexOp::Claim(picks, sync, weighted) => {
+                        let mut assignment: Vec<(usize, usize)> = Vec::new();
+                        for (server, count) in picks {
+                            let count = count.min(servers.free[server]);
+                            if count > 0 && assignment.iter().all(|&(s, _)| s != server) {
+                                assignment.push((server, count));
+                            }
+                            probe.push((server, 1));
+                        }
+                        if !assignment.is_empty() {
+                            let cnodes = assignment.iter().map(|&(_, c)| c).sum();
+                            prop_assert!(servers.valid(&assignment, cnodes));
+                            let sync = [SyncClass::Silent, SyncClass::Local, SyncClass::Ethernet]
+                                [usize::from(sync)];
+                            let weight = if weighted { Bytes::from_mb(1.0) } else { Bytes::ZERO };
+                            let shares_nic = servers.claim(&assignment, sync, weight);
+                            live.push((assignment, shares_nic));
+                        }
+                    }
+                    IndexOp::Release(n) => {
+                        if !live.is_empty() {
+                            let (assignment, shares_nic) = live.swap_remove(n % live.len());
+                            servers.release(&assignment, shares_nic);
+                        }
+                    }
+                }
+                check_indices(&servers)?;
+                probe.sort_unstable();
+                probe.dedup();
+                for assignment in live.iter().map(|(a, _)| a).chain([&probe]) {
+                    servers.mark(assignment, &mut server_set);
+                    prop_assert_eq!(
+                        servers.oversub(&server_set),
+                        oversub_by_walk(assignment, &servers.comm)
+                    );
+                }
             }
         }
     }

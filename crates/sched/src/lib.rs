@@ -52,7 +52,9 @@ pub use order::{
     class_priors, class_priors_from_jobs, order_for_kind, PredictorSource, QssfConfig, QueueOrder,
     QSSF_STARVATION_AGE_S,
 };
-pub use policy::{BestFitPacked, FifoFirstFit, LocalityAware, Policy, PolicyKind, Spread};
+pub use policy::{
+    BestFitPacked, FifoFirstFit, FreeGpus, LocalityAware, Policy, PolicyKind, Spread,
+};
 pub use stream::{
     realize_stream, templates_from_population, templates_with, ArrivalConfig, JobTemplate,
 };
