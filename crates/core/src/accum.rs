@@ -149,7 +149,9 @@ impl FracHist {
     ///
     /// [`CheckpointError::Truncated`] when the payload ends early and
     /// [`CheckpointError::InvalidField`] when the bin count is not the
-    /// 256 bins this build uses.
+    /// 256 bins this build uses or the bins add up past `u64::MAX`
+    /// (no recording sequence reaches that total, and
+    /// [`FracHist::total`] could not report it).
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<FracHist, CheckpointError> {
         let bins_len = r.u32()? as usize;
         if bins_len != FRAC_BINS {
@@ -161,6 +163,9 @@ impl FracHist {
         for bin in &mut bins {
             *bin = r.u64()?;
         }
+        if checked_total(&bins).is_none() {
+            return Err(CheckpointError::InvalidField { field: "comm_hist" });
+        }
         Ok(FracHist { bins })
     }
 }
@@ -169,6 +174,14 @@ impl Default for FracHist {
     fn default() -> Self {
         FracHist::new()
     }
+}
+
+/// The sum of `counts`, or `None` past `u64::MAX`: the decoder's
+/// overflow-total form of the sums [`HeadlineAccum::stats`] takes.
+fn checked_total(counts: &[u64]) -> Option<u64> {
+    counts
+        .iter()
+        .try_fold(0u64, |total, &count| total.checked_add(count))
 }
 
 /// The mergeable, bounded-memory accumulator behind every headline
@@ -262,6 +275,14 @@ impl HeadlineAccum {
     /// heap allocation per job, so memory stays bounded at any stream
     /// length.
     pub fn ingest(&mut self, job: &WorkloadFeatures) {
+        self.ingest_priced(job, &self.model.terms(job));
+    }
+
+    /// [`HeadlineAccum::ingest`] with the job's Eq. 1 terms already
+    /// derived, for a caller that hands one pricing to several
+    /// consumers (a stream session feeds the same terms to its
+    /// [`WhatIfIndex`]). `terms` must be `self.model().terms(job)`.
+    pub fn ingest_priced(&mut self, job: &WorkloadFeatures, terms: &Eq1Terms) {
         let idx = job.arch().index();
         self.jobs += 1;
         self.class_counts[idx] += 1;
@@ -269,8 +290,7 @@ impl HeadlineAccum {
         if job.weight_bytes().as_gb() < SMALL_MODEL_GB {
             self.small_models += 1;
         }
-        let terms = self.model.terms(job);
-        let ct = self.model.combine(&terms);
+        let ct = self.model.combine(terms);
         // The three classes whose breakdowns Sec. III-B/D aggregates
         // (Fig. 7): 1w1g, 1wng and PS/Worker.
         if matches!(
@@ -289,7 +309,7 @@ impl HeadlineAccum {
             self.analyzed_cnodes += w;
         }
         if job.arch() == Architecture::PsWorker {
-            self.ingest_ps(job, &terms, &ct);
+            self.ingest_ps(job, terms, &ct);
         }
     }
 
@@ -507,11 +527,22 @@ impl HeadlineAccum {
     /// The cross-field invariants every reachable accumulator state
     /// satisfies; decoded state that violates one is corrupt even if
     /// its checksum verifies.
+    ///
+    /// Every sum is taken with checked arithmetic: the counters are
+    /// hostile until validated, and a total past `u64::MAX` is
+    /// rejected here rather than left to overflow in
+    /// [`HeadlineAccum::stats`] or the session's position check. The
+    /// histogram's total was checked by [`FracHist::decode_from`].
     fn validate_decoded(&self) -> Result<(), CheckpointError> {
         let invalid = |field: &'static str| CheckpointError::InvalidField { field };
-        let class_sum: u64 = self.class_counts.iter().sum();
-        if class_sum != self.jobs {
+        if checked_total(&self.class_counts) != Some(self.jobs) {
             return Err(invalid("class_counts"));
+        }
+        if checked_total(&self.cnode_totals).is_none() {
+            return Err(invalid("cnode_totals"));
+        }
+        if checked_total(&self.quarantined).is_none() {
+            return Err(invalid("quarantined"));
         }
         if self.ps_jobs != self.class_counts[Architecture::PsWorker.index()] {
             return Err(invalid("ps_jobs"));
@@ -759,11 +790,17 @@ impl WhatIfIndex {
     /// indexed. Amortized allocation-free (one arena segment per 1024
     /// indexed jobs).
     pub fn push(&mut self, job: &WorkloadFeatures) -> bool {
+        job.arch() == Architecture::PsWorker && self.push_priced(job, &self.model.terms(job))
+    }
+
+    /// [`WhatIfIndex::push`] with the job's Eq. 1 terms already
+    /// derived (see [`HeadlineAccum::ingest_priced`]). `terms` must be
+    /// `self.model().terms(job)`.
+    pub fn push_priced(&mut self, job: &WorkloadFeatures, terms: &Eq1Terms) -> bool {
         if job.arch() != Architecture::PsWorker {
             return false;
         }
         // PS/Worker's Table II path is Ethernet, then PCIe.
-        let terms = self.model.terms(job);
         let [eth, pcie] = terms.weight;
         self.base
             .push(terms.data_io.as_f64() + (terms.compute_bound + terms.memory_bound).as_f64());
@@ -823,8 +860,9 @@ impl WhatIfIndex {
     ///
     /// The declared row count is checked against the bytes actually
     /// remaining *before* any allocation, so a corrupt length prefix
-    /// cannot trigger an absurd reservation; every decoded time must
-    /// be finite and non-negative.
+    /// cannot trigger an absurd reservation. Each column is then read
+    /// as one bounds-checked block of `rows × 8` bytes, and every
+    /// decoded time must be finite and non-negative.
     ///
     /// # Errors
     ///
@@ -849,19 +887,18 @@ impl WhatIfIndex {
             });
         }
         let mut index = WhatIfIndex::new(model);
-        for field in ["whatif.base", "whatif.eth", "whatif.pcie"] {
-            let mut column = ChunkedVec::new();
-            for _ in 0..rows {
-                let value = r.f64()?;
+        for (field, column) in [
+            ("whatif.base", &mut index.base),
+            ("whatif.eth", &mut index.eth),
+            ("whatif.pcie", &mut index.pcie),
+        ] {
+            let (words, _) = r.take(rows * 8)?.as_chunks::<8>();
+            for &word in words {
+                let value = f64::from_le_bytes(word);
                 if !value.is_finite() || value < 0.0 {
                     return Err(CheckpointError::InvalidField { field });
                 }
                 column.push(value);
-            }
-            match field {
-                "whatif.base" => index.base = column,
-                "whatif.eth" => index.eth = column,
-                _ => index.pcie = column,
             }
         }
         Ok(index)

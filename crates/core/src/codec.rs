@@ -11,6 +11,14 @@
 //! sequence — every malformed input maps to a typed
 //! [`CheckpointError`]. The fuzz-style corpus test in `pai-trace`
 //! (every single-byte truncation, seeded bit flips) pins that contract.
+//!
+//! The trailer checksum is the IEEE CRC-32, computed by a safe
+//! slicing-by-16 kernel ([`crc32`]) over sixteen 256-entry tables built
+//! at compile time. A checkpoint seals every what-if row and a resume
+//! verifies them all, so this kernel bounds how fast a session can
+//! checkpoint and resume. It returns the classic byte-at-a-time value
+//! for every input, so the format does not depend on which kernel
+//! wrote it.
 
 use std::fmt;
 
@@ -292,10 +300,17 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// The reflected CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) lookup
-/// table, built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// The slicing-by-16 lookup tables of the reflected CRC-32 (IEEE 802.3,
+/// polynomial `0xEDB88320`), built at compile time.
+///
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table: the CRC
+/// register after shifting one byte through it. `CRC32_TABLES[k][b]`
+/// is that value shifted on through `k` more zero bytes, so a byte
+/// that sits `k` places before the end of a 16-byte block contributes
+/// `CRC32_TABLES[k][b]` to the register after the block, and the
+/// sixteen contributions combine by XOR (CRC is linear over GF(2)).
+const CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -308,18 +323,57 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// The CRC-32 (IEEE) of `bytes` — the checkpoint trailer checksum.
+///
+/// Slicing-by-16: a 16-byte block costs sixteen independent table
+/// lookups, where the byte-at-a-time loop chains one lookup per byte
+/// through the register. Only the block's first four bytes meet the
+/// register, so the twelve lookups of the other bytes are folded
+/// first, off the loop-carried path, which is then one load and two
+/// XORs deep. The tail of fewer than 16 bytes takes the byte-at-a-time
+/// step. The value is the byte-at-a-time CRC's for every input, so
+/// trailers written by either kernel verify under the other.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let (blocks, tail) = bytes.as_chunks::<16>();
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let idx = ((crc ^ b as u32) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
+    for block in blocks {
+        let [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14, b15] = *block;
+        let rest = t[11][b4 as usize]
+            ^ t[10][b5 as usize]
+            ^ t[9][b6 as usize]
+            ^ t[8][b7 as usize]
+            ^ t[7][b8 as usize]
+            ^ t[6][b9 as usize]
+            ^ t[5][b10 as usize]
+            ^ t[4][b11 as usize]
+            ^ t[3][b12 as usize]
+            ^ t[2][b13 as usize]
+            ^ t[1][b14 as usize]
+            ^ t[0][b15 as usize];
+        let [r0, r1, r2, r3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = rest
+            ^ (t[15][r0 as usize] ^ t[14][r1 as usize])
+            ^ (t[13][r2 as usize] ^ t[12][r3 as usize]);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc as u8) ^ b) as usize];
     }
     !crc
 }
@@ -392,12 +446,53 @@ pub fn model_fingerprint(model: &PerfModel) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time CRC-32 over the first table: the reference
+    /// the slicing kernel must match for every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            let idx = ((crc ^ b as u32) & 0xFF) as usize;
+            crc = (crc >> 8) ^ CRC32_TABLES[0][idx];
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_matches_the_reference_vector() {
         // The canonical IEEE check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Every length 0..=64 at every start offset 0..16: each tail
+    /// length after zero to four whole blocks, at every misalignment.
+    #[test]
+    fn crc32_matches_the_bytewise_loop_at_every_length_and_offset() {
+        let buf: Vec<u8> = (0u32..80)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        #[cfg_attr(miri, ignore = "256 buffers of up to 4 KiB are too slow under miri")]
+        fn crc32_matches_the_bytewise_loop_on_random_buffers(
+            bytes in proptest::collection::vec(0u8..=255, 0..4097),
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]

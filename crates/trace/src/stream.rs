@@ -206,11 +206,13 @@ impl StreamSession {
         }
     }
 
-    /// Folds one job into the session.
+    /// Folds one job into the session. The job is priced once; the
+    /// accumulator and the what-if index share its Eq. 1 terms.
     pub fn ingest(&mut self, job: &WorkloadFeatures) {
-        self.pending.ingest(job);
+        let terms = self.model.terms(job);
+        self.pending.ingest_priced(job, &terms);
         if let Some(index) = &mut self.whatif {
-            index.push(job);
+            index.push_priced(job, &terms);
         }
         self.pending_len += 1;
         if self.pending_len == JOB_CHUNK {
@@ -426,7 +428,9 @@ impl StreamSession {
             None
         };
         r.finish()?;
-        if position != running.jobs() + running.quarantined_total() {
+        // The quarantine total fits (the decoder checked it); the sum
+        // with the job count may still not.
+        if running.jobs().checked_add(running.quarantined_total()) != Some(position) {
             return Err(CheckpointError::InvalidField { field: "position" }.into());
         }
         if !running.jobs().is_multiple_of(JOB_CHUNK as u64) {

@@ -1,15 +1,20 @@
 //! Crash-safety suite for the streaming checkpoint codec.
 //!
-//! Two contracts from the ISSUE, pinned end to end:
+//! Three contracts, pinned end to end:
 //!
 //! - **Decode totality**: no byte sequence may panic the decoder.
 //!   Every single-byte truncation of a valid checkpoint and a seeded
 //!   corpus of bit flips must come back as a typed
-//!   [`CheckpointError`].
+//!   [`CheckpointError`], and so must counters whose sums pass
+//!   `u64::MAX` under a valid CRC.
 //! - **Interrupted ≡ uninterrupted**: killing the stream at *any*
 //!   chunk boundary and resuming from the checkpoint yields
 //!   bit-identical statistics and what-if artifacts to a run that
 //!   never died, at 1/2/4/8 worker threads.
+//! - **A fixed format**: the bytes a session writes are pinned, so a
+//!   faster encoder or checksum cannot change what older builds read.
+
+use std::sync::OnceLock;
 
 use pai_core::{characterize, CheckpointError, PerfModel, RawFeatures};
 use pai_faults::ChaosPlan;
@@ -38,6 +43,14 @@ fn rich_checkpoint() -> Vec<u8> {
     bad.mem_access_bytes = f64::NEG_INFINITY;
     assert!(!session.ingest_untrusted(&bad).unwrap());
     session.checkpoint().unwrap()
+}
+
+/// Rewrites the CRC trailer over the (edited) payload, so only the
+/// edit itself is wrong.
+fn reseal(bytes: &mut [u8]) {
+    let n = bytes.len();
+    let crc = pai_core::crc32(&bytes[..n - 4]);
+    bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[test]
@@ -124,10 +137,7 @@ fn garbage_prefixes_are_rejected_with_precise_errors() {
     // Right magic, future version.
     let mut bytes = StreamSession::new(model).checkpoint().unwrap();
     bytes[4] = 0xFF;
-    // Recompute the CRC so only the version is wrong.
-    let crc = pai_core::crc32(&bytes[..bytes.len() - 4]);
-    let n = bytes.len();
-    bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    reseal(&mut bytes);
     assert!(matches!(
         StreamSession::resume(model, &bytes).unwrap_err(),
         TraceError::Checkpoint(CheckpointError::UnsupportedVersion { .. })
@@ -181,6 +191,179 @@ fn resume_across_thread_counts_matches_batch_exactly() {
     }
 }
 
+/// The empty session's checkpoint, byte for byte. The literal was read
+/// from a build with the byte-at-a-time CRC, so a faster encoder or
+/// checksum that passes writes the format older builds read.
+const EMPTY_CHECKPOINT_HEX: &str = concat!(
+    // magic `PAIC`, version 1, flags 0, reserved 0
+    "5041494301000000",
+    // fingerprint of `PerfModel::paper_default()`
+    "f13bd175617ff2bc",
+    // position 0
+    "0000000000000000",
+    // `HeadlineAccum` before the histogram: jobs, class counts, cNode totals,
+    // small models, analyzed jobs and cNodes, fraction sums, PS jobs and PS
+    // jobs over 80% comm, 24 zero words
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    // `FracHist` bin count 256, then 256 zero bins
+    "0001000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "00000000",
+    // 100 GbE ratio sum, AllReduce-Local and -Cluster counters and sums:
+    // 8 zero words
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    // five zero quarantine counters
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000",
+    // CRC-32 trailer
+    "025a21a2",
+);
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// FNV-1a 64 over every byte: a digest of the whole checkpoint that
+/// does not go through the CRC under test.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn the_empty_session_checkpoint_is_pinned_byte_for_byte() {
+    let model = PerfModel::paper_default();
+    let bytes = StreamSession::new(model).checkpoint().unwrap();
+    assert_eq!(hex(&bytes), EMPTY_CHECKPOINT_HEX);
+    assert!(StreamSession::resume(model, &bytes).is_ok());
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "population generation is too slow under miri")]
+fn the_rich_checkpoint_length_trailer_and_digest_are_pinned() {
+    let bytes = rich_checkpoint();
+    let n = bytes.len();
+    assert_eq!(n, 16_472);
+    let trailer = u32::from_le_bytes([bytes[n - 4], bytes[n - 3], bytes[n - 2], bytes[n - 1]]);
+    assert_eq!(trailer, 0xb563_330b);
+    assert_eq!(fnv1a64(&bytes), 0xb7a4_0012_cae8_930b);
+}
+
+/// Writes `u64::MAX` and `1` into the 8-byte words at `offset` and
+/// `offset + 8`: each fits, but their sum does not.
+fn overflow_pair(bytes: &[u8], offset: usize) -> Vec<u8> {
+    let mut edited = bytes.to_vec();
+    edited[offset..offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    edited[offset + 8..offset + 16].copy_from_slice(&1u64.to_le_bytes());
+    reseal(&mut edited);
+    edited
+}
+
+/// Counter arrays whose sums the decoder checks or `stats()` takes,
+/// by byte offset in a checkpoint: overflowing any of them under a
+/// valid CRC is an `InvalidField`, never a panic or a wrapped total.
+#[test]
+fn counter_sums_past_u64_max_are_invalid_fields() {
+    let model = PerfModel::paper_default();
+    let bytes = StreamSession::new(model).checkpoint().unwrap();
+    for (offset, field) in [
+        (32, "class_counts"),
+        (72, "cnode_totals"),
+        (220, "comm_hist"),
+        (2_332, "quarantined"),
+    ] {
+        match StreamSession::resume(model, &overflow_pair(&bytes, offset)) {
+            Err(TraceError::Checkpoint(CheckpointError::InvalidField { field: got })) => {
+                assert_eq!(got, field, "words at {offset}");
+            }
+            Err(e) => panic!("words at {offset}: {e}"),
+            Ok(session) => panic!(
+                "words at {offset} resumed; ps_cnode_share {}",
+                session.stats().ps_cnode_share
+            ),
+        }
+    }
+}
+
+/// Offsets of the position word and of every 8-byte accumulator field
+/// of a checkpoint: the 24 words before the histogram, its 256 bins
+/// and the 13 words after it.
+fn counter_word_offsets() -> Vec<usize> {
+    (16..216)
+        .step_by(8)
+        .chain((220..2_372).step_by(8))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -222,5 +405,31 @@ proptest! {
     #[test]
     fn arbitrary_bytes_never_panic_the_decoder(bytes in proptest::collection::vec(0u8..=255, 0..256)) {
         let _ = StreamSession::resume(PerfModel::paper_default(), &bytes);
+    }
+}
+
+proptest! {
+    /// Any value in any one counter word of a populated checkpoint,
+    /// under a valid CRC: `resume` returns a session or a typed
+    /// checkpoint error, and a resumed session's `stats()` does not
+    /// panic.
+    #[test]
+    #[cfg_attr(miri, ignore = "population generation is too slow under miri")]
+    fn any_value_in_one_counter_word_resumes_or_is_a_typed_error(
+        word in 0usize..counter_word_offsets().len(),
+        value in prop_oneof![Just(0u64), Just(1u64), Just(u64::MAX), 0u64..u64::MAX],
+    ) {
+        static RICH: OnceLock<Vec<u8>> = OnceLock::new();
+        let offset = counter_word_offsets()[word];
+        let mut bytes = RICH.get_or_init(rich_checkpoint).clone();
+        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut bytes);
+        match StreamSession::resume(PerfModel::paper_default(), &bytes) {
+            Ok(session) => {
+                let _ = session.stats();
+            }
+            Err(TraceError::Checkpoint(_)) => {}
+            Err(e) => prop_assert!(false, "word at {}: non-checkpoint error {}", offset, e),
+        }
     }
 }
