@@ -176,6 +176,11 @@ impl Default for FracHist {
     }
 }
 
+/// The largest job or quarantine count a checkpoint may carry: 2^53,
+/// the largest count the `f64` shares of [`HeadlineAccum::stats`] still
+/// represent exactly.
+const MAX_RESUMED_COUNT: u64 = 1 << 53;
+
 /// The sum of `counts`, or `None` past `u64::MAX`: the decoder's
 /// overflow-total form of the sums [`HeadlineAccum::stats`] takes.
 fn checked_total(counts: &[u64]) -> Option<u64> {
@@ -574,6 +579,14 @@ impl HeadlineAccum {
             if !sum.is_finite() {
                 return Err(invalid("partial_sums"));
             }
+        }
+        // A resumed session keeps counting: past `MAX_RESUMED_COUNT`,
+        // merging the next chunks could overflow these counters.
+        if self.jobs > MAX_RESUMED_COUNT {
+            return Err(invalid("jobs"));
+        }
+        if checked_total(&self.quarantined).is_none_or(|total| total > MAX_RESUMED_COUNT) {
+            return Err(invalid("quarantined"));
         }
         Ok(())
     }

@@ -38,9 +38,6 @@
 //!   barrier dilation, checkpoint/restart goodput, Young's interval)
 //! - [`sensitivity`] — the Sec. V-A efficiency-assumption study (Fig. 15)
 //! - [`overlap`] — the Sec. V-B overlap-assumption study (Fig. 16)
-//! - [`steptime`] — the pluggable [`StepTimer`] backend seam: the same
-//!   consumers run on this closed form or on the `pai-dag` critical-path
-//!   evaluator behind one switch
 //! - [`stats`] — empirical CDFs and weighted means used by all figures
 //!
 //! # Examples
@@ -78,7 +75,6 @@ pub mod resilience;
 pub mod scaling;
 pub mod sensitivity;
 pub mod stats;
-pub mod steptime;
 pub mod sweep;
 pub mod throughput;
 
@@ -92,10 +88,7 @@ pub use features::{FeatureViolation, RawFeatures, WorkloadFeatures, WorkloadFeat
 pub use jobs::{IngestSink, Jobs};
 pub use model::{ComponentTimes, Eq1Terms, PerfModel};
 pub use overlap::OverlapMode;
-pub use project::{
-    comm_bound_speedup, project_with, projections_with, ProjectionOutcome, ProjectionTarget,
-};
+pub use project::{comm_bound_speedup, ProjectionOutcome, ProjectionTarget};
 pub use stats::Ecdf;
-pub use steptime::StepTimer;
 pub use sweep::class_sweep;
 pub use throughput::throughput;

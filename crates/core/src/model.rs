@@ -297,10 +297,9 @@ impl Default for PerfModel {
 /// One job's Eq. 1 terms under one configuration, before any backend
 /// combines them: `Td`, both halves of `Tc`, and `Tw` per medium.
 ///
-/// [`PerfModel::terms`] derives them; [`crate::StepTimer::price_terms`]
-/// prices a job from them. A Table III sweep point moves one rate, so
-/// it derives again only the terms that divide by that rate and keeps
-/// the rest.
+/// [`PerfModel::terms`] derives them; [`PerfModel::combine`] prices a
+/// job from them. A Table III sweep point moves one rate, so it derives
+/// again only the terms that divide by that rate and keeps the rest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Eq1Terms {
     /// `Td`: input data I/O time.

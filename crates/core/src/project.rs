@@ -99,38 +99,26 @@ pub fn project(
     job: &WorkloadFeatures,
     target: ProjectionTarget,
 ) -> Option<ProjectionOutcome> {
-    project_with(model, job, target)
+    project_priced(model, job, target, || model.total_time(job))
 }
 
-/// [`project`] over any [`crate::steptime::StepTimer`] backend — the
-/// same mapping rules and eligibility checks, priced by the closed
-/// form or a DAG critical-path engine behind one switch.
-pub fn project_with<B: crate::steptime::StepTimer + ?Sized>(
-    backend: &B,
-    job: &WorkloadFeatures,
-    target: ProjectionTarget,
-) -> Option<ProjectionOutcome> {
-    project_priced(backend, job, target, || backend.total_time(job))
-}
-
-/// [`project_with`] for a caller that may already hold the job's step
+/// [`project`] for a caller that may already hold the job's step
 /// time: `original_step` runs only once the job is known eligible.
 /// Each side is priced once, and Eq. 2 throughput is taken from those
 /// two step times.
-pub(crate) fn project_priced<B, F>(
-    backend: &B,
+pub(crate) fn project_priced<F>(
+    model: &PerfModel,
     job: &WorkloadFeatures,
     target: ProjectionTarget,
     original_step: F,
 ) -> Option<ProjectionOutcome>
 where
-    B: crate::steptime::StepTimer + ?Sized,
     F: FnOnce() -> Seconds,
 {
     if job.arch() != Architecture::PsWorker {
         return None;
     }
-    if !backend.hardware().gpu().fits_in_memory(job.weight_bytes()) {
+    if !model.config().gpu().fits_in_memory(job.weight_bytes()) {
         return None;
     }
     let cnodes = match target {
@@ -139,7 +127,7 @@ where
     };
     let projected = job.remapped(target.architecture(), cnodes.max(2));
     let original_step = original_step();
-    let projected_step = backend.total_time(&projected);
+    let projected_step = model.total_time(&projected);
     if original_step.is_zero() || projected_step.is_zero() {
         return None;
     }
@@ -157,32 +145,6 @@ where
     })
 }
 
-/// Projects every eligible PS/Worker job onto `target` over any
-/// [`crate::steptime::StepTimer`] backend, in index order; ineligible
-/// jobs are skipped. Chunks concatenate in index order, so the
-/// outcome sequence is identical at every thread count.
-pub fn projections_with<B, J>(
-    backend: &B,
-    jobs: &J,
-    target: ProjectionTarget,
-    threads: pai_par::Threads,
-) -> Vec<ProjectionOutcome>
-where
-    B: crate::steptime::StepTimer + ?Sized,
-    J: crate::jobs::Jobs + ?Sized,
-{
-    pai_par::scatter_gather(
-        jobs.len(),
-        pai_par::DEFAULT_CHUNK_SIZE,
-        threads,
-        |_, range| {
-            range
-                .filter_map(|i| project_with(backend, &jobs.get(i), target))
-                .collect()
-        },
-    )
-}
-
 impl PerfModel {
     /// Projects every eligible PS/Worker job onto `target` in index
     /// order, over any [`crate::jobs::Jobs`] storage; ineligible jobs
@@ -197,7 +159,16 @@ impl PerfModel {
         target: ProjectionTarget,
         threads: pai_par::Threads,
     ) -> Vec<ProjectionOutcome> {
-        projections_with(self, jobs, target, threads)
+        pai_par::scatter_gather(
+            jobs.len(),
+            pai_par::DEFAULT_CHUNK_SIZE,
+            threads,
+            |_, range| {
+                range
+                    .filter_map(|i| project(self, &jobs.get(i), target))
+                    .collect()
+            },
+        )
     }
 }
 
@@ -221,7 +192,9 @@ pub fn comm_bound_speedup(model: &PerfModel) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overlap::OverlapMode;
     use pai_hw::{Bytes, Flops};
+    use proptest::prelude::*;
 
     fn ps_job(cnodes: usize, weight_gb: f64, flops_t: f64) -> WorkloadFeatures {
         WorkloadFeatures::builder(Architecture::PsWorker)
@@ -393,21 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn project_with_on_the_model_backend_is_bitwise_project() {
-        let m = PerfModel::paper_default();
-        let job = ps_job(128, 1.0, 0.5);
-        for target in [
-            ProjectionTarget::AllReduceLocal,
-            ProjectionTarget::AllReduceCluster,
-        ] {
-            let direct = project(&m, &job, target).expect("eligible");
-            let dyn_backend: &dyn crate::steptime::StepTimer = &m;
-            let via = project_with(dyn_backend, &job, target).expect("eligible");
-            assert_eq!(direct, via);
-        }
-    }
-
-    #[test]
     fn projections_skip_ineligible() {
         let m = PerfModel::paper_default();
         let jobs = vec![ps_job(16, 1.0, 0.1), ps_job(16, 500.0, 0.1)];
@@ -417,5 +375,97 @@ mod tests {
             pai_par::Threads::SERIAL,
         );
         assert_eq!(outs.len(), 1);
+    }
+
+    /// `project` as it priced before each side was priced once: two
+    /// step times, then both Eq. 2 throughputs re-priced from scratch.
+    fn four_evaluation_reference(
+        model: &PerfModel,
+        job: &WorkloadFeatures,
+        target: ProjectionTarget,
+    ) -> Option<ProjectionOutcome> {
+        if job.arch() != Architecture::PsWorker
+            || !model.config().gpu().fits_in_memory(job.weight_bytes())
+        {
+            return None;
+        }
+        let cnodes = match target {
+            ProjectionTarget::AllReduceLocal => job.cnodes().min(GPUS_PER_SERVER),
+            ProjectionTarget::AllReduceCluster => job.cnodes(),
+        };
+        let projected = job.remapped(target.architecture(), cnodes.max(2));
+        let original_step = model.total_time(job);
+        let projected_step = model.total_time(&projected);
+        Some(ProjectionOutcome {
+            original: *job,
+            projected,
+            target,
+            original_step,
+            projected_step,
+            single_cnode_speedup: original_step.ratio(projected_step),
+            throughput_speedup: model.throughput(&projected) / model.throughput(job),
+        })
+    }
+
+    /// An outcome's projected job and the bits of its four floats.
+    fn bits(outcome: &Option<ProjectionOutcome>) -> Option<(WorkloadFeatures, [u64; 4])> {
+        outcome.as_ref().map(|o| {
+            (
+                o.projected,
+                [
+                    o.original_step.as_f64().to_bits(),
+                    o.projected_step.as_f64().to_bits(),
+                    o.single_cnode_speedup.to_bits(),
+                    o.throughput_speedup.to_bits(),
+                ],
+            )
+        })
+    }
+
+    fn decades(exponents: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        exponents.prop_map(|e| 10f64.powf(e))
+    }
+
+    /// A PS/Worker job with some work on every resource, its weights on
+    /// both sides of one GPU's memory.
+    fn any_ps_job() -> impl Strategy<Value = WorkloadFeatures> {
+        (
+            2..=512usize,
+            0..=10u32,
+            decades(0.0..=10.0),
+            decades(0.0..=12.0),
+            decades(6.0..=16.0),
+            decades(3.0..=12.0),
+        )
+            .prop_map(|(cnodes, batch_exp, input, weight, flops, mem)| {
+                WorkloadFeatures::builder(Architecture::PsWorker)
+                    .cnodes(cnodes)
+                    .batch_size(1 << batch_exp)
+                    .input_bytes(Bytes::from_f64(input))
+                    .weight_bytes(Bytes::from_f64(weight))
+                    .flops(Flops::from_f64(flops))
+                    .mem_access_bytes(Bytes::from_f64(mem))
+                    .build()
+            })
+    }
+
+    proptest! {
+        /// Pricing each side once gives bitwise the outcome of the four
+        /// evaluations, under both overlap modes.
+        #[test]
+        fn project_matches_the_four_evaluation_reference(job in any_ps_job()) {
+            for overlap in OverlapMode::ALL {
+                let model = PerfModel::paper_default().with_overlap(overlap);
+                for target in [
+                    ProjectionTarget::AllReduceLocal,
+                    ProjectionTarget::AllReduceCluster,
+                ] {
+                    let got = project(&model, &job, target);
+                    let want = four_evaluation_reference(&model, &job, target);
+                    prop_assert_eq!(bits(&got), bits(&want), "{:?} {:?}", target, job);
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

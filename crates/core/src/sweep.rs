@@ -14,13 +14,11 @@
 //!
 //! [`Eq1Terms`]: crate::model::Eq1Terms
 
-use pai_hw::{HardwareConfig, SweepAxis, SweepPoint};
+use pai_hw::{SweepAxis, SweepPoint};
 use serde::{Deserialize, Serialize};
 
 use crate::arch::Architecture;
 use crate::model::PerfModel;
-use crate::overlap::OverlapMode;
-use crate::steptime::StepTimer;
 
 /// One point of a Fig. 11 curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,7 +91,18 @@ pub fn relevant_axes(arch: Architecture) -> Vec<SweepAxis> {
 ///
 /// `weights` weighs jobs in the mean (all-ones for the job-level mean).
 ///
-/// Every sample is bit-for-bit identical at every thread count;
+/// Each job's [`Eq1Terms`](crate::model::Eq1Terms) under `model` are
+/// derived once. Each point prices the job under its varied model,
+/// `model.with_config(base + point)`, deriving again only the terms its
+/// rate moves (`PerfModel::rederive`). The terms it keeps are bitwise
+/// those the varied model would derive, so each speedup is bitwise
+/// `model.total_time(job) / varied.total_time(job)`.
+///
+/// Jobs are priced in windows of chunks; each mean folds
+/// `speedup × weight` in job-index order, starting from the `-0.0` the
+/// sum in [`crate::stats::weighted_mean`] starts from. So each mean is
+/// bitwise `weighted_mean` over the speedups, and every sample is
+/// bit-for-bit identical at every thread count;
 /// [`pai_par::Threads::SERIAL`] is the single-threaded oracle. An empty
 /// `jobs` gives a panel with no samples.
 ///
@@ -108,68 +117,6 @@ pub fn class_sweep<J: crate::jobs::Jobs + ?Sized>(
     weights: &[f64],
     threads: pai_par::Threads,
 ) -> SweepCurves {
-    class_sweep_with(
-        model,
-        |config| model.with_config(config),
-        arch,
-        jobs,
-        weights,
-        threads,
-    )
-}
-
-/// Chunks per worker thread in one window of [`class_sweep_with`]: a
-/// window holds one `speedup × weight` per job and sweep point until
-/// it is folded into the means, so it bounds the sweep's memory.
-const WINDOW_CHUNKS: usize = 16;
-
-/// One Table III point: its backend, and the model that derives again
-/// the terms its rate moves.
-struct Point<R> {
-    point: SweepPoint,
-    backend: R,
-    eq1: PerfModel,
-}
-
-/// [`class_sweep`] over any [`crate::steptime::StepTimer`] backend.
-///
-/// Sweeping varies the hardware, so the caller supplies `rebuild`: a
-/// constructor of the backend over an arbitrary configuration (for
-/// [`PerfModel`] this is [`PerfModel::with_config`]; a DAG engine
-/// rebuilds itself around the varied model). The baseline is priced
-/// by `base`, each sweep point by `rebuild(base.hardware() + point)`,
-/// which must price the configuration it is given.
-///
-/// Each job's [`Eq1Terms`](crate::model::Eq1Terms) under
-/// `base.hardware()` are derived once. Each point derives again only
-/// the terms its rate moves and prices the job from them with
-/// [`StepTimer::price_terms`]. The terms it keeps are bitwise those
-/// the varied configuration would derive, so each speedup is bitwise
-/// `base.total_time(job) / varied.total_time(job)`.
-///
-/// Jobs are priced in windows of chunks; each mean folds
-/// `speedup × weight` in job-index order, starting from the `-0.0` the
-/// sum in [`crate::stats::weighted_mean`] starts from. So each mean is
-/// bitwise `weighted_mean` over the speedups, at any thread count.
-///
-/// # Panics
-///
-/// Panics if lengths mismatch, any job's class differs from `arch`, or
-/// the weights of a non-empty `jobs` do not sum to a positive value.
-pub fn class_sweep_with<B, R, F, J>(
-    base: &B,
-    rebuild: F,
-    arch: Architecture,
-    jobs: &J,
-    weights: &[f64],
-    threads: pai_par::Threads,
-) -> SweepCurves
-where
-    B: StepTimer + ?Sized,
-    R: StepTimer,
-    F: Fn(HardwareConfig) -> R,
-    J: crate::jobs::Jobs + ?Sized,
-{
     assert_eq!(jobs.len(), weights.len(), "one weight per job required");
     for job in jobs.iter_jobs() {
         assert_eq!(job.arch(), arch, "all jobs must belong to the swept class");
@@ -182,19 +129,12 @@ where
     }
     let weight_sum: f64 = weights.iter().sum();
     assert!(weight_sum > 0.0, "weights must sum to a positive value");
-    // The terms do not depend on the overlap mode.
-    let eq1 = |config: HardwareConfig| PerfModel::new(config, OverlapMode::Serialized);
-    let base_eq1 = eq1(*base.hardware());
-    let points: Vec<Point<R>> = relevant_axes(arch)
+    let points: Vec<(SweepPoint, PerfModel)> = relevant_axes(arch)
         .into_iter()
         .flat_map(SweepAxis::points)
         .map(|point| {
-            let config = base.hardware().with_resource(point);
-            Point {
-                point,
-                backend: rebuild(config),
-                eq1: eq1(config),
-            }
+            let varied = model.with_config(model.config().with_resource(point));
+            (point, varied)
         })
         .collect();
 
@@ -208,11 +148,11 @@ where
             let mut out = Vec::with_capacity(range.len() * points.len());
             for (i, &weight) in range.clone().zip(&weights[range]) {
                 let job = jobs.get(i);
-                let terms = base_eq1.terms(&job);
-                let base_time = base.price_terms(&job, &terms).total.as_f64();
-                for p in &points {
-                    let varied = p.eq1.rederive(p.point.axis, &job, terms);
-                    let speedup = base_time / p.backend.price_terms(&job, &varied).total.as_f64();
+                let terms = model.terms(&job);
+                let base_time = model.combine(&terms).total.as_f64();
+                for (point, varied) in &points {
+                    let point_terms = varied.rederive(point.axis, &job, terms);
+                    let speedup = base_time / varied.combine(&point_terms).total.as_f64();
                     out.push(speedup * weight);
                 }
             }
@@ -230,21 +170,29 @@ where
     let samples = points
         .iter()
         .zip(sums)
-        .map(|(p, sum)| SweepSample {
-            axis: p.point.axis,
-            value: p.point.value,
-            normalized: p.backend.hardware().normalized_resource(p.point.axis),
+        .map(|((point, varied), sum)| SweepSample {
+            axis: point.axis,
+            value: point.value,
+            normalized: varied.config().normalized_resource(point.axis),
             mean_speedup: sum / weight_sum,
         })
         .collect();
     SweepCurves { arch, samples }
 }
 
+/// Chunks per worker thread in one window of [`class_sweep`]: a window
+/// holds one `speedup × weight` per job and sweep point until it is
+/// folded into the means, so it bounds the sweep's memory.
+const WINDOW_CHUNKS: usize = 16;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::WorkloadFeatures;
-    use pai_hw::{Bytes, Flops};
+    use crate::overlap::OverlapMode;
+    use crate::stats::weighted_mean;
+    use pai_hw::{Bytes, Flops, HardwareConfig};
+    use proptest::prelude::*;
 
     fn ps_jobs() -> Vec<WorkloadFeatures> {
         (1..=4)
@@ -386,5 +334,178 @@ mod tests {
             &[1.0],
             pai_par::Threads::SERIAL,
         );
+    }
+
+    /// `class_sweep` as it priced before it went term-wise: every
+    /// Table III point rebuilds the model and prices each job from its
+    /// features again with the full kernel.
+    fn rebuild_and_reprice(
+        model: &PerfModel,
+        arch: Architecture,
+        jobs: &[WorkloadFeatures],
+        weights: &[f64],
+    ) -> SweepCurves {
+        let base_times: Vec<f64> = jobs.iter().map(|j| model.total_time(j).as_f64()).collect();
+        let mut samples = Vec::new();
+        for axis in relevant_axes(arch) {
+            for &value in axis.candidates() {
+                let varied =
+                    model.with_config(model.config().with_resource(SweepPoint { axis, value }));
+                let speedups: Vec<f64> = jobs
+                    .iter()
+                    .zip(&base_times)
+                    .map(|(job, &t)| t / varied.total_time(job).as_f64())
+                    .collect();
+                samples.push(SweepSample {
+                    axis,
+                    value,
+                    normalized: varied.config().normalized_resource(axis),
+                    mean_speedup: weighted_mean(&speedups, weights),
+                });
+            }
+        }
+        SweepCurves { arch, samples }
+    }
+
+    fn decades(exponents: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        exponents.prop_map(|e| 10f64.powf(e))
+    }
+
+    /// A size from 0 to 1e13: zero, uniform, or log-uniform from 1.
+    fn size() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), 0.0..=1e13, decades(0.0..=13.0)]
+    }
+
+    /// One class and 1–24 jobs of it with their sweep weights. cNode
+    /// counts fall on both sides of the 8-GPU server that bounds input
+    /// contention; a quarter of the jobs carry no weights and another
+    /// quarter are all zero.
+    fn swept_class() -> impl Strategy<Value = (Architecture, Vec<WorkloadFeatures>, Vec<f64>)> {
+        let row = (
+            prop_oneof![2..=8usize, 2..=4096usize],
+            (size(), size(), size(), size()),
+            0..4u8,
+            prop_oneof![Just(1.0), 0.25..=64.0f64],
+        );
+        (
+            0..Architecture::ALL.len(),
+            proptest::collection::vec(row, 1..=24),
+        )
+            .prop_map(|(arch, rows)| {
+                let arch = Architecture::ALL[arch];
+                let mut jobs = Vec::with_capacity(rows.len());
+                let mut weights = Vec::with_capacity(rows.len());
+                for (cnodes, (input, weight, flops, mem), kind, w) in rows {
+                    let cnodes = if arch == Architecture::OneWorkerOneGpu {
+                        1
+                    } else {
+                        cnodes
+                    };
+                    let (input, weight, flops, mem) = match kind {
+                        0 => (0.0, 0.0, 0.0, 0.0),
+                        1 => (input, 0.0, flops, mem),
+                        _ => (input, weight, flops, mem),
+                    };
+                    jobs.push(
+                        WorkloadFeatures::builder(arch)
+                            .cnodes(cnodes)
+                            .batch_size(32)
+                            .input_bytes(Bytes::from_f64(input))
+                            .weight_bytes(Bytes::from_f64(weight))
+                            .flops(Flops::from_f64(flops))
+                            .mem_access_bytes(Bytes::from_f64(mem))
+                            .build(),
+                    );
+                    weights.push(w);
+                }
+                (arch, jobs, weights)
+            })
+    }
+
+    /// Two panels agree on every axis and value and on the bits of
+    /// every normalized value and mean speedup.
+    fn same_bits(got: &SweepCurves, want: &SweepCurves) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.arch, want.arch);
+        prop_assert_eq!(got.samples.len(), want.samples.len());
+        for (a, b) in got.samples.iter().zip(&want.samples) {
+            prop_assert_eq!((a.axis, a.value.to_bits()), (b.axis, b.value.to_bits()));
+            prop_assert_eq!(a.normalized.to_bits(), b.normalized.to_bits(), "{:?}", a);
+            prop_assert_eq!(
+                a.mean_speedup.to_bits(),
+                b.mean_speedup.to_bits(),
+                "{:?} vs {:?}",
+                a,
+                b
+            );
+        }
+        Ok(())
+    }
+
+    /// The term-wise sweep against the rebuild-and-reprice reference
+    /// under both overlap modes, at each of `threads`.
+    fn term_wise_sweep_matches_the_reference(
+        config: HardwareConfig,
+        arch: Architecture,
+        jobs: &[WorkloadFeatures],
+        weights: &[f64],
+        threads: &[usize],
+    ) -> Result<(), TestCaseError> {
+        for overlap in OverlapMode::ALL {
+            let model = PerfModel::new(config, overlap);
+            let want = rebuild_and_reprice(&model, arch, jobs, weights);
+            for &t in threads {
+                let got = class_sweep(&model, arch, jobs, weights, pai_par::Threads::new(t));
+                same_bits(&got, &want)?;
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Every class (1wng's PCIe weight leg, AllReduce-Cluster's
+        /// Ethernet+NVLink path, contended input I/O), jobs with no
+        /// weights or no work at all, on either base configuration.
+        #[test]
+        fn term_wise_sweep_is_bitwise_the_rebuild_and_reprice_loop(
+            population in swept_class(),
+            testbed in any::<bool>(),
+        ) {
+            let (arch, jobs, weights) = population;
+            let config = if testbed {
+                HardwareConfig::testbed_default()
+            } else {
+                HardwareConfig::pai_default()
+            };
+            term_wise_sweep_matches_the_reference(config, arch, &jobs, &weights, &[1, 4])?;
+        }
+    }
+
+    #[test]
+    fn term_wise_sweep_matches_the_reference_across_windows_and_threads() {
+        // 20 chunks: two windows at one thread, and one window split
+        // over the workers at two and four, so the in-order fold
+        // crosses both chunk and window seams.
+        let jobs: Vec<WorkloadFeatures> = (0..20_000)
+            .map(|i| {
+                let x = (i as f64 * 0.618_033_988_75).fract();
+                WorkloadFeatures::builder(Architecture::PsWorker)
+                    .cnodes(2 + i % 300)
+                    .batch_size(64)
+                    .input_bytes(Bytes::from_mb(1.0 + 50.0 * x))
+                    .weight_bytes(Bytes::from_gb(if i % 7 == 0 { 0.0 } else { 4.0 * x }))
+                    .flops(Flops::from_tera(0.05 + x))
+                    .mem_access_bytes(Bytes::from_gb(0.5 + 30.0 * (1.0 - x)))
+                    .build()
+            })
+            .collect();
+        let weights: Vec<f64> = jobs.iter().map(|j| j.cnodes() as f64).collect();
+        term_wise_sweep_matches_the_reference(
+            HardwareConfig::pai_default(),
+            Architecture::PsWorker,
+            &jobs,
+            &weights,
+            &[1, 2, 4],
+        )
+        .expect("bitwise the reference");
     }
 }

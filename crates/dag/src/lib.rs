@@ -20,11 +20,10 @@
 //!    additive model from the DAG — property-tested to 1e-9 on every
 //!    zoo graph), [`OverlapStrategy::Wfbp`], or
 //!    [`OverlapStrategy::FusedWfbp`].
-//! 3. [`engine`] exposes the whole thing as a
-//!    [`pai_core::StepTimer`] backend, so projections, sweeps,
-//!    schedules and simulations run on either the closed form or the
-//!    DAG behind the [`StepTimeBackend`] switch. It prices feature
-//!    records without lowering them: the uniform
+//! 3. [`engine`] prices population feature records on either the
+//!    closed form or the DAG behind the [`StepTimeBackend`] switch,
+//!    for `repro overlap`'s population comparison. It prices them
+//!    without lowering them: the uniform
 //!    [`lower::from_features`] step has a closed-form critical path,
 //!    property-tested against [`evaluate`](mod@evaluate) over the
 //!    lowered step within 1e-9.

@@ -384,7 +384,7 @@ mod tests {
     use super::*;
     use crate::engine::{StepTimeBackend, StepTimeEngine};
     use crate::evaluate::evaluate;
-    use pai_core::{PerfModel, StepTimer};
+    use pai_core::PerfModel;
     use pai_graph::zoo;
     use pai_hw::Flops;
     use proptest::prelude::*;
@@ -462,9 +462,13 @@ mod tests {
         ] {
             let closed = Layered::of(job, &model.terms(job), layers).evaluate(&path, strategy);
             let fold = evaluate(&step, &path, strategy);
-            let engine =
-                StepTimeEngine::new(model, StepTimeBackend::Dag(strategy)).with_layers(layers);
-            prop_assert_eq!(engine.component_times(job), closed.component_times());
+            let engine = StepTimeEngine::new(model, StepTimeBackend::Dag(strategy));
+            prop_assert_eq!(
+                engine.component_times(job),
+                Layered::of(job, &model.terms(job), DEFAULT_LAYERS)
+                    .evaluate(&path, strategy)
+                    .component_times()
+            );
             prop_assert_eq!(closed.messages, fold.messages, "{:?}", strategy);
             prop_assert_eq!(closed.transfers, fold.transfers, "{:?}", strategy);
             for (term, a, b) in [

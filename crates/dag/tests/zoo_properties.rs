@@ -15,7 +15,7 @@
 //! producer) before the evaluator consumes them — the precondition
 //! the zoo validator now enforces.
 
-use pai_core::{PerfModel, StepTimer, WorkloadFeatures};
+use pai_core::{PerfModel, WorkloadFeatures};
 use pai_dag::{
     evaluate, lower, NetworkPath, OverlapStrategy, PricedStep, StepTimeBackend, StepTimeEngine,
 };
@@ -192,9 +192,9 @@ fn engine_backends_agree_with_the_direct_evaluator_contract() {
     for case in all_cases() {
         let job = &case.job;
         let t_add = model.total_time(job).as_f64();
-        let t_serial = serial.total_time(job).as_f64();
-        let t_wfbp = wfbp.total_time(job).as_f64();
-        let t_fused = fused.total_time(job).as_f64();
+        let t_serial = serial.component_times(job).total.as_f64();
+        let t_wfbp = wfbp.component_times(job).total.as_f64();
+        let t_fused = fused.component_times(job).total.as_f64();
         let d = (t_serial - t_add).abs() / t_add.max(1e-30);
         assert!(d < 1e-9, "{}: engine serial vs additive {d}", case.label);
         assert!(t_wfbp <= t_serial * (1.0 + 1e-12), "{}", case.label);

@@ -55,7 +55,5 @@ pub use order::{
 pub use policy::{
     BestFitPacked, FifoFirstFit, FreeGpus, LocalityAware, Policy, PolicyKind, Spread,
 };
-pub use stream::{
-    realize_stream, templates_from_population, templates_with, ArrivalConfig, JobTemplate,
-};
+pub use stream::{realize_stream, templates_from_population, ArrivalConfig, JobTemplate};
 pub use sweep::{policy_sweep, SweepConfig, SweepPoint};

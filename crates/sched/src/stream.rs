@@ -60,29 +60,15 @@ impl JobTemplate {
 /// than `capacity` GPUs (the trace's PS giants span up to 2048
 /// cNodes; the 512-GPU testbed can never gang-schedule them).
 /// Accepts any [`pai_core::Jobs`] storage — a borrowed columnar
-/// store, a `Population`, or a plain slice. Returns the templates in
-/// job order plus the dropped count — callers must surface the drop,
-/// not hide it.
+/// store, a `Population`, or a plain slice. The off-NIC time is the
+/// model's `data_io + computation`, the sync time its
+/// `weight_traffic`. Returns the templates in job order plus the
+/// dropped count — callers must surface the drop, not hide it.
 pub fn templates_from_population<J: pai_core::Jobs + ?Sized>(
     model: &PerfModel,
     jobs: &J,
     capacity: usize,
 ) -> (Vec<JobTemplate>, usize) {
-    templates_with(model, jobs, capacity)
-}
-
-/// [`templates_from_population`] over any [`pai_core::StepTimer`]
-/// backend — the additive model and the DAG critical-path evaluator
-/// price a template through the same seam. The off-NIC time is the
-/// backend's `data_io + computation`, the sync time its
-/// `weight_traffic` (for a DAG backend that is the *exposed* — i.e.
-/// non-overlapped — communication, so WFBP templates sync for less
-/// wall-clock than additive ones).
-pub fn templates_with<B, J>(backend: &B, jobs: &J, capacity: usize) -> (Vec<JobTemplate>, usize)
-where
-    B: pai_core::StepTimer + ?Sized,
-    J: pai_core::Jobs + ?Sized,
-{
     let mut templates = Vec::with_capacity(jobs.len());
     let mut dropped = 0usize;
     for i in 0..jobs.len() {
@@ -92,7 +78,7 @@ where
             dropped += 1;
             continue;
         }
-        let ct = backend.component_times(&features);
+        let ct = model.component_times(&features);
         let signature = Signature::of(&features);
         templates.push(JobTemplate {
             record: JobRecord {
@@ -304,16 +290,6 @@ mod tests {
     fn templates() -> Vec<JobTemplate> {
         let model = PerfModel::paper_default();
         templates_from_population(&model, &population(300), 512).0
-    }
-
-    #[test]
-    fn templates_with_a_dyn_backend_is_bitwise_the_model_path() {
-        let model = PerfModel::paper_default();
-        let pop = population(200);
-        let direct = templates_from_population(&model, &pop, 512);
-        let backend: &dyn pai_core::StepTimer = &model;
-        let via_seam = templates_with(backend, &pop, 512);
-        assert_eq!(direct, via_seam);
     }
 
     #[test]

@@ -1,30 +1,12 @@
 //! Simulator configuration.
 
-use std::fmt;
-
 use pai_hw::{Efficiency, HardwareConfig, Seconds};
 
-/// Why a configuration value was rejected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConfigError {
-    /// TensorCore efficiency must be a fraction in `(0, 1]`.
-    TensorCoreEfficiency {
-        /// The rejected value.
-        value: f64,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::TensorCoreEfficiency { value } => {
-                write!(f, "TensorCore efficiency must be in (0, 1], got {value}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
+/// The TensorCore efficiency calibrated so mixed-precision GEMMs run
+/// 2.8× faster than the *achieved* FP32 rate of the well-behaved models
+/// (Table VI: ~82 %): `8 × 0.29 ≈ 2.8 × 0.82`. Fig. 13a measures
+/// exactly that 2.8× MatMul speedup.
+const TENSOR_CORE_EFFICIENCY: f64 = 0.29;
 
 /// Simulator knobs.
 ///
@@ -43,20 +25,14 @@ impl std::error::Error for ConfigError {}
 pub struct SimConfig {
     hardware: HardwareConfig,
     kernel_launch_overhead: Seconds,
-    tensor_core_efficiency: f64,
 }
 
 impl SimConfig {
-    /// The Sec. IV testbed: V100 server, 4.5 µs kernel-launch gap, the
-    /// TensorCore efficiency calibrated so mixed-precision GEMMs run
-    /// 2.8× faster than the *achieved* FP32 rate of the well-behaved
-    /// models (Table VI: ~82 %): `8 × 0.29 ≈ 2.8 × 0.82`. Fig. 13a
-    /// measures exactly that 2.8× MatMul speedup.
+    /// The Sec. IV testbed: V100 server and a 4.5 µs kernel-launch gap.
     pub fn testbed() -> Self {
         SimConfig {
             hardware: HardwareConfig::testbed_default(),
             kernel_launch_overhead: Seconds::from_micros(4.5),
-            tensor_core_efficiency: 0.29,
         }
     }
 
@@ -72,9 +48,9 @@ impl SimConfig {
     }
 
     /// Fraction of the TensorCore peak that mixed-precision GEMMs
-    /// attain.
+    /// attain: the testbed's calibrated 0.29.
     pub fn tensor_core_efficiency(&self) -> f64 {
-        self.tensor_core_efficiency
+        TENSOR_CORE_EFFICIENCY
     }
 
     /// A copy with a per-component efficiency override (Table VI
@@ -96,20 +72,6 @@ impl SimConfig {
             kernel_launch_overhead: overhead,
             ..*self
         }
-    }
-
-    /// A copy with a different TensorCore efficiency.
-    ///
-    /// Returns [`ConfigError::TensorCoreEfficiency`] unless `fraction`
-    /// is in `(0, 1]` (NaN included).
-    pub fn with_tensor_core_efficiency(&self, fraction: f64) -> Result<SimConfig, ConfigError> {
-        if !(fraction > 0.0 && fraction <= 1.0) {
-            return Err(ConfigError::TensorCoreEfficiency { value: fraction });
-        }
-        Ok(SimConfig {
-            tensor_core_efficiency: fraction,
-            ..*self
-        })
     }
 }
 
@@ -144,20 +106,8 @@ mod tests {
     fn builders_compose() {
         let c = SimConfig::testbed()
             .with_launch_overhead(Seconds::from_micros(10.0))
-            .with_tensor_core_efficiency(0.5)
-            .unwrap();
+            .with_efficiency(Efficiency::uniform(0.5));
         assert!((c.kernel_launch_overhead().as_f64() - 1e-5).abs() < 1e-15);
-        assert_eq!(c.tensor_core_efficiency(), 0.5);
-    }
-
-    #[test]
-    fn rejects_bad_tensor_core_efficiency() {
-        for bad in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
-            let err = SimConfig::testbed()
-                .with_tensor_core_efficiency(bad)
-                .unwrap_err();
-            assert!(matches!(err, ConfigError::TensorCoreEfficiency { .. }));
-            assert!(!err.to_string().is_empty());
-        }
+        assert_eq!(c.hardware().efficiency().memory(), 0.5);
     }
 }

@@ -102,10 +102,10 @@ impl StepSimulator {
     }
 }
 
-/// The sequential crash-recovery fold shared by the simulated and
-/// priced degraded runs: charges each crash its failed attempt, the
-/// restart, and the re-execution of completed steps since the last
-/// checkpoint, reading only finalized totals of earlier steps.
+/// The sequential crash-recovery fold of [`StepSimulator::run_faulted`]:
+/// charges each crash its failed attempt, the restart, and the
+/// re-execution of completed steps since the last checkpoint, reading
+/// only finalized totals of earlier steps.
 fn fold_crash_recovery(injector: &FaultInjector, mut measured: Vec<StepMeasurement>) -> FaultedRun {
     let mut lost_time = Seconds::ZERO;
     let mut lost_steps = 0usize;
@@ -132,78 +132,6 @@ fn fold_crash_recovery(injector: &FaultInjector, mut measured: Vec<StepMeasureme
         lost_time,
         lost_steps,
     }
-}
-
-/// Dilates one healthy priced step under the fault realization of
-/// `step`: the barrier waits for the slowest replica's compute and
-/// the most degraded replica's communication, exactly the semantics
-/// of the simulated path, applied to closed-form components.
-fn dilate_priced(
-    healthy: &StepMeasurement,
-    injector: &FaultInjector,
-    step: usize,
-) -> StepMeasurement {
-    let replicas = injector.replicas();
-    let mut dilation = 1.0f64;
-    let mut comm_mult = 1.0f64;
-    let mut retry = Seconds::ZERO;
-    for r in 0..replicas {
-        dilation = dilation.max(injector.compute_dilation(r, step));
-        comm_mult = comm_mult.max(injector.comm_multiplier(r));
-        retry = retry.max(injector.retry_delay(r));
-    }
-    let mut out = healthy.clone();
-    out.compute_bound = healthy.compute_bound.scale(dilation);
-    out.memory_bound = healthy.memory_bound.scale(dilation);
-    out.comm_by_link = healthy
-        .comm_by_link
-        .iter()
-        .map(|&(kind, t)| (kind, t.scale(comm_mult)))
-        .collect();
-    let straggler = healthy.computation().scale(dilation - 1.0);
-    let nic = healthy.comm_total().scale(comm_mult - 1.0);
-    out.faults.straggler = straggler;
-    out.faults.nic = nic;
-    out.faults.retry = retry;
-    // Fault deltas stack on the backend's combined total, so a clean
-    // step reproduces the healthy pricing bit for bit.
-    out.total = healthy.total + straggler + nic + retry;
-    out
-}
-
-/// Simulates `steps` synchronous steps of one pre-priced healthy step
-/// under `plan` — the degraded-run fold for step times coming from a
-/// `pai-core` `StepTimer` backend (analytical or DAG critical-path)
-/// instead of the op-level simulator.
-///
-/// Each step dilates `healthy` analytically by the same barrier
-/// semantics as [`StepSimulator::run_faulted`] (slowest compute
-/// replica, most degraded NIC, worst retry backoff), then crash
-/// recovery is charged by the shared sequential fold. The realization
-/// is a pure function of `(healthy, plan, step)`, so the run is
-/// bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns [`SimError::ZeroSteps`] for an empty run and
-/// [`SimError::Fault`] for an invalid plan.
-pub fn run_faulted_priced(
-    healthy: &StepMeasurement,
-    steps: usize,
-    plan: &FaultPlan,
-    threads: Threads,
-) -> Result<FaultedRun, SimError> {
-    if steps == 0 {
-        return Err(SimError::ZeroSteps);
-    }
-    let injector = FaultInjector::new(plan.clone())?;
-    let measured: Vec<StepMeasurement> =
-        pai_par::scatter_gather(steps, STEP_CHUNK, threads, |_, range| {
-            range
-                .map(|step| dilate_priced(healthy, &injector, step))
-                .collect()
-        });
-    Ok(fold_crash_recovery(&injector, measured))
 }
 
 #[cfg(test)]
@@ -307,93 +235,5 @@ mod tests {
             .unwrap();
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.wall_clock, b.wall_clock);
-    }
-
-    use pai_hw::LinkKind;
-
-    fn priced_step() -> StepMeasurement {
-        StepMeasurement::from_priced(
-            Seconds::from_f64(1.0),
-            Seconds::from_f64(0.1),
-            Seconds::from_f64(0.4),
-            Seconds::from_f64(0.2),
-            vec![(LinkKind::Ethernet, Seconds::from_f64(0.3))],
-        )
-    }
-
-    #[test]
-    fn priced_healthy_run_reproduces_the_backend_total() {
-        let plan = FaultPlan::healthy(4).unwrap();
-        let run = run_faulted_priced(&priced_step(), 8, &plan, Threads::SERIAL).unwrap();
-        assert_eq!(run.steps.len(), 8);
-        assert!(run.lost_time.is_zero());
-        for m in &run.steps {
-            assert_eq!(m.total.as_f64().to_bits(), 1.0f64.to_bits());
-            assert!(m.faults.is_clean());
-        }
-    }
-
-    #[test]
-    fn priced_straggler_dilates_compute_only() {
-        let plan = FaultPlan::builder(2).straggler(1, 1.5).build().unwrap();
-        let run = run_faulted_priced(&priced_step(), 4, &plan, Threads::SERIAL).unwrap();
-        let m = &run.steps[0];
-        // Compute 0.6 -> 0.9; data I/O and comm untouched.
-        assert!((m.computation().as_f64() - 0.9).abs() < 1e-12);
-        assert!((m.comm_total().as_f64() - 0.3).abs() < 1e-12);
-        assert!((m.total.as_f64() - 1.3).abs() < 1e-12);
-        assert!((m.faults.straggler.as_f64() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn priced_nic_degradation_dilates_comm_only() {
-        let plan = FaultPlan::builder(2)
-            .nic_degradation(0, 2.0)
-            .build()
-            .unwrap();
-        let run = run_faulted_priced(&priced_step(), 4, &plan, Threads::SERIAL).unwrap();
-        let m = &run.steps[0];
-        assert!((m.comm_total().as_f64() - 0.6).abs() < 1e-12);
-        assert!((m.faults.nic.as_f64() - 0.3).abs() < 1e-12);
-        assert!((m.total.as_f64() - 1.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn priced_crash_fold_matches_the_engine_fold_semantics() {
-        let plan = FaultPlan::builder(2)
-            .crash(1, 5, Seconds::from_f64(30.0), 3)
-            .build()
-            .unwrap();
-        let run = run_faulted_priced(&priced_step(), 10, &plan, Threads::SERIAL).unwrap();
-        assert_eq!(run.lost_steps, 3);
-        // Failed attempt + restart + 3 redone 1-second steps.
-        assert!((run.lost_time.as_f64() - 34.0).abs() < 1e-9);
-        assert_eq!(run.steps[5].faults.lost_steps, 3);
-    }
-
-    #[test]
-    fn priced_runs_are_thread_count_invariant() {
-        let plan = FaultPlan::builder(3)
-            .seed(7)
-            .jitter(0.1)
-            .straggler(2, 1.3)
-            .crash(0, 11, Seconds::from_f64(4.0), 2)
-            .build()
-            .unwrap();
-        let serial = run_faulted_priced(&priced_step(), 40, &plan, Threads::SERIAL).unwrap();
-        for t in pai_par::EQUIVALENCE_THREADS {
-            let par = run_faulted_priced(&priced_step(), 40, &plan, Threads::new(t)).unwrap();
-            assert_eq!(serial.steps, par.steps);
-            assert_eq!(serial.wall_clock, par.wall_clock);
-        }
-    }
-
-    #[test]
-    fn priced_rejects_zero_steps() {
-        let plan = FaultPlan::healthy(1).unwrap();
-        assert_eq!(
-            run_faulted_priced(&priced_step(), 0, &plan, Threads::SERIAL).unwrap_err(),
-            SimError::ZeroSteps
-        );
     }
 }

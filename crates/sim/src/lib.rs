@@ -65,8 +65,8 @@ pub mod executor;
 pub mod faulted;
 pub mod measure;
 
-pub use config::{ConfigError, SimConfig};
+pub use config::SimConfig;
 pub use error::SimError;
 pub use executor::StepSimulator;
-pub use faulted::{run_faulted_priced, FaultedRun};
+pub use faulted::FaultedRun;
 pub use measure::{FaultAttribution, OpProfile, StepMeasurement, StepStats};

@@ -97,32 +97,6 @@ pub struct StepMeasurement {
 }
 
 impl StepMeasurement {
-    /// A measurement synthesized from externally priced component
-    /// times — an analytical or DAG step-time backend — instead of an
-    /// op-level simulation: no per-op records and no launch accounting, just
-    /// the totals the degraded-run folds consume. `total` is the
-    /// backend's own combined step time (which may be less than the
-    /// component sum under an overlapping backend).
-    pub fn from_priced(
-        total: Seconds,
-        data_io: Seconds,
-        compute_bound: Seconds,
-        memory_bound: Seconds,
-        comm_by_link: Vec<(LinkKind, Seconds)>,
-    ) -> StepMeasurement {
-        StepMeasurement {
-            total,
-            data_io,
-            compute_bound,
-            memory_bound,
-            comm_by_link,
-            launch_stall: Seconds::ZERO,
-            kernels: 0,
-            ops: Vec::new(),
-            faults: FaultAttribution::default(),
-        }
-    }
-
     /// Total communication time across media.
     pub fn comm_total(&self) -> Seconds {
         self.comm_by_link.iter().map(|&(_, t)| t).sum()

@@ -251,12 +251,7 @@ impl StreamSession {
         self.policy
     }
 
-    /// Sets the policy for malformed external records.
-    pub fn set_policy(&mut self, policy: IngestPolicy) {
-        self.policy = policy;
-    }
-
-    /// Builder-style [`StreamSession::set_policy`].
+    /// The session with `policy` for malformed external records.
     pub fn with_policy(mut self, policy: IngestPolicy) -> StreamSession {
         self.policy = policy;
         self

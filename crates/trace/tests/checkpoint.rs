@@ -6,7 +6,8 @@
 //!   Every single-byte truncation of a valid checkpoint and a seeded
 //!   corpus of bit flips must come back as a typed
 //!   [`CheckpointError`], and so must counters whose sums pass
-//!   `u64::MAX` under a valid CRC.
+//!   `u64::MAX`, or job and quarantine counts past 2^53, under a valid
+//!   CRC.
 //! - **Interrupted ≡ uninterrupted**: killing the stream at *any*
 //!   chunk boundary and resuming from the checkpoint yields
 //!   bit-identical statistics and what-if artifacts to a run that
@@ -16,7 +17,9 @@
 
 use std::sync::OnceLock;
 
-use pai_core::{characterize, CheckpointError, PerfModel, RawFeatures};
+use pai_core::{
+    characterize, Architecture, CheckpointError, PerfModel, RawFeatures, WorkloadFeatures,
+};
 use pai_faults::ChaosPlan;
 use pai_par::Threads;
 use pai_trace::population::JOB_CHUNK;
@@ -351,6 +354,67 @@ fn counter_sums_past_u64_max_are_invalid_fields() {
                 session.stats().ps_cnode_share
             ),
         }
+    }
+}
+
+/// Writes `value` into the 8-byte words at `offsets` and re-seals.
+fn with_words(bytes: &[u8], offsets: &[usize], value: u64) -> Vec<u8> {
+    let mut edited = bytes.to_vec();
+    for &offset in offsets {
+        edited[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+    }
+    reseal(&mut edited);
+    edited
+}
+
+/// 2^53: the largest job or quarantine count a session resumes with.
+const MAX_RESUMED_COUNT: u64 = 1 << 53;
+
+/// Resumes `bytes`, which must be rejected on `field`.
+fn assert_invalid_field(model: PerfModel, bytes: &[u8], field: &str) {
+    match StreamSession::resume(model, bytes) {
+        Err(TraceError::Checkpoint(CheckpointError::InvalidField { field: got })) => {
+            assert_eq!(got, field);
+        }
+        Err(e) => panic!("expected InvalidField {field}, got {e}"),
+        Ok(session) => panic!("resumed at {} jobs", session.jobs()),
+    }
+}
+
+/// Position, `jobs` and class 0's count set to one consistent value
+/// (bytes 16, 24 and 32): a session at 2^53 jobs resumes and keeps
+/// ingesting, and one past it is rejected before a merge can overflow.
+#[test]
+fn a_job_count_past_2_pow_53_is_an_invalid_field() {
+    let model = PerfModel::paper_default();
+    let bytes = StreamSession::new(model).checkpoint().unwrap();
+    let words = [16, 24, 32];
+    let mut session =
+        StreamSession::resume(model, &with_words(&bytes, &words, MAX_RESUMED_COUNT)).unwrap();
+    let job = WorkloadFeatures::builder(Architecture::PsWorker)
+        .cnodes(4)
+        .build();
+    for _ in 0..JOB_CHUNK {
+        session.ingest(&job);
+    }
+    assert_eq!(session.jobs(), MAX_RESUMED_COUNT + JOB_CHUNK as u64);
+    for value in [MAX_RESUMED_COUNT + JOB_CHUNK as u64, u64::MAX - 1023] {
+        assert_invalid_field(model, &with_words(&bytes, &words, value), "jobs");
+    }
+}
+
+/// Position and quarantine counter 0 (byte 2,332) set to one value:
+/// a quarantine total of 2^53 resumes, and one past it is rejected.
+#[test]
+fn a_quarantine_total_past_2_pow_53_is_an_invalid_field() {
+    let model = PerfModel::paper_default();
+    let bytes = StreamSession::new(model).checkpoint().unwrap();
+    let words = [16, 2_332];
+    let session =
+        StreamSession::resume(model, &with_words(&bytes, &words, MAX_RESUMED_COUNT)).unwrap();
+    assert_eq!(session.stats().quarantined_total, MAX_RESUMED_COUNT);
+    for value in [MAX_RESUMED_COUNT + 1, u64::MAX - 1023] {
+        assert_invalid_field(model, &with_words(&bytes, &words, value), "quarantined");
     }
 }
 

@@ -9,8 +9,8 @@
 //! - [`graph`] — computation-graph framework and the six-model zoo (Tables IV/V)
 //! - [`collectives`] — communication primitive cost models (NCCL analog)
 //! - [`dag`] — DAG critical-path step-time engine with comm/comp
-//!   overlap (WFBP, tensor fusion) behind the [`core::StepTimer`]
-//!   backend switch
+//!   overlap (WFBP, tensor fusion) behind the
+//!   [`dag::StepTimeBackend`] switch
 //! - [`sim`] — discrete-event execution simulator (the "testbed")
 //! - [`faults`] — deterministic fault plans for degraded-run studies
 //! - [`par`] — deterministic chunked scatter/gather parallelism
