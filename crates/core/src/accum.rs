@@ -14,7 +14,11 @@
 //!   [`pai_par::fold_chunks`], whose pinned left-to-right chunk-merge
 //!   order makes the result bit-for-bit identical at every thread
 //!   count — and identical to an incremental consumer that folds the
-//!   same fixed-size chunks in arrival order.
+//!   same fixed-size chunks in arrival order. A store that lends a
+//!   chunk as columns ([`Jobs::columns`]) is priced straight from them,
+//!   row by row, with no record or term struct built per job. Any other
+//!   store is priced a job at a time. Both drivers end in the one row
+//!   update [`HeadlineAccum::ingest_priced`] also runs.
 //! - [`WhatIfIndex`] keeps three resident `f64` columns per PS/Worker
 //!   job (`Td+Tc`, the Ethernet leg of `Tw`, the PCIe leg of `Tw`) and
 //!   answers "speedup CDF if Ethernet → X Gbps" by one arithmetic pass
@@ -30,16 +34,18 @@
 //! fixed chunk-index order (see [`pai_par::fold_chunks`]). Under that
 //! discipline the merged state is a pure function of `(model, jobs)`.
 
-use pai_hw::{Bandwidth, LinkKind, Seconds};
+use pai_hw::{Bandwidth, Bytes, LinkKind, Seconds};
 use pai_par::{ChunkedVec, Threads, DEFAULT_CHUNK_SIZE};
 use serde::Serialize;
 
 use crate::arch::Architecture;
 use crate::codec::{ByteReader, ByteWriter, CheckpointError};
 use crate::features::{FeatureViolation, WorkloadFeatures};
-use crate::jobs::{IngestSink, Jobs};
-use crate::model::{ComponentTimes, Eq1Terms, PerfModel};
-use crate::project::{comm_bound_speedup, project_priced, ProjectionTarget};
+use crate::jobs::{IngestSink, JobColumns, Jobs};
+use crate::model::{share, weight_traffic, Eq1Terms, PerfModel, TermSecs};
+use crate::project::{
+    comm_bound_speedup, improves_throughput, project_job, ProjectedJob, ProjectionTarget,
+};
 
 /// Models under this weight volume count as "small" (Sec. III-D: 90 %
 /// of jobs train models under 10 GB).
@@ -262,11 +268,6 @@ impl HeadlineAccum {
         }
     }
 
-    /// The model this accumulator characterizes against.
-    pub fn model(&self) -> &PerfModel {
-        &self.model
-    }
-
     /// Jobs ingested so far.
     pub fn jobs(&self) -> u64 {
         self.jobs
@@ -286,46 +287,134 @@ impl HeadlineAccum {
     /// [`HeadlineAccum::ingest`] with the job's Eq. 1 terms already
     /// derived, for a caller that hands one pricing to several
     /// consumers (a stream session feeds the same terms to its
-    /// [`WhatIfIndex`]). `terms` must be `self.model().terms(job)`.
+    /// [`WhatIfIndex`]). `terms` must be the job's terms under the
+    /// accumulator's model.
     pub fn ingest_priced(&mut self, job: &WorkloadFeatures, terms: &Eq1Terms) {
-        let idx = job.arch().index();
+        let terms = TermSecs::of(terms);
+        let total = Seconds::from_f64(self.model.total_secs(&terms));
+        self.fold(&Row {
+            arch: job.arch(),
+            job: ProjectedJob::of(job),
+            terms,
+            total: total.as_f64(),
+        });
+    }
+
+    /// The column driver: prices and folds one store chunk straight
+    /// from its columns.
+    ///
+    /// Each row's Eq. 1 terms and total come from the scalar core
+    /// [`PerfModel::terms`] also calls, and the row goes through the row
+    /// update in job order. Whether every derived term is finite and
+    /// non-negative (what `Seconds::from_f64` asserts term by term on
+    /// the per-job path) is checked once, after the chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length, or if a derived term is
+    /// not finite and non-negative; the accumulator's state is then
+    /// meaningless.
+    fn ingest_columns(&mut self, cols: &JobColumns<'_>) {
+        let n = cols.len();
+        let lens = [
+            cols.cnodes.len(),
+            cols.batch.len(),
+            cols.input_bytes.len(),
+            cols.weight_bytes.len(),
+            cols.flops.len(),
+            cols.mem_access_bytes.len(),
+        ];
+        assert!(
+            lens.iter().all(|&len| len == n),
+            "a chunk's columns must hold the same rows"
+        );
+        let mut physical = true;
+        for i in 0..n {
+            let arch = Architecture::ALL[usize::from(cols.arch[i])];
+            let cnodes = cols.cnodes[i] as usize;
+            let volumes = [
+                cols.input_bytes[i],
+                cols.weight_bytes[i],
+                cols.flops[i],
+                cols.mem_access_bytes[i],
+            ];
+            let terms = self.model.term_secs(arch, cnodes, volumes);
+            let total = self.model.total_secs(&terms);
+            for v in [
+                terms.data_io,
+                terms.compute_bound,
+                terms.memory_bound,
+                terms.weight[0],
+                terms.weight[1],
+                total,
+            ] {
+                physical &= (0.0..=f64::MAX).contains(&v);
+            }
+            self.fold(&Row {
+                arch,
+                job: ProjectedJob {
+                    cnodes,
+                    batch: cols.batch[i] as usize,
+                    input_bytes: volumes[0],
+                    weight_bytes: Bytes::from_f64(volumes[1]),
+                },
+                terms,
+                total,
+            });
+        }
+        assert!(physical, "Eq. 1 terms must be finite and non-negative");
+    }
+
+    /// The row update: folds one priced job into the statistics. Both
+    /// drivers of [`accumulate`] end here.
+    #[inline]
+    fn fold(&mut self, row: &Row) {
+        let idx = row.arch.index();
         self.jobs += 1;
         self.class_counts[idx] += 1;
-        self.cnode_totals[idx] += job.cnodes() as u64;
-        if job.weight_bytes().as_gb() < SMALL_MODEL_GB {
+        self.cnode_totals[idx] += row.job.cnodes as u64;
+        if row.job.weight_bytes.as_gb() < SMALL_MODEL_GB {
             self.small_models += 1;
         }
-        let ct = self.model.combine(terms);
         // The three classes whose breakdowns Sec. III-B/D aggregates
         // (Fig. 7): 1w1g, 1wng and PS/Worker.
-        if matches!(
-            job.arch(),
+        if !matches!(
+            row.arch,
             Architecture::OneWorkerOneGpu
                 | Architecture::OneWorkerMultiGpu
                 | Architecture::PsWorker
         ) {
-            let f = ct.fractions();
-            let w = job.cnodes() as f64;
-            for (k, frac) in f.iter().enumerate() {
-                self.frac_job_sum[k] += frac;
-                self.frac_cnode_sum[k] += w * frac;
-            }
-            self.analyzed_jobs += 1;
-            self.analyzed_cnodes += w;
+            return;
         }
-        if job.arch() == Architecture::PsWorker {
-            self.ingest_ps(job, terms, &ct);
+        let t = &row.terms;
+        // `ComponentTimes::fractions`: Fig. 7's legend order.
+        let f = [
+            t.data_io,
+            weight_traffic(t.weight),
+            t.compute_bound,
+            t.memory_bound,
+        ]
+        .map(|part| share(part, row.total));
+        let w = row.job.cnodes as f64;
+        for (k, frac) in f.iter().enumerate() {
+            self.frac_job_sum[k] += frac;
+            self.frac_cnode_sum[k] += w * frac;
+        }
+        self.analyzed_jobs += 1;
+        self.analyzed_cnodes += w;
+        if row.arch == Architecture::PsWorker {
+            self.fold_ps(row, f[1]);
         }
     }
 
     /// The PS/Worker-only statistics: comm tail, projections, 100 GbE.
-    fn ingest_ps(&mut self, job: &WorkloadFeatures, terms: &Eq1Terms, ct: &ComponentTimes) {
+    #[inline]
+    fn fold_ps(&mut self, row: &Row, weight_fraction: f64) {
         self.ps_jobs += 1;
-        let wf = ct.weight_fraction();
-        if wf > HIGH_COMM_FRACTION {
+        if weight_fraction > HIGH_COMM_FRACTION {
             self.ps_over80 += 1;
         }
-        self.comm_hist.record(wf);
+        self.comm_hist.record(weight_fraction);
 
         // Mean PS speedup from upgrading Ethernet to 100 Gbps: only
         // the Ethernet leg of Tw changes, so the projected total is
@@ -333,39 +422,38 @@ impl HeadlineAccum {
         // `PerfModel::combine` — bit-identical to re-evaluating the
         // model under the upgraded configuration. PS/Worker's Table II
         // path is Ethernet, then PCIe.
-        let [eth, pcie] = terms.weight.map(Seconds::as_f64);
-        let base = ct.data_io.as_f64() + ct.computation().as_f64();
+        let t = &row.terms;
+        let [eth, pcie] = t.weight;
+        let base = t.data_io + (t.compute_bound + t.memory_bound);
         let fast_total = base + (eth * self.eth_100g_scale + pcie);
         self.eth_ratio_sum += if fast_total > 0.0 {
-            ct.total.as_f64() / fast_total
+            row.total / fast_total
         } else {
             // A degenerate all-zero job neither speeds up nor slows
             // down; count it as 1x rather than poisoning the mean.
             1.0
         };
 
-        // Both projections reuse the step time priced above.
-        let original_step = || ct.total;
-        if let Some(out) = project_priced(
-            &self.model,
-            job,
-            ProjectionTarget::AllReduceLocal,
-            original_step,
-        ) {
+        // Both projections keep both halves of Tc and reuse the step
+        // time priced above.
+        let original = || ([t.compute_bound, t.memory_bound], row.total);
+        let model = &self.model;
+        if let Some(out) = project_job(model, ProjectionTarget::AllReduceLocal, &row.job, original)
+        {
             self.arl_eligible += 1;
             self.arl_speedup_sum += out.single_cnode_speedup;
-            if out.improves_throughput() {
+            if improves_throughput(out.throughput_speedup) {
                 self.arl_improved += 1;
             }
             if out.single_cnode_speedup <= 1.0 {
                 self.arl_not_sped += 1;
             }
         }
-        if let Some(out) = project_priced(
-            &self.model,
-            job,
+        if let Some(out) = project_job(
+            model,
             ProjectionTarget::AllReduceCluster,
-            original_step,
+            &row.job,
+            original,
         ) {
             self.arc_eligible += 1;
             self.arc_speedup_sum += out.single_cnode_speedup;
@@ -630,6 +718,17 @@ impl HeadlineAccum {
     }
 }
 
+/// One job as the row update reads it: its class, the record fields
+/// the statistics and projections need, and its Eq. 1 terms and total
+/// in seconds.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    arch: Architecture,
+    job: ProjectedJob,
+    terms: TermSecs,
+    total: f64,
+}
+
 impl IngestSink for HeadlineAccum {
     fn ingest(&mut self, job: &WorkloadFeatures) {
         HeadlineAccum::ingest(self, job);
@@ -704,7 +803,15 @@ pub struct HeadlineStats {
 ///
 /// Chunk partials merge left-to-right in chunk-index order, so the
 /// result is bit-for-bit identical at every thread count and equal to
-/// a streaming consumer folding the same chunks in arrival order.
+/// a streaming consumer folding the same chunks in arrival order. A
+/// chunk the store lends as columns is priced straight from them; any
+/// other is ingested a job at a time. Both reach the same row update, so the
+/// drivers agree bit for bit.
+///
+/// # Panics
+///
+/// Panics if a job prices to a non-finite step time, or if the store
+/// lends columns of another length than the chunk it was asked for.
 pub fn accumulate<J: Jobs + ?Sized>(
     model: &PerfModel,
     jobs: &J,
@@ -717,8 +824,16 @@ pub fn accumulate<J: Jobs + ?Sized>(
         HeadlineAccum::new(*model),
         |_, range| {
             let mut part = HeadlineAccum::new(*model);
-            for i in range {
-                part.ingest(&jobs.get(i));
+            match jobs.columns(range.clone()) {
+                Some(cols) => {
+                    assert_eq!(cols.len(), range.len(), "columns lent for another range");
+                    part.ingest_columns(&cols);
+                }
+                None => {
+                    for i in range {
+                        part.ingest(&jobs.get(i));
+                    }
+                }
             }
             part
         },
@@ -783,11 +898,6 @@ impl WhatIfIndex {
         }
     }
 
-    /// The model the index was built against.
-    pub fn model(&self) -> &PerfModel {
-        &self.model
-    }
-
     /// Indexed row count (PS/Worker jobs only).
     pub fn len(&self) -> usize {
         self.base.len()
@@ -808,7 +918,7 @@ impl WhatIfIndex {
 
     /// [`WhatIfIndex::push`] with the job's Eq. 1 terms already
     /// derived (see [`HeadlineAccum::ingest_priced`]). `terms` must be
-    /// `self.model().terms(job)`.
+    /// the job's terms under the index's model.
     pub fn push_priced(&mut self, job: &WorkloadFeatures, terms: &Eq1Terms) -> bool {
         if job.arch() != Architecture::PsWorker {
             return false;
@@ -1016,7 +1126,11 @@ impl WhatIfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pai_hw::{Bytes, Flops, SweepAxis, SweepPoint};
+    use crate::model::ComponentTimes;
+    use crate::overlap::OverlapMode;
+    use crate::project::project_priced;
+    use pai_hw::{Flops, SweepAxis, SweepPoint};
+    use proptest::prelude::*;
 
     /// A deterministic mixed-class population exercising every ingest
     /// branch (no RNG: plain index arithmetic).
@@ -1376,6 +1490,287 @@ mod tests {
         let huge = huge.into_bytes();
         let mut r = ByteReader::new(&huge);
         assert!(WhatIfIndex::decode_from(model, &mut r).is_err());
+    }
+
+    /// The per-job fold as it was before the row update: the job priced
+    /// with `combine`, its shares from `ComponentTimes::fractions`, and
+    /// both projections by `project_priced` on a remapped
+    /// `WorkloadFeatures`. The reference both drivers are checked
+    /// against.
+    fn reference_ingest(acc: &mut HeadlineAccum, job: &WorkloadFeatures) {
+        let terms = acc.model.terms(job);
+        let idx = job.arch().index();
+        acc.jobs += 1;
+        acc.class_counts[idx] += 1;
+        acc.cnode_totals[idx] += job.cnodes() as u64;
+        if job.weight_bytes().as_gb() < SMALL_MODEL_GB {
+            acc.small_models += 1;
+        }
+        let ct = acc.model.combine(&terms);
+        if matches!(
+            job.arch(),
+            Architecture::OneWorkerOneGpu
+                | Architecture::OneWorkerMultiGpu
+                | Architecture::PsWorker
+        ) {
+            let f = ct.fractions();
+            let w = job.cnodes() as f64;
+            for (k, frac) in f.iter().enumerate() {
+                acc.frac_job_sum[k] += frac;
+                acc.frac_cnode_sum[k] += w * frac;
+            }
+            acc.analyzed_jobs += 1;
+            acc.analyzed_cnodes += w;
+        }
+        if job.arch() == Architecture::PsWorker {
+            reference_ingest_ps(acc, job, &terms, &ct);
+        }
+    }
+
+    fn reference_ingest_ps(
+        acc: &mut HeadlineAccum,
+        job: &WorkloadFeatures,
+        terms: &Eq1Terms,
+        ct: &ComponentTimes,
+    ) {
+        acc.ps_jobs += 1;
+        let wf = ct.weight_fraction();
+        if wf > HIGH_COMM_FRACTION {
+            acc.ps_over80 += 1;
+        }
+        acc.comm_hist.record(wf);
+        let [eth, pcie] = terms.weight.map(Seconds::as_f64);
+        let base = ct.data_io.as_f64() + ct.computation().as_f64();
+        let fast_total = base + (eth * acc.eth_100g_scale + pcie);
+        acc.eth_ratio_sum += if fast_total > 0.0 {
+            ct.total.as_f64() / fast_total
+        } else {
+            1.0
+        };
+        let original_step = || ct.total;
+        if let Some(out) = project_priced(
+            &acc.model,
+            job,
+            ProjectionTarget::AllReduceLocal,
+            original_step,
+        ) {
+            acc.arl_eligible += 1;
+            acc.arl_speedup_sum += out.single_cnode_speedup;
+            if out.improves_throughput() {
+                acc.arl_improved += 1;
+            }
+            if out.single_cnode_speedup <= 1.0 {
+                acc.arl_not_sped += 1;
+            }
+        }
+        if let Some(out) = project_priced(
+            &acc.model,
+            job,
+            ProjectionTarget::AllReduceCluster,
+            original_step,
+        ) {
+            acc.arc_eligible += 1;
+            acc.arc_speedup_sum += out.single_cnode_speedup;
+            if out.single_cnode_speedup > 1.0 {
+                acc.arc_sped += 1;
+            }
+        }
+    }
+
+    /// [`accumulate`]'s chunk grid and merge order over the reference
+    /// fold.
+    fn reference_accumulate(model: &PerfModel, jobs: &[WorkloadFeatures]) -> HeadlineAccum {
+        let mut acc = HeadlineAccum::new(*model);
+        for chunk in jobs.chunks(DEFAULT_CHUNK_SIZE) {
+            let mut part = HeadlineAccum::new(*model);
+            for job in chunk {
+                reference_ingest(&mut part, job);
+            }
+            acc.merge(&part);
+        }
+        acc
+    }
+
+    /// A store that lends any range as columns, laid out like
+    /// `pai_trace::JobStore`.
+    struct ColumnStore {
+        arch: Vec<u8>,
+        cnodes: Vec<u32>,
+        batch: Vec<u32>,
+        input_bytes: Vec<f64>,
+        weight_bytes: Vec<f64>,
+        flops: Vec<f64>,
+        mem_access_bytes: Vec<f64>,
+    }
+
+    impl ColumnStore {
+        fn of(jobs: &[WorkloadFeatures]) -> ColumnStore {
+            let u32_of = |v: usize| u32::try_from(v).expect("fits a u32");
+            ColumnStore {
+                arch: jobs.iter().map(|j| j.arch().index() as u8).collect(),
+                cnodes: jobs.iter().map(|j| u32_of(j.cnodes())).collect(),
+                batch: jobs.iter().map(|j| u32_of(j.batch_size())).collect(),
+                input_bytes: jobs.iter().map(|j| j.input_bytes().as_f64()).collect(),
+                weight_bytes: jobs.iter().map(|j| j.weight_bytes().as_f64()).collect(),
+                flops: jobs.iter().map(|j| j.flops().as_f64()).collect(),
+                mem_access_bytes: jobs.iter().map(|j| j.mem_access_bytes().as_f64()).collect(),
+            }
+        }
+    }
+
+    impl Jobs for ColumnStore {
+        fn len(&self) -> usize {
+            self.arch.len()
+        }
+
+        fn get(&self, index: usize) -> WorkloadFeatures {
+            WorkloadFeatures::builder(Architecture::ALL[self.arch[index] as usize])
+                .cnodes(self.cnodes[index] as usize)
+                .batch_size(self.batch[index] as usize)
+                .input_bytes(Bytes::from_f64(self.input_bytes[index]))
+                .weight_bytes(Bytes::from_f64(self.weight_bytes[index]))
+                .flops(Flops::from_f64(self.flops[index]))
+                .mem_access_bytes(Bytes::from_f64(self.mem_access_bytes[index]))
+                .build()
+        }
+
+        fn columns(&self, range: std::ops::Range<usize>) -> Option<JobColumns<'_>> {
+            Some(JobColumns {
+                arch: &self.arch[range.clone()],
+                cnodes: &self.cnodes[range.clone()],
+                batch: &self.batch[range.clone()],
+                input_bytes: &self.input_bytes[range.clone()],
+                weight_bytes: &self.weight_bytes[range.clone()],
+                flops: &self.flops[range.clone()],
+                mem_access_bytes: &self.mem_access_bytes[range],
+            })
+        }
+    }
+
+    /// The accumulator's whole checkpointed state: every counter, every
+    /// partial sum and every histogram bin, each `f64` by its bits.
+    fn state_bytes(acc: &HeadlineAccum) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        acc.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    fn decades(exponents: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+        exponents.prop_map(|e| 10f64.powf(e))
+    }
+
+    /// A volume: `+0`, `-0` (both pass ingest validation), uniform, or
+    /// log-uniform up to 1e15.
+    fn volume() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(-0.0), 0.0..=1e15, decades(0.0..=15.0)]
+    }
+
+    /// A valid record of any class: cNode counts on both sides of the
+    /// 8-GPU server, weights on both sides of one GPU's memory, and
+    /// PS/Worker records with every size zero (they price at zero and
+    /// project to nothing).
+    fn any_record() -> impl Strategy<Value = WorkloadFeatures> {
+        let memory = PerfModel::paper_default()
+            .config()
+            .gpu()
+            .memory_capacity()
+            .as_f64();
+        let weight = prop_oneof![volume(), Just(memory), memory * 0.5..=memory * 2.0];
+        let priced = (
+            0..Architecture::ALL.len(),
+            prop_oneof![2..=16usize, 2..=4096usize],
+            1..=1024usize,
+            (volume(), weight, volume(), volume()),
+        )
+            .prop_map(|(arch, cnodes, batch, (input, weight, flops, mem))| {
+                let arch = Architecture::ALL[arch];
+                let cnodes = if arch == Architecture::OneWorkerOneGpu {
+                    1
+                } else {
+                    cnodes
+                };
+                WorkloadFeatures::builder(arch)
+                    .cnodes(cnodes)
+                    .batch_size(batch)
+                    .input_bytes(Bytes::from_f64(input))
+                    .weight_bytes(Bytes::from_f64(weight))
+                    .flops(Flops::from_f64(flops))
+                    .mem_access_bytes(Bytes::from_f64(mem))
+                    .build()
+            });
+        let idle = (2..=64usize).prop_map(|cnodes| {
+            WorkloadFeatures::builder(Architecture::PsWorker)
+                .cnodes(cnodes)
+                .build()
+        });
+        // One record in ten is idle.
+        (0..10u8, priced, idle)
+            .prop_map(|(pick, priced, idle)| if pick == 0 { idle } else { priced })
+    }
+
+    /// Both drivers against the reference fold under both overlap
+    /// modes, the whole accumulator state byte for byte.
+    fn drivers_match_reference(jobs: &[WorkloadFeatures]) -> Result<(), TestCaseError> {
+        let columns = ColumnStore::of(jobs);
+        let records = jobs.to_vec();
+        for overlap in OverlapMode::ALL {
+            let model = PerfModel::paper_default().with_overlap(overlap);
+            let want = state_bytes(&reference_accumulate(&model, jobs));
+            for threads in [Threads::SERIAL, Threads::new(2)] {
+                for (driver, got) in [
+                    ("column", accumulate(&model, &columns, threads)),
+                    ("per-job", accumulate(&model, &records, threads)),
+                ] {
+                    let got = state_bytes(&got);
+                    let first_diff = got.iter().zip(&want).position(|(a, b)| a != b);
+                    prop_assert!(
+                        got == want,
+                        "{} driver under {}: state differs from byte {:?}",
+                        driver,
+                        overlap,
+                        first_diff
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        /// Partial, single and multi-chunk record lists of every class.
+        #[test]
+        fn both_drivers_are_bitwise_the_reference_fold(
+            jobs in proptest::collection::vec(any_record(), 1..=2100),
+        ) {
+            drivers_match_reference(&jobs)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+        /// The same property over 20 000 cases; run with
+        /// `cargo test --release -p pai-core -- --ignored`.
+        #[test]
+        #[ignore = "20 000 cases: run in release with --ignored"]
+        fn both_drivers_are_bitwise_the_reference_fold_deep(
+            jobs in proptest::collection::vec(any_record(), 1..=2100),
+        ) {
+            drivers_match_reference(&jobs)?;
+        }
+    }
+
+    #[test]
+    fn column_driver_rejects_mismatched_columns() {
+        let jobs = mixed_jobs(10);
+        let store = ColumnStore::of(&jobs);
+        let mut cols = store.columns(0..10).expect("lent");
+        cols.flops = &store.flops[..9];
+        let mut acc = HeadlineAccum::new(PerfModel::paper_default());
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            acc.ingest_columns(&cols);
+        }));
+        assert!(caught.is_err(), "a short column must not be folded");
     }
 
     #[test]

@@ -9,7 +9,46 @@
 //! abstraction, and a 10M-job store never has to clone itself into a
 //! slice just to be characterized.
 
+use std::ops::Range;
+
 use crate::features::WorkloadFeatures;
+
+/// One index range of a store that keeps a column per
+/// [`WorkloadFeatures`] field: row `k` of every slice is job
+/// `range.start + k`, so all seven slices have the range's length.
+///
+/// Classes are [`crate::Architecture::index`] values; cNode counts and
+/// batch sizes are `u32`, and the four volumes are the raw `f64`s the
+/// record holds.
+#[derive(Debug, Clone, Copy)]
+pub struct JobColumns<'a> {
+    /// Each job's class as its [`crate::Architecture::index`].
+    pub arch: &'a [u8],
+    /// cNode counts.
+    pub cnodes: &'a [u32],
+    /// Per-replica batch sizes.
+    pub batch: &'a [u32],
+    /// `S_d` in bytes.
+    pub input_bytes: &'a [f64],
+    /// `S_w` in bytes.
+    pub weight_bytes: &'a [f64],
+    /// `#FLOPs`.
+    pub flops: &'a [f64],
+    /// `S_mem_access` in bytes.
+    pub mem_access_bytes: &'a [f64],
+}
+
+impl JobColumns<'_> {
+    /// The row count: the length of the class column.
+    pub fn len(&self) -> usize {
+        self.arch.len()
+    }
+
+    /// True when the range holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.arch.is_empty()
+    }
+}
 
 /// A read-only, indexable collection of jobs.
 ///
@@ -44,6 +83,15 @@ pub trait Jobs: Sync {
             jobs: self,
             next: 0,
         }
+    }
+
+    /// Jobs `range` as column slices, when the store keeps one column
+    /// per field and holds the whole range contiguously. The default is
+    /// `None`, which sends a pass back to [`Jobs::get`]: a
+    /// `Vec<WorkloadFeatures>` keeps its records as they are, including
+    /// cNode counts or batch sizes too large for a `u32` column.
+    fn columns(&self, _range: Range<usize>) -> Option<JobColumns<'_>> {
+        None
     }
 }
 
@@ -116,6 +164,10 @@ impl<J: Jobs + ?Sized> Jobs for &J {
     fn id_at(&self, index: usize) -> usize {
         (**self).id_at(index)
     }
+
+    fn columns(&self, range: Range<usize>) -> Option<JobColumns<'_>> {
+        (**self).columns(range)
+    }
 }
 
 #[cfg(test)]
@@ -159,5 +211,12 @@ mod tests {
         let v: Vec<WorkloadFeatures> = Vec::new();
         assert!(Jobs::is_empty(&v));
         assert_eq!(v.iter_jobs().count(), 0);
+    }
+
+    #[test]
+    fn record_stores_lend_no_columns() {
+        let v = jobs(3);
+        assert!(Jobs::columns(&v, 0..3).is_none());
+        assert!(Jobs::columns(&&v[..], 0..2).is_none());
     }
 }

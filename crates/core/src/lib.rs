@@ -85,7 +85,7 @@ pub use arch::Architecture;
 pub use breakdown::HardwareBreakdown;
 pub use codec::{crc32, model_fingerprint, ByteReader, ByteWriter, CheckpointError};
 pub use features::{FeatureViolation, RawFeatures, WorkloadFeatures, WorkloadFeaturesBuilder};
-pub use jobs::{IngestSink, Jobs};
+pub use jobs::{IngestSink, JobColumns, Jobs};
 pub use model::{ComponentTimes, Eq1Terms, PerfModel};
 pub use overlap::OverlapMode;
 pub use project::{comm_bound_speedup, ProjectionOutcome, ProjectionTarget};

@@ -17,6 +17,8 @@
 //! Every denominator is derated by the [`Efficiency`] assumption
 //! (70 % by default).
 
+use std::ops::Add;
+
 use pai_hw::{
     Bandwidth, Bytes, Efficiency, FlopsRate, HardwareConfig, LinkKind, Seconds, SweepAxis,
 };
@@ -149,22 +151,19 @@ impl PerfModel {
     /// PCIe-sharing contention factor for multi-GPU-per-server classes.
     #[inline]
     pub fn data_io_time(&self, job: &WorkloadFeatures) -> Seconds {
-        let contention = job
-            .arch()
-            .input_contention_factor(job.cnodes(), GPUS_PER_SERVER);
-        job.input_bytes().scale(contention as f64) / self.rates.pcie
+        Seconds::from_f64(self.data_io_secs(job.arch(), job.cnodes(), job.input_bytes().as_f64()))
     }
 
     /// The compute-bound half of `Tc`: `#FLOPs / (peak_FLOPs × eff)`.
     #[inline]
     pub fn compute_bound_time(&self, job: &WorkloadFeatures) -> Seconds {
-        job.flops() / self.rates.compute
+        Seconds::from_f64(self.compute_bound_secs(job.flops().as_f64()))
     }
 
     /// The memory-bound half of `Tc`: `S_mem / (B_mem × eff)`.
     #[inline]
     pub fn memory_bound_time(&self, job: &WorkloadFeatures) -> Seconds {
-        job.mem_access_bytes() / self.rates.hbm
+        Seconds::from_f64(self.memory_bound_secs(job.mem_access_bytes().as_f64()))
     }
 
     /// Total `Tw`: the weight volume crosses every medium on its
@@ -173,31 +172,85 @@ impl PerfModel {
     /// times add in path order to a `+0.0` seed.
     #[inline]
     pub fn weight_traffic_time(&self, job: &WorkloadFeatures) -> Seconds {
-        weight_traffic(self.weight_legs(job))
-    }
-
-    /// `S_w / (B × eff)` on each slot of the job's padded Table II
-    /// media row.
-    #[inline]
-    fn weight_legs(&self, job: &WorkloadFeatures) -> [Seconds; 2] {
-        let weight = job.weight_bytes().as_f64();
-        let [first, second] = self.rates.weight[job.arch().index()];
-        [
-            Seconds::from_f64(weight / first),
-            Seconds::from_f64(weight / second),
-        ]
+        let legs = self.weight_secs(job.arch(), job.weight_bytes().as_f64());
+        Seconds::from_f64(weight_traffic(legs))
     }
 
     /// The job's Eq. 1 terms under this model's configuration: the
     /// five divisions of [`PerfModel::component_times`], uncombined.
     #[inline]
     pub fn terms(&self, job: &WorkloadFeatures) -> Eq1Terms {
+        let volumes = [
+            job.input_bytes().as_f64(),
+            job.weight_bytes().as_f64(),
+            job.flops().as_f64(),
+            job.mem_access_bytes().as_f64(),
+        ];
+        let secs = self.term_secs(job.arch(), job.cnodes(), volumes);
         Eq1Terms {
-            data_io: self.data_io_time(job),
-            compute_bound: self.compute_bound_time(job),
-            memory_bound: self.memory_bound_time(job),
-            weight: self.weight_legs(job),
+            data_io: Seconds::from_f64(secs.data_io),
+            compute_bound: Seconds::from_f64(secs.compute_bound),
+            memory_bound: Seconds::from_f64(secs.memory_bound),
+            weight: secs.weight.map(Seconds::from_f64),
         }
+    }
+
+    /// The scalar core of Eq. 1: the five quotients of a record of
+    /// class `arch` with `cnodes` replicas and per-step volumes
+    /// `[S_d, S_w, #FLOPs, S_mem]`, as raw seconds.
+    ///
+    /// [`PerfModel::terms`] checks each quotient into an [`Eq1Terms`];
+    /// the column pass of [`crate::accumulate`] checks a whole chunk's
+    /// quotients at once.
+    #[inline]
+    pub(crate) fn term_secs(
+        &self,
+        arch: Architecture,
+        cnodes: usize,
+        [input, weight, flops, mem]: [f64; 4],
+    ) -> TermSecs {
+        TermSecs {
+            data_io: self.data_io_secs(arch, cnodes, input),
+            compute_bound: self.compute_bound_secs(flops),
+            memory_bound: self.memory_bound_secs(mem),
+            weight: self.weight_secs(arch, weight),
+        }
+    }
+
+    /// `Td` in seconds: `S_d × contention / (B_pcie × eff)`.
+    #[inline]
+    pub(crate) fn data_io_secs(&self, arch: Architecture, cnodes: usize, input: f64) -> f64 {
+        let contention = arch.input_contention_factor(cnodes, GPUS_PER_SERVER);
+        input * contention as f64 / self.rates.pcie.as_bytes_per_sec()
+    }
+
+    #[inline]
+    fn compute_bound_secs(&self, flops: f64) -> f64 {
+        flops / self.rates.compute.as_flops_per_sec()
+    }
+
+    #[inline]
+    fn memory_bound_secs(&self, mem: f64) -> f64 {
+        mem / self.rates.hbm.as_bytes_per_sec()
+    }
+
+    /// `S_w / (B × eff)` on each slot of the padded Table II media row
+    /// of `arch`, in seconds.
+    #[inline]
+    pub(crate) fn weight_secs(&self, arch: Architecture, weight: f64) -> [f64; 2] {
+        self.rates.weight[arch.index()].map(|rate| weight / rate)
+    }
+
+    /// `T_total` of raw terms under the model's overlap mode: the
+    /// combination [`PerfModel::combine`] makes.
+    #[inline]
+    pub(crate) fn total_secs(&self, terms: &TermSecs) -> f64 {
+        let parts = [
+            terms.data_io,
+            terms.compute_bound + terms.memory_bound,
+            weight_traffic(terms.weight),
+        ];
+        self.overlap.combine(&parts)
     }
 
     /// `terms` with every term that divides by `axis`'s rate derived
@@ -230,16 +283,15 @@ impl PerfModel {
                 return terms;
             }
         };
-        let weight = job.weight_bytes().as_f64();
-        let rates = self.rates.weight[job.arch().index()];
-        for ((leg, rate), &kind) in terms
+        let legs = self.weight_secs(job.arch(), job.weight_bytes().as_f64());
+        for ((leg, secs), &kind) in terms
             .weight
             .iter_mut()
-            .zip(rates)
+            .zip(legs)
             .zip(job.arch().weight_media())
         {
             if kind == medium {
-                *leg = Seconds::from_f64(weight / rate);
+                *leg = Seconds::from_f64(secs);
             }
         }
         terms
@@ -263,15 +315,13 @@ impl PerfModel {
     /// `[Td, Tcc + Tcm, Tw]`.
     #[inline]
     pub fn combine(&self, terms: &Eq1Terms) -> ComponentTimes {
-        let tw = weight_traffic(terms.weight);
-        let computation = terms.compute_bound + terms.memory_bound;
-        let parts = [terms.data_io.as_f64(), computation.as_f64(), tw.as_f64()];
+        let secs = TermSecs::of(terms);
         ComponentTimes {
             data_io: terms.data_io,
             compute_bound: terms.compute_bound,
             memory_bound: terms.memory_bound,
-            weight_traffic: tw,
-            total: Seconds::from_f64(self.overlap.combine(&parts)),
+            weight_traffic: weight_traffic(terms.weight),
+            total: Seconds::from_f64(self.total_secs(&secs)),
         }
     }
 
@@ -314,10 +364,45 @@ pub struct Eq1Terms {
     pub weight: [Seconds; 2],
 }
 
-/// Total `Tw`: the weight legs added in path order to a `+0.0` seed.
+/// One record's Eq. 1 terms as raw seconds, in [`Eq1Terms`] field
+/// order: the quotients before `Seconds::from_f64` checks them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TermSecs {
+    pub(crate) data_io: f64,
+    pub(crate) compute_bound: f64,
+    pub(crate) memory_bound: f64,
+    pub(crate) weight: [f64; 2],
+}
+
+impl TermSecs {
+    /// The values of checked terms.
+    #[inline]
+    pub(crate) fn of(terms: &Eq1Terms) -> TermSecs {
+        TermSecs {
+            data_io: terms.data_io.as_f64(),
+            compute_bound: terms.compute_bound.as_f64(),
+            memory_bound: terms.memory_bound.as_f64(),
+            weight: terms.weight.map(Seconds::as_f64),
+        }
+    }
+}
+
+/// Total `Tw`: the weight legs added in path order to a `+0.0` seed,
+/// as `Seconds` or as raw seconds.
 #[inline]
-fn weight_traffic([first, second]: [Seconds; 2]) -> Seconds {
-    Seconds::ZERO + first + second
+pub(crate) fn weight_traffic<T: Add<Output = T> + Default>([first, second]: [T; 2]) -> T {
+    T::default() + first + second
+}
+
+/// `part / total`, or zero when the total is zero: each share
+/// [`ComponentTimes::fractions`] reports.
+#[inline]
+pub(crate) fn share(part: f64, total: f64) -> f64 {
+    if total == 0.0 {
+        0.0
+    } else {
+        part / total
+    }
 }
 
 /// The per-step Eq. 1 decomposition of one job (Fig. 7, Fig. 8): `Td`,
@@ -345,12 +430,7 @@ impl ComponentTimes {
     }
 
     fn fraction(&self, part: Seconds) -> f64 {
-        let total = self.total.as_f64();
-        if total == 0.0 {
-            0.0
-        } else {
-            part.as_f64() / total
-        }
+        share(part.as_f64(), self.total.as_f64())
     }
 
     /// Share of weight/gradient traffic in the total — the Fig. 8 /

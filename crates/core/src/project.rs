@@ -14,12 +14,12 @@
 //! `T_old / T_new`, and the end-to-end throughput speedup of Eq. 2,
 //! which also feels the cNode-count reduction.
 
-use pai_hw::{LinkKind, Seconds};
+use pai_hw::{Bytes, LinkKind, Seconds};
 use serde::{Deserialize, Serialize};
 
 use crate::arch::Architecture;
 use crate::features::WorkloadFeatures;
-use crate::model::{PerfModel, GPUS_PER_SERVER};
+use crate::model::{PerfModel, TermSecs, GPUS_PER_SERVER};
 
 /// The projection destinations of Sec. III-C1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -63,8 +63,16 @@ pub struct ProjectionOutcome {
 impl ProjectionOutcome {
     /// True when end-to-end throughput strictly improves.
     pub fn improves_throughput(&self) -> bool {
-        self.throughput_speedup > 1.0
+        improves_throughput(self.throughput_speedup)
     }
+}
+
+/// Whether an Eq. 2 throughput ratio new/old is a strict improvement:
+/// the rule [`ProjectionOutcome::improves_throughput`] and the
+/// characterization row update both apply.
+#[inline]
+pub(crate) fn improves_throughput(throughput_speedup: f64) -> bool {
+    throughput_speedup > 1.0
 }
 
 /// Projects a PS/Worker job onto an AllReduce architecture and predicts
@@ -99,13 +107,121 @@ pub fn project(
     job: &WorkloadFeatures,
     target: ProjectionTarget,
 ) -> Option<ProjectionOutcome> {
-    project_priced(model, job, target, || model.total_time(job))
+    if job.arch() != Architecture::PsWorker {
+        return None;
+    }
+    let out = project_job(model, target, &ProjectedJob::of(job), || {
+        let terms = model.terms(job);
+        let step = model.combine(&terms).total;
+        (
+            [terms.compute_bound, terms.memory_bound].map(Seconds::as_f64),
+            step.as_f64(),
+        )
+    })?;
+    Some(ProjectionOutcome {
+        original: *job,
+        projected: job.remapped(target.architecture(), out.cnodes),
+        target,
+        original_step: out.original_step,
+        projected_step: out.projected_step,
+        single_cnode_speedup: out.single_cnode_speedup,
+        throughput_speedup: out.throughput_speedup,
+    })
 }
 
-/// [`project`] for a caller that may already hold the job's step
-/// time: `original_step` runs only once the job is known eligible.
-/// Each side is priced once, and Eq. 2 throughput is taken from those
-/// two step times.
+/// The record fields of a PS/Worker job that its projection reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProjectedJob {
+    pub(crate) cnodes: usize,
+    pub(crate) batch: usize,
+    pub(crate) input_bytes: f64,
+    pub(crate) weight_bytes: Bytes,
+}
+
+impl ProjectedJob {
+    #[inline]
+    pub(crate) fn of(job: &WorkloadFeatures) -> ProjectedJob {
+        ProjectedJob {
+            cnodes: job.cnodes(),
+            batch: job.batch_size(),
+            input_bytes: job.input_bytes().as_f64(),
+            weight_bytes: job.weight_bytes(),
+        }
+    }
+}
+
+/// One PS/Worker job on a projection target: its replica count there,
+/// both step times and both speedups.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Projection {
+    pub(crate) cnodes: usize,
+    pub(crate) original_step: Seconds,
+    pub(crate) projected_step: Seconds,
+    pub(crate) single_cnode_speedup: f64,
+    pub(crate) throughput_speedup: f64,
+}
+
+/// The projection rule of Sec. III-C1 for one PS/Worker job, the one
+/// copy [`project`] and the characterization row update call:
+///
+/// - the memory check: the weights must fit one GPU's memory;
+/// - the replica count: capped at 8 on AllReduce-Local, kept on
+///   AllReduce-Cluster, at least 2 on either;
+/// - the projected step: `Td` and the weight legs derived again for
+///   the target class and replica count, both halves of `Tc` kept;
+/// - the zero-step exclusion: a job that prices at zero before or
+///   after the move has no speedup;
+/// - the two speedups, the Eq. 2 one from the two step times.
+///
+/// `original` gives the job's own `[Tcc, Tcm]` and step time in
+/// seconds; it runs only once the job is known to fit.
+#[inline]
+pub(crate) fn project_job<F>(
+    model: &PerfModel,
+    target: ProjectionTarget,
+    job: &ProjectedJob,
+    original: F,
+) -> Option<Projection>
+where
+    F: FnOnce() -> ([f64; 2], f64),
+{
+    if !model.config().gpu().fits_in_memory(job.weight_bytes) {
+        return None;
+    }
+    let cnodes = match target {
+        ProjectionTarget::AllReduceLocal => job.cnodes.min(GPUS_PER_SERVER),
+        ProjectionTarget::AllReduceCluster => job.cnodes,
+    }
+    .max(2);
+    let arch = target.architecture();
+    let ([compute_bound, memory_bound], original_step) = original();
+    let projected = TermSecs {
+        data_io: model.data_io_secs(arch, cnodes, job.input_bytes),
+        compute_bound,
+        memory_bound,
+        weight: model.weight_secs(arch, job.weight_bytes.as_f64()),
+    };
+    let original_step = Seconds::from_f64(original_step);
+    let projected_step = Seconds::from_f64(model.total_secs(&projected));
+    if original_step.is_zero() || projected_step.is_zero() {
+        return None;
+    }
+    let throughput = |cnodes, step| crate::throughput::throughput(cnodes, step, job.batch);
+    Some(Projection {
+        cnodes,
+        original_step,
+        projected_step,
+        single_cnode_speedup: original_step.ratio(projected_step),
+        throughput_speedup: throughput(cnodes, projected_step)
+            / throughput(job.cnodes, original_step),
+    })
+}
+
+/// [`project`] as it priced before the projection rule kept both halves
+/// of `Tc`: the remapped job priced whole with
+/// [`PerfModel::total_time`]. The reference the characterization fold's
+/// tests compare against.
+#[cfg(test)]
 pub(crate) fn project_priced<F>(
     model: &PerfModel,
     job: &WorkloadFeatures,
@@ -193,7 +309,7 @@ pub fn comm_bound_speedup(model: &PerfModel) -> f64 {
 mod tests {
     use super::*;
     use crate::overlap::OverlapMode;
-    use pai_hw::{Bytes, Flops};
+    use pai_hw::Flops;
     use proptest::prelude::*;
 
     fn ps_job(cnodes: usize, weight_gb: f64, flops_t: f64) -> WorkloadFeatures {

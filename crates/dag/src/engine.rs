@@ -87,11 +87,6 @@ impl StepTimeEngine {
         }
     }
 
-    /// The wrapped analytical model.
-    pub fn model(&self) -> &PerfModel {
-        &self.model
-    }
-
     /// The active backend.
     pub fn backend(&self) -> StepTimeBackend {
         self.backend

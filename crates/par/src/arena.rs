@@ -98,6 +98,17 @@ impl<T: Copy> ChunkedVec<T> {
         self.segs[seg][offset]
     }
 
+    /// Segment `seg` as a slice: the elements at indices from
+    /// `seg * seg_cap()` up to the next segment boundary or `len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no element is stored in segment `seg`.
+    #[inline]
+    pub fn segment(&self, seg: usize) -> &[T] {
+        &self.segs[seg]
+    }
+
     /// Iterates the elements in index order.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
         self.segs.iter().flat_map(|s| s.iter().copied())
@@ -176,6 +187,15 @@ mod tests {
         assert_eq!(v.segs[3].len(), 1);
         // Segments are allocated at full capacity up front.
         assert!(v.segs.iter().all(|s| s.capacity() == 8));
+        assert_eq!(v.segment(1), &[8, 9, 10, 11, 12, 13, 14, 15]);
+        assert_eq!(v.segment(3), &[24]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn segment_past_the_last_panics() {
+        let v: ChunkedVec<u8> = [1, 2, 3].into_iter().collect();
+        let _ = v.segment(1);
     }
 
     #[test]

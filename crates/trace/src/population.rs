@@ -6,7 +6,9 @@
 //! ([`PerfModel::paper_default`]) into physical features. See the
 //! crate-level docs for why this calibration strategy is sound.
 
-use pai_core::{Architecture, Jobs, PerfModel, WorkloadFeatures};
+use std::ops::Range;
+
+use pai_core::{Architecture, JobColumns, Jobs, PerfModel, WorkloadFeatures};
 use pai_hw::{Bytes, Flops, LinkKind};
 use pai_par::Threads;
 use rand::rngs::StdRng;
@@ -226,6 +228,10 @@ impl Jobs for Population {
 
     fn id_at(&self, index: usize) -> usize {
         self.store.id_at(index)
+    }
+
+    fn columns(&self, range: Range<usize>) -> Option<JobColumns<'_>> {
+        self.store.columns(range)
     }
 }
 

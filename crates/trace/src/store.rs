@@ -22,7 +22,9 @@
 //! `pai-core` runs against it directly, and [`pai_core::IngestSink`],
 //! so it can terminate a streaming pipeline.
 
-use pai_core::{Architecture, IngestSink, Jobs, WorkloadFeatures};
+use std::ops::Range;
+
+use pai_core::{Architecture, IngestSink, JobColumns, Jobs, WorkloadFeatures};
 use pai_hw::{Bytes, Flops};
 use pai_par::ChunkedVec;
 
@@ -141,6 +143,35 @@ impl JobStore {
         }
     }
 
+    /// Rows `range` as column slices, when the range lies inside one
+    /// arena segment (every chunk of the
+    /// [`crate::population::JOB_CHUNK`] grid does); `None` for an empty
+    /// range or one that crosses a segment boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > len()`.
+    pub fn columns(&self, range: Range<usize>) -> Option<JobColumns<'_>> {
+        assert!(range.end <= self.len(), "rows {range:?} out of bounds");
+        let cap = self.arch.seg_cap();
+        let seg = range.start / cap;
+        if range.is_empty() || (range.end - 1) / cap != seg {
+            return None;
+        }
+        // Every column is a default arena, so one segment index and one
+        // offset range address all seven.
+        let at = range.start - seg * cap..range.end - seg * cap;
+        Some(JobColumns {
+            arch: &self.arch.segment(seg)[at.clone()],
+            cnodes: &self.cnodes.segment(seg)[at.clone()],
+            batch: &self.batch.segment(seg)[at.clone()],
+            input_bytes: &self.input_bytes.segment(seg)[at.clone()],
+            weight_bytes: &self.weight_bytes.segment(seg)[at.clone()],
+            flops: &self.flops.segment(seg)[at.clone()],
+            mem_access_bytes: &self.mem_access.segment(seg)[at],
+        })
+    }
+
     /// Row `index` as an exchange record.
     pub fn record(&self, index: usize) -> JobRecord {
         JobRecord {
@@ -212,6 +243,11 @@ impl Jobs for JobStore {
     #[inline]
     fn id_at(&self, index: usize) -> usize {
         JobStore::id_at(self, index)
+    }
+
+    #[inline]
+    fn columns(&self, range: Range<usize>) -> Option<JobColumns<'_>> {
+        JobStore::columns(self, range)
     }
 }
 
@@ -336,6 +372,37 @@ mod tests {
             .filter(|&i| store.get(i).arch() == Architecture::PsWorker)
             .count();
         assert_eq!(counts[Architecture::PsWorker.index()], walked_ps);
+    }
+
+    #[test]
+    fn segment_ranges_lend_their_columns() {
+        let jobs = sample(2500);
+        let store: JobStore = jobs.iter().copied().collect();
+        for range in [0..1024, 1024..2048, 2048..2500, 3..9, 2499..2500] {
+            let cols = store.columns(range.clone()).expect("inside one segment");
+            assert_eq!(cols.len(), range.len());
+            for (k, job) in jobs[range].iter().enumerate() {
+                assert_eq!(Architecture::ALL[cols.arch[k] as usize], job.arch());
+                assert_eq!(cols.cnodes[k] as usize, job.cnodes());
+                assert_eq!(cols.batch[k] as usize, job.batch_size());
+                assert_eq!(cols.input_bytes[k], job.input_bytes().as_f64());
+                assert_eq!(cols.weight_bytes[k], job.weight_bytes().as_f64());
+                assert_eq!(cols.flops[k], job.flops().as_f64());
+                assert_eq!(cols.mem_access_bytes[k], job.mem_access_bytes().as_f64());
+            }
+        }
+        // Crossing a segment boundary or asking for nothing lends none.
+        assert!(store.columns(1000..1030).is_none());
+        assert!(store.columns(0..2500).is_none());
+        assert!(store.columns(2500..2500).is_none());
+        assert!(Jobs::columns(&store, 1024..2048).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn columns_past_the_end_panic() {
+        let store: JobStore = sample(10).into_iter().collect();
+        let _ = store.columns(5..11);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property tests for the population generator: structural invariants
 //! that must hold for every seed and size.
 
-use pai_core::{Architecture, PerfModel};
-use pai_par::{assert_serial_parallel_identical, EQUIVALENCE_THREADS};
-use pai_trace::{Population, PopulationConfig};
+use pai_core::{characterize, Architecture, PerfModel, WorkloadFeatures};
+use pai_hw::{Bytes, Flops};
+use pai_par::{assert_serial_parallel_identical, Threads, EQUIVALENCE_THREADS};
+use pai_trace::{JobStore, Population, PopulationConfig, StreamSession};
 use proptest::prelude::*;
 
 proptest! {
@@ -101,9 +102,7 @@ proptest! {
         seed in 0u64..1_000_000,
         jobs in prop_oneof![1usize..60, 1000usize..1100, 2048usize..2100],
     ) {
-        use pai_core::{characterize, PerfModel};
-        use pai_par::Threads;
-        use pai_trace::{JobStore, JobStream, StreamSession};
+        use pai_trace::JobStream;
 
         let cfg = PopulationConfig::paper_scale(jobs).unwrap();
         let model = PerfModel::paper_default();
@@ -130,6 +129,91 @@ proptest! {
                 "stats drifted at {} threads",
                 t
             );
+        }
+    }
+}
+
+fn decades(exponents: std::ops::RangeInclusive<f64>) -> impl Strategy<Value = f64> {
+    exponents.prop_map(|e| 10f64.powf(e))
+}
+
+/// A volume: `+0`, `-0` (both pass ingest validation), uniform, or
+/// log-uniform up to 1e15.
+fn volume() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(-0.0), 0.0..=1e15, decades(0.0..=15.0)]
+}
+
+/// The records pai-core's reference-fold property draws: any class,
+/// cNode counts on both sides of the 8-GPU server, weights on both
+/// sides of one GPU's memory, and one record in ten a PS/Worker job
+/// with every size zero.
+fn any_record() -> impl Strategy<Value = WorkloadFeatures> {
+    let memory = PerfModel::paper_default()
+        .config()
+        .gpu()
+        .memory_capacity()
+        .as_f64();
+    let weight = prop_oneof![volume(), Just(memory), memory * 0.5..=memory * 2.0];
+    let priced = (
+        0..Architecture::ALL.len(),
+        prop_oneof![2..=16usize, 2..=4096usize],
+        1..=1024usize,
+        (volume(), weight, volume(), volume()),
+    )
+        .prop_map(|(arch, cnodes, batch, (input, weight, flops, mem))| {
+            let arch = Architecture::ALL[arch];
+            let cnodes = if arch == Architecture::OneWorkerOneGpu {
+                1
+            } else {
+                cnodes
+            };
+            WorkloadFeatures::builder(arch)
+                .cnodes(cnodes)
+                .batch_size(batch)
+                .input_bytes(Bytes::from_f64(input))
+                .weight_bytes(Bytes::from_f64(weight))
+                .flops(Flops::from_f64(flops))
+                .mem_access_bytes(Bytes::from_f64(mem))
+                .build()
+        });
+    let idle = (2..=64usize).prop_map(|cnodes| {
+        WorkloadFeatures::builder(Architecture::PsWorker)
+            .cnodes(cnodes)
+            .build()
+    });
+    (0..10u8, priced, idle).prop_map(|(pick, priced, idle)| if pick == 0 { idle } else { priced })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every driver of the characterization fold agrees on records the
+    /// generator never draws (zero-work jobs, `-0` volumes), over
+    /// partial, exactly-one and multi-chunk stores: the column driver
+    /// (a `JobStore`) and the per-job driver (a `Vec`) at 1, 2 and 4
+    /// threads, and a stream session. Statistics compare through their
+    /// `Debug` form, which spells every `f64` exactly, signed zeros
+    /// included.
+    #[test]
+    fn every_driver_agrees_on_edge_case_records(
+        jobs in prop_oneof![
+            proptest::collection::vec(any_record(), 1..=2100),
+            proptest::collection::vec(any_record(), 1024..=1024),
+        ],
+    ) {
+        let model = PerfModel::paper_default();
+        let mut session = StreamSession::new(model);
+        for job in &jobs {
+            session.ingest(job);
+        }
+        let want = format!("{:?}", session.stats());
+        let store: JobStore = jobs.iter().copied().collect();
+        for t in [1usize, 2, 4] {
+            let threads = Threads::new(t);
+            let by_column = format!("{:?}", characterize(&model, &store, threads));
+            prop_assert_eq!(&by_column, &want, "column driver at {} threads", t);
+            let by_job = format!("{:?}", characterize(&model, &jobs, threads));
+            prop_assert_eq!(&by_job, &want, "per-job driver at {} threads", t);
         }
     }
 }
