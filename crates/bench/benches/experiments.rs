@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pai_bench::bench_context;
-use pai_repro::{run_experiment, ALL_EXPERIMENTS};
+use pai_repro::{run_experiment, EXPERIMENTS};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -14,7 +14,7 @@ fn bench_experiments(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
-    for id in ALL_EXPERIMENTS {
+    for &(id, _) in EXPERIMENTS {
         group.bench_function(id, |b| {
             b.iter(|| black_box(run_experiment(id, &ctx)));
         });

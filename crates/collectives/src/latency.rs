@@ -79,35 +79,6 @@ pub fn message_time(payload: Bytes, link: &LinkModel, latency: Latency) -> Secon
     latency.alpha() + link.transfer_time(payload)
 }
 
-/// A stream of `n` equal-share messages totalling `payload` bytes over
-/// one link: `n·α + S / B_eff`.
-///
-/// The bandwidth term is independent of `n` — only the per-message
-/// latency scales with the message count. Halving `n` at equal total
-/// bytes therefore strictly reduces the modeled time (by `n/2 · α`),
-/// which is exactly the saving greedy tensor fusion banks.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn fused_stream_time(n: usize, payload: Bytes, link: &LinkModel, latency: Latency) -> Seconds {
-    assert!(n > 0, "a message stream needs at least one message");
-    latency.alpha().scale(n as f64) + link.transfer_time(payload)
-}
-
-/// Ring AllGather time with latency: `n-1` steps plus bandwidth.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn allgather_time(n: usize, payload: Bytes, link: &LinkModel, latency: Latency) -> Seconds {
-    assert!(n > 0, "collectives need at least one rank");
-    if n == 1 {
-        return Seconds::ZERO;
-    }
-    latency.alpha().scale((n - 1) as f64) + link.transfer_time(ring::allgather_per_rank(n, payload))
-}
-
 /// The payload size at which latency and bandwidth terms are equal for
 /// a ring AllReduce — below this, the collective is latency-bound and
 /// the paper's `S/B` model underestimates.
@@ -170,7 +141,6 @@ mod tests {
     fn single_rank_is_free() {
         let link = nvlink();
         assert!(allreduce_time(1, Bytes::from_gb(1.0), &link, Latency::nvlink_default()).is_zero());
-        assert!(allgather_time(1, Bytes::from_gb(1.0), &link, Latency::nvlink_default()).is_zero());
     }
 
     #[test]
@@ -214,6 +184,11 @@ mod tests {
     /// with a non-zero per-message latency.
     #[test]
     fn halving_message_count_at_equal_bytes_strictly_reduces_time() {
+        // `n` equal-share messages totalling `payload`, back to back.
+        let stream = |n: usize, payload: Bytes, link: &LinkModel, lat: Latency| -> Seconds {
+            let share = payload.scale(1.0 / n as f64);
+            (0..n).map(|_| message_time(share, link, lat)).sum()
+        };
         let media = [
             (nvlink(), Latency::nvlink_default()),
             (
@@ -232,8 +207,8 @@ mod tests {
                 Bytes::from_gb(1.0),
             ] {
                 for n in [2usize, 8, 64, 512] {
-                    let split = fused_stream_time(n, payload, &link, lat);
-                    let fused = fused_stream_time(n / 2, payload, &link, lat);
+                    let split = stream(n, payload, &link, lat);
+                    let fused = stream(n / 2, payload, &link, lat);
                     assert!(
                         fused.as_f64() < split.as_f64(),
                         "{}: {n} -> {} messages must strictly help",
@@ -247,15 +222,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fused_stream_bandwidth_term_is_count_invariant() {
-        let link = nvlink();
-        let payload = Bytes::from_mb(100.0);
-        let t1 = fused_stream_time(1, payload, &link, Latency::zero());
-        let t64 = fused_stream_time(64, payload, &link, Latency::zero());
-        assert_eq!(t1.as_f64(), t64.as_f64());
-        assert_eq!(t1.as_f64(), link.transfer_time(payload).as_f64());
     }
 }

@@ -96,21 +96,6 @@ impl CommPlan {
             .map(|t| config.link(t.link).transfer_time(t.bytes))
             .sum()
     }
-
-    /// The time split per medium, summing to [`CommPlan::serialized_time`].
-    pub fn time_by_link(&self, config: &HardwareConfig) -> Vec<(LinkKind, Seconds)> {
-        LinkKind::ALL
-            .iter()
-            .filter_map(|&kind| {
-                let bytes = self.bytes_on(kind);
-                if bytes.is_zero() {
-                    None
-                } else {
-                    Some((kind, config.link(kind).transfer_time(bytes)))
-                }
-            })
-            .collect()
-    }
 }
 
 impl FromIterator<Transfer> for CommPlan {
@@ -178,7 +163,10 @@ mod tests {
         let cfg = HardwareConfig::pai_default();
         let p = plan();
         let total = p.serialized_time(&cfg).as_f64();
-        let by_link: f64 = p.time_by_link(&cfg).iter().map(|(_, t)| t.as_f64()).sum();
+        let by_link: f64 = LinkKind::ALL
+            .iter()
+            .map(|&l| cfg.link(l).transfer_time(p.bytes_on(l)).as_f64())
+            .sum();
         assert!((total - by_link).abs() < 1e-12);
         // NVLink: 400 MB / 35 GB/s; Ethernet: 100 MB / 2.1875 GB/s.
         let expected = 0.4 / 35.0 + 0.1 / 2.1875;

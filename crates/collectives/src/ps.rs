@@ -30,17 +30,6 @@ pub fn sparse_as_dense_per_worker(table: Bytes) -> Bytes {
     table.scale(2.0)
 }
 
-/// Per-PS-node volume per step with `workers` workers and `ps_nodes`
-/// shards: every worker's pull+push lands on some shard.
-///
-/// # Panics
-///
-/// Panics if `ps_nodes` is zero.
-pub fn per_ps_node(workers: usize, ps_nodes: usize, weights: Bytes) -> Bytes {
-    assert!(ps_nodes > 0, "need at least one parameter server");
-    weights.scale(2.0 * workers as f64 / ps_nodes as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,19 +48,5 @@ mod tests {
             sparse_as_dense_per_worker(table).as_gb(),
             2.0 * table.as_gb()
         );
-    }
-
-    #[test]
-    fn ps_node_load_scales_with_workers_and_shards() {
-        let w = Bytes::from_mb(10.0);
-        assert_eq!(per_ps_node(8, 4, w).as_mb(), 40.0);
-        assert_eq!(per_ps_node(8, 8, w).as_mb(), 20.0);
-        assert_eq!(per_ps_node(1, 1, w).as_mb(), 20.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one parameter server")]
-    fn rejects_zero_ps_nodes() {
-        let _ = per_ps_node(4, 0, Bytes::from_mb(1.0));
     }
 }

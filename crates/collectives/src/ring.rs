@@ -1,16 +1,13 @@
 //! Per-rank transfer volumes of the ring collective algorithms.
 //!
 //! For `n` ranks and a payload of `S` bytes (the full tensor for
-//! AllReduce/Broadcast/Reduce, the concatenated result for
-//! AllGather(v)/ReduceScatter):
+//! AllReduce, the concatenated result for AllGather(v)/ReduceScatter):
 //!
 //! | collective     | per-rank volume     |
 //! |----------------|---------------------|
 //! | AllReduce      | `2 (n-1)/n · S`     |
 //! | ReduceScatter  | `(n-1)/n · S`       |
 //! | AllGather(v)   | `(n-1)/n · S`       |
-//! | Broadcast      | `S` (pipelined)     |
-//! | Reduce         | `S` (pipelined)     |
 //!
 //! A single rank (`n = 1`) moves nothing.
 
@@ -53,33 +50,6 @@ pub fn allgatherv_per_rank(shard_bytes: &[Bytes]) -> Bytes {
     total.scale((n as f64 - 1.0) / n as f64)
 }
 
-/// Pipelined ring Broadcast per-rank volume: `S`.
-pub fn broadcast_per_rank(n: usize, payload: Bytes) -> Bytes {
-    check_ranks(n);
-    if n == 1 {
-        Bytes::ZERO
-    } else {
-        payload
-    }
-}
-
-/// Pipelined ring Reduce per-rank volume: `S`.
-pub fn reduce_per_rank(n: usize, payload: Bytes) -> Bytes {
-    check_ranks(n);
-    if n == 1 {
-        Bytes::ZERO
-    } else {
-        payload
-    }
-}
-
-/// The paper's simple approximation: a synchronization of `S` bytes
-/// costs `S / B` on the medium regardless of rank count (Sec. II-B;
-/// Eq. 3 is derived from exactly this).
-pub fn paper_simple_per_rank(payload: Bytes) -> Bytes {
-    payload
-}
-
 /// Time for a ring AllReduce on one link.
 pub fn allreduce_time(n: usize, payload: Bytes, link: &LinkModel) -> Seconds {
     link.transfer_time(allreduce_per_rank(n, payload))
@@ -106,8 +76,6 @@ mod tests {
         assert!(allreduce_per_rank(1, s).is_zero());
         assert!(reduce_scatter_per_rank(1, s).is_zero());
         assert!(allgather_per_rank(1, s).is_zero());
-        assert!(broadcast_per_rank(1, s).is_zero());
-        assert!(reduce_per_rank(1, s).is_zero());
     }
 
     #[test]
@@ -153,12 +121,6 @@ mod tests {
         let t = allreduce_time(8, Bytes::from_gb(35.0 * 8.0 / 14.0), &link);
         // volume = 2*(7/8)*20 GB = 35 GB; time = 35/35 = 1 s.
         assert!((t.as_f64() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_simple_ignores_rank_count() {
-        let s = Bytes::from_gb(1.0);
-        assert_eq!(paper_simple_per_rank(s), s);
     }
 
     #[test]

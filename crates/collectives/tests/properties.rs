@@ -51,19 +51,6 @@ proptest! {
     }
 
     #[test]
-    fn ps_node_load_is_conserved_across_shards(
-        workers in 1usize..512,
-        ps_nodes in 1usize..64,
-        mb in 0.01f64..1e5,
-    ) {
-        let w = Bytes::from_mb(mb);
-        let per_node = ps::per_ps_node(workers, ps_nodes, w);
-        let total_server_side = per_node.as_f64() * ps_nodes as f64;
-        let total_worker_side = ps::dense_per_worker(w).as_f64() * workers as f64;
-        prop_assert!((total_server_side - total_worker_side).abs() < 1e-6 * total_worker_side);
-    }
-
-    #[test]
     fn plan_times_are_additive_under_concatenation(
         a_mb in 0.0f64..1e4,
         b_mb in 0.0f64..1e4,

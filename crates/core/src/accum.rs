@@ -41,7 +41,7 @@ use serde::Serialize;
 use crate::arch::Architecture;
 use crate::codec::{ByteReader, ByteWriter, CheckpointError};
 use crate::features::{FeatureViolation, WorkloadFeatures};
-use crate::jobs::{IngestSink, JobColumns, Jobs};
+use crate::jobs::{JobColumns, Jobs};
 use crate::model::{share, weight_traffic, Eq1Terms, PerfModel, TermSecs};
 use crate::project::{
     comm_bound_speedup, improves_throughput, project_job, ProjectedJob, ProjectionTarget,
@@ -126,17 +126,6 @@ impl FracHist {
             }
         }
         1.0
-    }
-
-    /// Fraction of recorded values at most `value` (bin resolution).
-    pub fn fraction_at_most(&self, value: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let last = ((value * FRAC_BINS as f64) as usize).min(FRAC_BINS - 1);
-        let cum: u64 = self.bins[..=last].iter().sum();
-        cum as f64 / total as f64
     }
 
     /// Appends the histogram to a checkpoint payload: a bin-count
@@ -417,15 +406,15 @@ impl HeadlineAccum {
         self.comm_hist.record(weight_fraction);
 
         // Mean PS speedup from upgrading Ethernet to 100 Gbps: only
-        // the Ethernet leg of Tw changes, so the projected total is
-        // reassembled from the same parts in the same fold order as
-        // `PerfModel::combine` — bit-identical to re-evaluating the
-        // model under the upgraded configuration. PS/Worker's Table II
-        // path is Ethernet, then PCIe.
+        // the Ethernet leg of Tw changes (PS/Worker's Table II path is
+        // Ethernet, then PCIe), and the upgraded total combines the
+        // terms the way the model does — bit-identical to re-evaluating
+        // the model under the upgraded configuration.
         let t = &row.terms;
-        let [eth, pcie] = t.weight;
-        let base = t.data_io + (t.compute_bound + t.memory_bound);
-        let fast_total = base + (eth * self.eth_100g_scale + pcie);
+        let fast_total = self.model.total_secs(&TermSecs {
+            weight: [t.weight[0] * self.eth_100g_scale, t.weight[1]],
+            ..*t
+        });
         self.eth_ratio_sum += if fast_total > 0.0 {
             row.total / fast_total
         } else {
@@ -729,12 +718,6 @@ struct Row {
     total: f64,
 }
 
-impl IngestSink for HeadlineAccum {
-    fn ingest(&mut self, job: &WorkloadFeatures) {
-        HeadlineAccum::ingest(self, job);
-    }
-}
-
 /// The finished headline statistics of one characterization pass —
 /// every number the summary experiment and the scorecard's
 /// fleet-level claims derive from the population.
@@ -858,10 +841,16 @@ pub fn characterize<J: Jobs + ?Sized>(
 /// For each PS/Worker job the index stores `Td + Tc` (unaffected by
 /// the Ethernet bandwidth), the Ethernet leg of `Tw`, and the PCIe leg
 /// of `Tw`. A query rescales the Ethernet column by the bandwidth
-/// ratio and reassembles both totals with the same fold order as
-/// [`PerfModel::combine`] — so at power-of-two ratios
-/// (the paper's 25 → 100 GbE) the per-job speedups are bit-identical
-/// to a full re-evaluation, and ulp-close otherwise.
+/// ratio and reassembles both totals with the fold order of the
+/// non-overlap [`PerfModel::combine`] — so under
+/// [`crate::OverlapMode::Serialized`] and at power-of-two ratios (the
+/// paper's 25 → 100 GbE) the per-job speedups are bit-identical to a
+/// full re-evaluation, and ulp-close at other ratios.
+///
+/// The index prices that non-overlap combination whatever the model's
+/// overlap mode: its `base` column collapses `Td + Tc`, so it cannot
+/// take the maximum an overlapped step needs. Keeping the two apart
+/// needs a new checkpoint format, since the columns are checkpointed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WhatIfIndex {
     model: PerfModel,
@@ -1047,32 +1036,6 @@ impl WhatIfIndex {
         baseline / Bandwidth::from_gbit_per_sec(ethernet_gbps).as_bytes_per_sec()
     }
 
-    /// The step-time speedup of one indexed job at the target
-    /// bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= len()` or `ethernet_gbps` is not positive.
-    pub fn speedup_at(&self, row: usize, ethernet_gbps: f64) -> f64 {
-        let scale = self.scale_for(ethernet_gbps);
-        self.row_speedup(
-            self.base.get(row),
-            self.eth.get(row),
-            self.pcie.get(row),
-            scale,
-        )
-    }
-
-    fn row_speedup(&self, base: f64, eth: f64, pcie: f64, scale: f64) -> f64 {
-        let total = base + (eth + pcie);
-        let fast = base + (eth * scale + pcie);
-        if fast > 0.0 {
-            total / fast
-        } else {
-            1.0
-        }
-    }
-
     /// One full what-if query: mean / median / p90 / max speedup of
     /// the indexed fleet at the target bandwidth, in a single pass
     /// over the resident columns.
@@ -1086,7 +1049,9 @@ impl WhatIfIndex {
         let mut max = 0.0f64;
         let mut hist = vec![0u64; SPEEDUP_BINS];
         for ((base, eth), pcie) in self.base.iter().zip(self.eth.iter()).zip(self.pcie.iter()) {
-            let s = self.row_speedup(base, eth, pcie, scale);
+            let total = base + (eth + pcie);
+            let fast = base + (eth * scale + pcie);
+            let s = if fast > 0.0 { total / fast } else { 1.0 };
             sum += s;
             if s > max {
                 max = s;
@@ -1271,23 +1236,30 @@ mod tests {
 
     #[test]
     fn eth_100g_matches_full_reevaluation_bitwise() {
-        // 25 -> 100 Gbps is a power-of-two ratio: each per-job ratio
-        // must equal the full model re-evaluation exactly.
+        // 25 -> 100 Gbps is a power-of-two ratio: under either overlap
+        // mode each per-job ratio must equal the full model
+        // re-evaluation exactly.
         let jobs = mixed_jobs(400);
-        let model = PerfModel::paper_default();
-        let fast = model.with_config(model.config().with_resource(SweepPoint {
-            axis: SweepAxis::Ethernet,
-            value: 100.0,
-        }));
-        let mut acc = HeadlineAccum::new(model);
-        let mut expected = 0.0f64;
-        for job in &jobs {
-            acc.ingest(job);
-            if job.arch() == Architecture::PsWorker {
-                expected += model.total_time(job).as_f64() / fast.total_time(job).as_f64();
+        for overlap in OverlapMode::ALL {
+            let model = PerfModel::paper_default().with_overlap(overlap);
+            let fast = model.with_config(model.config().with_resource(SweepPoint {
+                axis: SweepAxis::Ethernet,
+                value: 100.0,
+            }));
+            let mut acc = HeadlineAccum::new(model);
+            let mut expected = 0.0f64;
+            for job in &jobs {
+                acc.ingest(job);
+                if job.arch() == Architecture::PsWorker {
+                    expected += model.total_time(job).as_f64() / fast.total_time(job).as_f64();
+                }
             }
+            assert_eq!(
+                acc.eth_ratio_sum.to_bits(),
+                expected.to_bits(),
+                "under {overlap}"
+            );
         }
-        assert_eq!(acc.eth_ratio_sum.to_bits(), expected.to_bits());
     }
 
     #[test]
@@ -1340,7 +1312,7 @@ mod tests {
             .build();
         assert!(index.push(&ps));
         assert_eq!(index.len(), 1);
-        assert!(index.speedup_at(0, 100.0) > 1.0);
+        assert!(index.summary_at(100.0).max_speedup > 1.0);
     }
 
     #[test]
@@ -1375,7 +1347,6 @@ mod tests {
         }
         assert_eq!(h.total(), 100);
         assert!((h.quantile(0.5) - 0.5).abs() <= 2.0 / FRAC_BINS as f64);
-        assert!((h.fraction_at_most(0.25) - 0.25).abs() < 0.02);
         h.record(5.0); // clamps into the last bin
         assert_eq!(h.total(), 101);
         assert!(h.quantile(1.0) >= 0.99);
@@ -1388,7 +1359,6 @@ mod tests {
             let v = h.quantile(q);
             assert_eq!(v, 0.0, "quantile({q}) on empty hist");
         }
-        assert_eq!(h.fraction_at_most(0.5), 0.0);
         // Non-finite q stays defined on a populated histogram too.
         let mut h = FracHist::new();
         h.record(0.5);
@@ -1540,8 +1510,11 @@ mod tests {
         }
         acc.comm_hist.record(wf);
         let [eth, pcie] = terms.weight.map(Seconds::as_f64);
-        let base = ct.data_io.as_f64() + ct.computation().as_f64();
-        let fast_total = base + (eth * acc.eth_100g_scale + pcie);
+        let fast_total = acc.model.overlap().combine(&[
+            ct.data_io.as_f64(),
+            ct.computation().as_f64(),
+            0.0 + eth * acc.eth_100g_scale + pcie,
+        ]);
         acc.eth_ratio_sum += if fast_total > 0.0 {
             ct.total.as_f64() / fast_total
         } else {

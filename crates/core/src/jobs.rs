@@ -120,18 +120,6 @@ impl<J: Jobs + ?Sized> Iterator for JobsIter<'_, J> {
     }
 }
 
-/// The write-side dual of [`Jobs`]: anything that consumes a stream
-/// of jobs one at a time — a columnar store filling its arenas, a
-/// running [`crate::accum::HeadlineAccum`], a what-if index.
-///
-/// Implementations must not allocate per ingested job (amortized
-/// arena growth is fine); that is what keeps streaming consumers
-/// bounded-memory at any stream length.
-pub trait IngestSink {
-    /// Consumes one job.
-    fn ingest(&mut self, job: &WorkloadFeatures);
-}
-
 impl Jobs for [WorkloadFeatures] {
     fn len(&self) -> usize {
         <[WorkloadFeatures]>::len(self)

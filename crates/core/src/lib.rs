@@ -18,8 +18,7 @@
 //! does with it:
 //!
 //! - [`jobs`] — the [`Jobs`] storage abstraction every analysis is
-//!   generic over (contiguous slices and columnar stores alike) and
-//!   the [`IngestSink`] write-side dual
+//!   generic over (contiguous slices and columnar stores alike)
 //! - [`accum`] — incremental characterization: the mergeable
 //!   [`HeadlineAccum`], one-shot [`characterize`], and the
 //!   resident-column [`WhatIfIndex`] query layer
@@ -34,8 +33,7 @@
 //! - [`sweep`] — the Table III hardware-variation study (Fig. 11)
 //! - [`scaling`] — strong-scaling curves behind the PEARL scalability
 //!   claim (Sec. IV-C)
-//! - [`resilience`] — closed-form degraded-regime models (straggler
-//!   barrier dilation, checkpoint/restart goodput, Young's interval)
+//! - [`resilience`] — the closed-form straggler barrier dilation
 //! - [`sensitivity`] — the Sec. V-A efficiency-assumption study (Fig. 15)
 //! - [`overlap`] — the Sec. V-B overlap-assumption study (Fig. 16)
 //! - [`stats`] — empirical CDFs and weighted means used by all figures
@@ -85,7 +83,7 @@ pub use arch::Architecture;
 pub use breakdown::HardwareBreakdown;
 pub use codec::{crc32, model_fingerprint, ByteReader, ByteWriter, CheckpointError};
 pub use features::{FeatureViolation, RawFeatures, WorkloadFeatures, WorkloadFeaturesBuilder};
-pub use jobs::{IngestSink, JobColumns, Jobs};
+pub use jobs::{JobColumns, Jobs};
 pub use model::{ComponentTimes, Eq1Terms, PerfModel};
 pub use overlap::OverlapMode;
 pub use project::{comm_bound_speedup, ProjectionOutcome, ProjectionTarget};

@@ -19,9 +19,7 @@
 
 use std::ops::Add;
 
-use pai_hw::{
-    Bandwidth, Bytes, Efficiency, FlopsRate, HardwareConfig, LinkKind, Seconds, SweepAxis,
-};
+use pai_hw::{Bandwidth, Efficiency, FlopsRate, HardwareConfig, LinkKind, Seconds, SweepAxis};
 use serde::{Deserialize, Serialize};
 
 use crate::arch::Architecture;
@@ -452,19 +450,11 @@ impl ComponentTimes {
     }
 }
 
-/// Convenience: the per-step volume a PS/Worker job moves per replica is
-/// the model size itself; helper to express weight volumes that include
-/// optimizer state (the paper's Table IV parameter sizes "include both
-/// the trainable variables and the optimization-related variables").
-pub fn with_optimizer_state(trainable: Bytes, slots_per_weight: usize) -> Bytes {
-    trainable.scale((1 + slots_per_weight) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::breakdown::HardwareBreakdown;
-    use pai_hw::{Flops, SweepAxis, SweepPoint};
+    use pai_hw::{Bytes, Flops, SweepAxis, SweepPoint};
     use proptest::prelude::*;
 
     fn ps_job(weight_gb: f64) -> WorkloadFeatures {
@@ -883,12 +873,5 @@ mod tests {
         let job = ps_job(1.0);
         assert!(fast.weight_traffic_time(&job) < base.weight_traffic_time(&job));
         assert!(slow.total_time(&job) > base.total_time(&job));
-    }
-
-    #[test]
-    fn optimizer_state_multiplier() {
-        // Momentum optimizer: one slot per weight doubles the volume.
-        let w = with_optimizer_state(Bytes::from_mb(100.0), 1);
-        assert!((w.as_mb() - 200.0).abs() < 1e-9);
     }
 }

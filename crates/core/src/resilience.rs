@@ -1,26 +1,16 @@
-//! Closed-form resilience models: expected step time under
-//! stragglers, checkpoint/restart goodput, and the optimal
-//! checkpoint interval.
+//! The closed-form straggler model: the expected barrier dilation of a
+//! synchronous step.
 //!
-//! The paper characterizes *healthy* steps; these formulas extend the
-//! Sec. II-B analytical framework to the degraded regimes that the
-//! fault-injecting simulator measures event by event, giving every
-//! degraded-run experiment an independent analytical cross-check:
-//!
-//! - **Stragglers.** A synchronous step ends at the barrier, so one
-//!   slow replica dilates everyone. With `n` replicas each independently
-//!   slow (dilation `m`) with probability `p`,
-//!   `E[T] = T · (1 + (m − 1) · (1 − (1 − p)^n))` — the tail
-//!   probability `1 − (1 − p)^n` is exactly why wide PS/Worker jobs
-//!   (Sec. III-A's >128-cNode giants) feel stragglers that a 1w1g job
-//!   never sees.
-//! - **Crashes.** Checkpoint every `k` steps, lose on average half an
-//!   interval plus a restart per failure; goodput follows the classic
-//!   first-order checkpoint/restart model.
-//! - **Interval choice.** Young's approximation `τ* = sqrt(2 C M)`
-//!   balances checkpoint cost against expected rework.
-
-use pai_hw::Seconds;
+//! The paper characterizes *healthy* steps; this formula extends the
+//! Sec. II-B analytical framework to the straggler regime that the
+//! fault-injecting simulator measures event by event, giving the
+//! degraded-run experiment an independent analytical cross-check. A
+//! synchronous step ends at the barrier, so one slow replica dilates
+//! everyone. With `n` replicas each independently slow (dilation `m`)
+//! with probability `p`, `E[T] = T · (1 + (m − 1) · (1 − (1 − p)^n))` —
+//! the tail probability `1 − (1 − p)^n` is exactly why wide PS/Worker
+//! jobs (Sec. III-A's >128-cNode giants) feel stragglers that a 1w1g
+//! job never sees.
 
 /// The expected barrier dilation factor for `replicas` replicas that
 /// independently straggle with probability `per_replica_prob`, each
@@ -33,6 +23,17 @@ use pai_hw::Seconds;
 ///
 /// Panics if `per_replica_prob` is outside `[0, 1]`, `slowdown < 1`,
 /// either is not finite, or `replicas` is zero.
+///
+/// # Examples
+///
+/// ```
+/// use pai_core::resilience::expected_straggler_dilation;
+///
+/// // A 1w1g job barely notices a 2% straggler rate...
+/// assert!(expected_straggler_dilation(1, 0.02, 2.0) < 1.03);
+/// // ...a 128-replica PS job pays nearly the full 2x.
+/// assert!(expected_straggler_dilation(128, 0.02, 2.0) > 1.8);
+/// ```
 pub fn expected_straggler_dilation(replicas: usize, per_replica_prob: f64, slowdown: f64) -> f64 {
     assert!(replicas > 0, "a step needs at least one replica");
     assert!(
@@ -45,95 +46,6 @@ pub fn expected_straggler_dilation(replicas: usize, per_replica_prob: f64, slowd
     );
     let any_slow = 1.0 - (1.0 - per_replica_prob).powi(replicas as i32);
     1.0 + (slowdown - 1.0) * any_slow
-}
-
-/// Expected synchronous step time under independent stragglers:
-/// `healthy · expected_straggler_dilation(...)`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as
-/// [`expected_straggler_dilation`].
-///
-/// # Examples
-///
-/// ```
-/// use pai_core::resilience::expected_step_time;
-/// use pai_hw::Seconds;
-///
-/// let healthy = Seconds::from_f64(1.0);
-/// // A 1w1g job barely notices a 2% straggler rate...
-/// let narrow = expected_step_time(healthy, 1, 0.02, 2.0);
-/// // ...a 128-replica PS job pays nearly the full 2x.
-/// let wide = expected_step_time(healthy, 128, 0.02, 2.0);
-/// assert!(narrow.as_f64() < 1.03);
-/// assert!(wide.as_f64() > 1.8);
-/// ```
-pub fn expected_step_time(
-    healthy: Seconds,
-    replicas: usize,
-    per_replica_prob: f64,
-    slowdown: f64,
-) -> Seconds {
-    healthy.scale(expected_straggler_dilation(
-        replicas,
-        per_replica_prob,
-        slowdown,
-    ))
-}
-
-/// Steady-state goodput (useful-work fraction in `[0, 1]`) of a job
-/// checkpointing every `interval_steps` steps of duration `step`,
-/// paying `checkpoint_cost` per checkpoint, with failures arriving at
-/// mean interval `mtbf` and each failure costing `restart` plus
-/// re-execution of half a checkpoint interval on average.
-///
-/// First-order model (valid while an interval is short against the
-/// MTBF):
-/// `goodput = (kT / (kT + C)) · (1 − (R + kT/2 + C/2) / M)`,
-/// floored at 0 when failures arrive faster than recovery.
-///
-/// # Panics
-///
-/// Panics if `interval_steps` is zero, `step` or `mtbf` is not
-/// positive, or `checkpoint_cost`/`restart` is negative.
-pub fn checkpoint_goodput(
-    step: Seconds,
-    interval_steps: usize,
-    checkpoint_cost: Seconds,
-    restart: Seconds,
-    mtbf: Seconds,
-) -> f64 {
-    assert!(interval_steps > 0, "checkpoint interval must be positive");
-    assert!(
-        step.as_f64() > 0.0,
-        "step time must be positive, got {step}"
-    );
-    assert!(mtbf.as_f64() > 0.0, "MTBF must be positive, got {mtbf}");
-    assert!(
-        checkpoint_cost.as_f64() >= 0.0 && restart.as_f64() >= 0.0,
-        "checkpoint and restart costs cannot be negative"
-    );
-    let kt = step.as_f64() * interval_steps as f64;
-    let c = checkpoint_cost.as_f64();
-    let work_fraction = kt / (kt + c);
-    let loss_per_failure = restart.as_f64() + kt / 2.0 + c / 2.0;
-    (work_fraction * (1.0 - loss_per_failure / mtbf.as_f64())).max(0.0)
-}
-
-/// Young's optimal checkpoint interval `τ* = sqrt(2 C M)` (in wall
-/// time; divide by the step time for a step count).
-///
-/// # Panics
-///
-/// Panics unless both `checkpoint_cost` and `mtbf` are positive.
-pub fn youngs_interval(checkpoint_cost: Seconds, mtbf: Seconds) -> Seconds {
-    assert!(
-        checkpoint_cost.as_f64() > 0.0,
-        "checkpoint cost must be positive, got {checkpoint_cost}"
-    );
-    assert!(mtbf.as_f64() > 0.0, "MTBF must be positive, got {mtbf}");
-    Seconds::from_f64((2.0 * checkpoint_cost.as_f64() * mtbf.as_f64()).sqrt())
 }
 
 #[cfg(test)]
@@ -168,13 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_step_time_scales_the_healthy_step() {
-        let t = expected_step_time(Seconds::from_f64(0.5), 8, 0.1, 2.0);
-        let d = expected_straggler_dilation(8, 0.1, 2.0);
-        assert!((t.as_f64() - 0.5 * d).abs() < 1e-15);
-    }
-
-    #[test]
     #[should_panic(expected = "must be in [0, 1]")]
     fn dilation_rejects_bad_probability() {
         let _ = expected_straggler_dilation(4, 1.5, 2.0);
@@ -184,57 +89,5 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn dilation_rejects_speedup_disguised_as_slowdown() {
         let _ = expected_straggler_dilation(4, 0.1, 0.5);
-    }
-
-    #[test]
-    fn goodput_is_one_without_failures_or_checkpoints_cost() {
-        // Infinite MTBF, free checkpoints: everything is useful.
-        let g = checkpoint_goodput(
-            Seconds::from_f64(1.0),
-            10,
-            Seconds::ZERO,
-            Seconds::ZERO,
-            Seconds::from_f64(1e18),
-        );
-        assert!((g - 1.0).abs() < 1e-12, "goodput {g}");
-    }
-
-    #[test]
-    fn goodput_degrades_with_failure_rate_and_floors_at_zero() {
-        let step = Seconds::from_f64(1.0);
-        let c = Seconds::from_f64(5.0);
-        let r = Seconds::from_f64(30.0);
-        let healthy = checkpoint_goodput(step, 100, c, r, Seconds::from_f64(1e6));
-        let flaky = checkpoint_goodput(step, 100, c, r, Seconds::from_f64(1e3));
-        let dying = checkpoint_goodput(step, 100, c, r, Seconds::from_f64(10.0));
-        assert!(healthy > flaky, "{healthy} vs {flaky}");
-        assert!(flaky > dying);
-        assert_eq!(dying, 0.0);
-        assert!(healthy < 1.0, "checkpoints are not free");
-    }
-
-    #[test]
-    fn youngs_interval_is_near_optimal() {
-        // Scan intervals around tau* and confirm no scanned interval
-        // beats it by more than the first-order model's slack.
-        let step = Seconds::from_f64(1.0);
-        let c = Seconds::from_f64(10.0);
-        let mtbf = Seconds::from_f64(10_000.0);
-        let tau = youngs_interval(c, mtbf);
-        let k_star = (tau.as_f64() / step.as_f64()).round() as usize;
-        let g_star = checkpoint_goodput(step, k_star, c, Seconds::ZERO, mtbf);
-        for k in [k_star / 8, k_star / 2, k_star * 2, k_star * 8] {
-            let g = checkpoint_goodput(step, k.max(1), c, Seconds::ZERO, mtbf);
-            assert!(
-                g <= g_star + 1e-4,
-                "interval {k} beats Young's {k_star}: {g} > {g_star}"
-            );
-        }
-    }
-
-    #[test]
-    fn youngs_interval_formula() {
-        let tau = youngs_interval(Seconds::from_f64(8.0), Seconds::from_f64(100.0));
-        assert!((tau.as_f64() - 40.0).abs() < 1e-12);
     }
 }

@@ -10,7 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::arch::Architecture;
 use crate::features::WorkloadFeatures;
 use crate::model::PerfModel;
 
@@ -87,41 +86,10 @@ pub fn scaling_curve(
         .collect()
 }
 
-/// The largest replica count in `counts` whose scaling efficiency stays
-/// above `threshold`, or `None` if even the first point fails.
-pub fn efficient_scale_limit(
-    model: &PerfModel,
-    base: &WorkloadFeatures,
-    counts: &[usize],
-    threshold: f64,
-) -> Option<usize> {
-    scaling_curve(model, base, counts)
-        .into_iter()
-        .take_while(|p| p.efficiency >= threshold)
-        .map(|p| p.cnodes)
-        .last()
-}
-
-/// Compares scaling across architectures for the same per-replica
-/// profile: returns `(arch, curve)` pairs.
-pub fn compare_architectures(
-    model: &PerfModel,
-    base: &WorkloadFeatures,
-    archs: &[Architecture],
-    counts: &[usize],
-) -> Vec<(Architecture, Vec<ScalingPoint>)> {
-    archs
-        .iter()
-        .map(|&arch| {
-            let re = base.remapped(arch, counts[0].max(2));
-            (arch, scaling_curve(model, &re, counts))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::Architecture;
     use pai_hw::{Bytes, Flops};
 
     fn profile(arch: Architecture) -> WorkloadFeatures {
@@ -161,35 +129,6 @@ mod tests {
         assert!(curve[2].step_seconds > curve[0].step_seconds);
         assert!(curve[2].efficiency < 1.0);
         assert!(curve[2].efficiency > 0.5, "{}", curve[2].efficiency);
-    }
-
-    #[test]
-    fn efficient_scale_limit_finds_the_knee() {
-        let model = PerfModel::paper_default();
-        let base = profile(Architecture::AllReduceLocal);
-        let all = efficient_scale_limit(&model, &base, &[2, 4, 8], 0.1);
-        assert_eq!(all, Some(8));
-        let strict = efficient_scale_limit(&model, &base, &[2, 4, 8], 0.9999);
-        // The first point always has efficiency 1.0 by construction.
-        assert!(strict.is_some());
-        assert!(strict.expect("first point passes") >= 2);
-    }
-
-    #[test]
-    fn compare_architectures_spans_the_classes() {
-        let model = PerfModel::paper_default();
-        let base = profile(Architecture::PsWorker);
-        let results = compare_architectures(
-            &model,
-            &base,
-            &[Architecture::PsWorker, Architecture::AllReduceLocal],
-            &[2, 4, 8],
-        );
-        assert_eq!(results.len(), 2);
-        let (_, ps_curve) = &results[0];
-        let (_, arl_curve) = &results[1];
-        // NVLink beats Ethernet+PCIe per step for this comm-heavy profile.
-        assert!(arl_curve[0].step_seconds < ps_curve[0].step_seconds);
     }
 
     #[test]

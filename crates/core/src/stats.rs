@@ -81,17 +81,6 @@ impl Ecdf {
         covered / self.total_weight
     }
 
-    /// The weighted fraction of samples with value `< x`.
-    pub fn fraction_below(&self, x: f64) -> f64 {
-        let covered: f64 = self
-            .samples
-            .iter()
-            .take_while(|&&(v, _)| v < x)
-            .map(|&(_, w)| w)
-            .sum();
-        covered / self.total_weight
-    }
-
     /// The weighted fraction of samples with value `> x` (e.g. "more
     /// than 40% PS/Worker jobs spend more than 80% time in
     /// communication" reads `fraction_above(0.8) > 0.4`).
@@ -188,24 +177,6 @@ pub fn weighted_mean(values: &[f64], weights: &[f64]) -> f64 {
         / wsum
 }
 
-/// Geometric mean of strictly positive values (used for speedup
-/// summaries).
-///
-/// # Panics
-///
-/// Panics if the input is empty or any value is non-positive.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geometric mean of an empty set");
-    let log_sum: f64 = values
-        .iter()
-        .map(|&v| {
-            assert!(v > 0.0, "geometric mean needs positive values, got {v}");
-            v.ln()
-        })
-        .sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +186,6 @@ mod tests {
         let cdf = Ecdf::from_values([1.0, 2.0, 3.0, 4.0]);
         assert_eq!(cdf.fraction_at_most(0.5), 0.0);
         assert_eq!(cdf.fraction_at_most(2.0), 0.5);
-        assert_eq!(cdf.fraction_below(2.0), 0.25);
         assert_eq!(cdf.fraction_at_most(4.0), 1.0);
         assert_eq!(cdf.fraction_above(3.0), 0.25);
     }
@@ -275,18 +245,6 @@ mod tests {
     fn weighted_mean_basic() {
         assert!((weighted_mean(&[1.0, 3.0], &[1.0, 1.0]) - 2.0).abs() < 1e-12);
         assert!((weighted_mean(&[1.0, 3.0], &[3.0, 1.0]) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[5.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive values")]
-    fn geometric_mean_rejects_zero() {
-        let _ = geometric_mean(&[1.0, 0.0]);
     }
 
     #[test]

@@ -95,16 +95,6 @@ impl DagStepTime {
         self.data_io + self.compute_bound + self.memory_bound
     }
 
-    /// Fraction of the step spent on exposed communication — the
-    /// quantity the additive model claims is `Tw / (Td+Tc+Tw)`.
-    pub fn comm_exposed_fraction(&self) -> f64 {
-        if self.total.is_zero() {
-            0.0
-        } else {
-            self.comm_exposed.as_f64() / self.total.as_f64()
-        }
-    }
-
     /// The coherent [`pai_core::ComponentTimes`] decomposition of this
     /// verdict: the three stream classes keep their Eq. 1 meaning and
     /// `weight_traffic` becomes the *exposed* communication, so the
@@ -351,7 +341,6 @@ mod tests {
             assert!((v.total.as_millis() - 3.0).abs() < 1e-12, "{strat:?}");
             assert!(v.comm_exposed.is_zero());
             assert_eq!(v.transfers, 0);
-            assert_eq!(v.comm_exposed_fraction(), 0.0);
         }
     }
 

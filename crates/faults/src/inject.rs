@@ -17,34 +17,6 @@ pub struct CrashOutcome {
     pub lost_steps: usize,
 }
 
-/// The aggregate fault view of one synchronous step: since a sync
-/// step completes when its slowest replica does, dilations aggregate
-/// by maximum across replicas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepFaults {
-    /// Compute dilation of the slowest replica (>= 1).
-    pub compute_dilation: f64,
-    /// Communication dilation of the most degraded replica (>= 1).
-    pub comm_dilation: f64,
-    /// Retry backoff delay added by the worst replica's failed PS
-    /// RPCs.
-    pub retry_delay: Seconds,
-    /// The crash landing on this step, if any.
-    pub crash: Option<CrashOutcome>,
-}
-
-impl StepFaults {
-    /// The fault view of a healthy step.
-    pub fn none() -> Self {
-        StepFaults {
-            compute_dilation: 1.0,
-            comm_dilation: 1.0,
-            retry_delay: Seconds::ZERO,
-            crash: None,
-        }
-    }
-}
-
 /// Deterministic realization of a [`FaultPlan`].
 ///
 /// Every query is a pure function of the plan: two injectors built
@@ -98,12 +70,6 @@ impl FaultInjector {
     /// The number of replicas covered.
     pub fn replicas(&self) -> usize {
         self.plan.replicas()
-    }
-
-    /// The persistent compute dilation of `replica` (stragglers only,
-    /// jitter excluded).
-    pub fn compute_multiplier(&self, replica: usize) -> f64 {
-        self.compute_mult[replica]
     }
 
     /// The compute dilation of `replica` at `step`: persistent
@@ -160,21 +126,6 @@ impl FaultInjector {
         merged
     }
 
-    /// The aggregate fault view of synchronous `step` (max dilation
-    /// across replicas — the sync barrier waits for the slowest).
-    pub fn step_faults(&self, step: usize) -> StepFaults {
-        let mut out = StepFaults::none();
-        for replica in 0..self.replicas() {
-            out.compute_dilation = out
-                .compute_dilation
-                .max(self.compute_dilation(replica, step));
-            out.comm_dilation = out.comm_dilation.max(self.comm_mult[replica]);
-            out.retry_delay = out.retry_delay.max(self.retry_delay(replica));
-        }
-        out.crash = self.crash_at(step);
-        out
-    }
-
     /// The deterministic jitter multiplier for (`replica`, `step`):
     /// a uniform draw from [1, 1 + amplitude), keyed by the plan seed.
     fn jitter_draw(&self, replica: usize, step: usize) -> f64 {
@@ -215,21 +166,19 @@ mod tests {
             assert!(inj.retry_delay(replica).is_zero());
         }
         assert_eq!(inj.crash_at(0), None);
-        assert_eq!(inj.step_faults(9), StepFaults::none());
     }
 
     #[test]
     fn multipliers_compose_and_bound_below_by_one() {
         let inj = FaultInjector::new(degraded_plan()).unwrap();
-        assert!((inj.compute_multiplier(1) - 3.0).abs() < 1e-12);
         assert!((inj.comm_multiplier(2) - 3.0).abs() < 1e-12);
-        for replica in 0..4 {
+        // Replica 1's two stragglers compose to 2.0 x 1.5; jitter
+        // stretches each step by less than 10 % on top.
+        let persistent = [1.0, 3.0, 1.0, 1.0];
+        for (replica, &m) in persistent.iter().enumerate() {
             for step in 0..20 {
-                assert!(inj.compute_dilation(replica, step) >= inj.compute_multiplier(replica));
-                assert!(
-                    inj.compute_dilation(replica, step)
-                        < inj.compute_multiplier(replica) * 1.10 + 1e-12
-                );
+                assert!(inj.compute_dilation(replica, step) >= m);
+                assert!(inj.compute_dilation(replica, step) < m * 1.10 + 1e-12);
             }
         }
     }
@@ -257,17 +206,6 @@ mod tests {
         assert!((crash.restart.as_f64() - 20.0).abs() < 1e-12);
         assert_eq!(crash.lost_steps, 7);
         assert_eq!(inj.crash_at(4), None);
-    }
-
-    #[test]
-    fn step_faults_take_the_slowest_replica() {
-        let inj = FaultInjector::new(degraded_plan()).unwrap();
-        let sf = inj.step_faults(0);
-        assert!(sf.compute_dilation >= 3.0);
-        assert!((sf.comm_dilation - 3.0).abs() < 1e-12);
-        assert!(sf.retry_delay.as_f64() > 0.0);
-        assert!(sf.crash.is_none());
-        assert!(inj.step_faults(5).crash.is_some());
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub(crate) mod rng;
 pub use backoff::ExponentialBackoff;
 pub use chaos::{ChaosPlan, Corruption};
 pub use error::FaultError;
-pub use inject::{CrashOutcome, FaultInjector, StepFaults};
+pub use inject::{CrashOutcome, FaultInjector};
 pub use plan::{FaultKind, FaultPlan, FaultPlanBuilder};

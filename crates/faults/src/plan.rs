@@ -156,11 +156,6 @@ impl FaultPlan {
         &self.faults
     }
 
-    /// True when the plan injects nothing (jitter-free and faultless).
-    pub fn is_healthy(&self) -> bool {
-        self.faults.is_empty() && self.jitter == 0.0
-    }
-
     /// Re-validates a plan that crossed a serialization boundary.
     pub fn validate(&self) -> Result<(), FaultError> {
         if self.replicas == 0 {
@@ -280,8 +275,7 @@ mod tests {
             .unwrap();
         assert_eq!(plan.faults().len(), 4);
         assert_eq!(plan.replicas(), 4);
-        assert!(!plan.is_healthy());
-        assert!(FaultPlan::healthy(4).unwrap().is_healthy());
+        assert!(FaultPlan::healthy(4).unwrap().faults().is_empty());
     }
 
     #[test]

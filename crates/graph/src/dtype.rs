@@ -37,11 +37,6 @@ impl DType {
             DType::U8 => 1,
         }
     }
-
-    /// True for floating-point types.
-    pub fn is_float(self) -> bool {
-        matches!(self, DType::F32 | DType::F16)
-    }
 }
 
 impl fmt::Display for DType {
@@ -68,14 +63,6 @@ mod tests {
         assert_eq!(DType::I32.size_bytes(), 4);
         assert_eq!(DType::I64.size_bytes(), 8);
         assert_eq!(DType::U8.size_bytes(), 1);
-    }
-
-    #[test]
-    fn float_predicate() {
-        assert!(DType::F32.is_float());
-        assert!(DType::F16.is_float());
-        assert!(!DType::I32.is_float());
-        assert!(!DType::U8.is_float());
     }
 
     #[test]

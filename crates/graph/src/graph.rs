@@ -144,9 +144,7 @@ impl Graph {
         self.edges[id.0].iter().map(|&i| NodeId(i))
     }
 
-    /// Predecessor lists for every node, computed in one O(V+E) pass —
-    /// use this instead of per-node [`Graph::predecessors`] when
-    /// walking the whole graph.
+    /// Predecessor lists for every node, computed in one O(V+E) pass.
     pub fn predecessor_lists(&self) -> Vec<Vec<NodeId>> {
         let mut preds = vec![Vec::new(); self.nodes.len()];
         for (i, succ) in self.edges.iter().enumerate() {
@@ -155,16 +153,6 @@ impl Graph {
             }
         }
         preds
-    }
-
-    /// Predecessor ids of a node (computed, O(E)).
-    pub fn predecessors(&self, id: NodeId) -> Vec<NodeId> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, succ)| succ.contains(&id.0))
-            .map(|(i, _)| NodeId(i))
-            .collect()
     }
 
     /// In-degree of every node.
@@ -208,34 +196,6 @@ impl Graph {
             self.name
         );
         order
-    }
-
-    /// Renders the graph in Graphviz DOT syntax for visual inspection;
-    /// nodes are labeled `name (kind)` and colored by resource class.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph {\n  rankdir=TB;\n");
-        for (id, op) in self.nodes() {
-            let color = match op.class() {
-                crate::op::OpClass::ComputeBound => "lightblue",
-                crate::op::OpClass::MemoryBound => "lightsalmon",
-                crate::op::OpClass::Io => "lightgray",
-            };
-            let _ = writeln!(
-                out,
-                "  n{} [label=\"{} ({})\", style=filled, fillcolor={color}];",
-                id.index(),
-                op.name().replace('"', "'"),
-                op.kind().kind_label(),
-            );
-        }
-        for (id, _) in self.nodes() {
-            for succ in self.successors(id) {
-                let _ = writeln!(out, "  n{} -> n{};", id.index(), succ.index());
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 
     /// A subgraph containing only the nodes `keep` accepts, with the
@@ -410,8 +370,9 @@ mod tests {
     fn predecessors_and_successors() {
         let g = diamond();
         assert_eq!(g.successors(NodeId(0)).count(), 2);
-        assert_eq!(g.predecessors(NodeId(3)).len(), 2);
-        assert!(g.predecessors(NodeId(0)).is_empty());
+        let preds = g.predecessor_lists();
+        assert_eq!(preds[3].len(), 2);
+        assert!(preds[0].is_empty());
     }
 
     #[test]
@@ -426,7 +387,7 @@ mod tests {
             ],
         );
         assert_eq!(last, Some(NodeId(2)));
-        assert_eq!(g.predecessors(NodeId(2)), vec![NodeId(1)]);
+        assert_eq!(g.predecessor_lists()[2], vec![NodeId(1)]);
         assert_eq!(g.topo_order().len(), 3);
     }
 
@@ -461,18 +422,6 @@ mod tests {
     fn display_is_nonempty() {
         assert!(!diamond().to_string().is_empty());
         assert_eq!(NodeId(3).to_string(), "n3");
-    }
-
-    #[test]
-    fn dot_export_lists_nodes_and_edges() {
-        let g = diamond();
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph {"));
-        assert!(dot.ends_with("}\n"));
-        assert_eq!(dot.matches(" -> ").count(), 4);
-        assert!(dot.contains("a (MatMul)"));
-        assert!(dot.contains("lightblue"));
-        assert!(dot.contains("lightsalmon"));
     }
 
     #[test]

@@ -57,14 +57,6 @@ impl TensorMeta {
     pub fn bytes(&self) -> Bytes {
         Bytes::new((self.numel() * self.dtype.size_bytes()) as u64)
     }
-
-    /// The same tensor re-typed (mixed-precision pass).
-    pub fn with_dtype(&self, dtype: DType) -> TensorMeta {
-        TensorMeta {
-            shape: self.shape.clone(),
-            dtype,
-        }
-    }
 }
 
 impl fmt::Display for TensorMeta {
@@ -81,7 +73,8 @@ mod tests {
     fn bytes_accounts_for_dtype() {
         let t = TensorMeta::new(Shape::new([10, 10]), DType::F32);
         assert_eq!(t.bytes().as_u64(), 400);
-        assert_eq!(t.with_dtype(DType::F16).bytes().as_u64(), 200);
+        let half = TensorMeta::new(Shape::new([10, 10]), DType::F16);
+        assert_eq!(half.bytes().as_u64(), 200);
         assert_eq!(t.numel(), 100);
     }
 

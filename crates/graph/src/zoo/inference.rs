@@ -28,8 +28,7 @@ impl InferenceSpec {
     }
 
     /// Serving batch size (same as training here; serving batches are
-    /// typically smaller, which [`InferenceSpec::scaled_batch`]
-    /// approximates).
+    /// typically smaller).
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
@@ -44,14 +43,6 @@ impl InferenceSpec {
     /// serving does not).
     pub fn resident_bytes(&self) -> Bytes {
         self.resident_bytes
-    }
-
-    /// Approximate per-step features at a different serving batch by
-    /// linear scaling (valid because every per-op cost in the zoo
-    /// scales linearly in the batch dimension).
-    pub fn scaled_batch(&self, batch: usize) -> f64 {
-        assert!(batch > 0, "serving batch must be positive");
-        batch as f64 / self.batch_size as f64
     }
 }
 
@@ -144,18 +135,5 @@ mod tests {
         for serve in all_inference() {
             assert_eq!(serve.graph().topo_order().len(), serve.graph().len());
         }
-    }
-
-    #[test]
-    fn batch_scaling_is_linear() {
-        let serve = inference_variant(&zoo::resnet50());
-        assert!((serve.scaled_batch(32) - 0.5).abs() < 1e-12);
-        assert!((serve.scaled_batch(64) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "serving batch")]
-    fn rejects_zero_serving_batch() {
-        let _ = inference_variant(&zoo::resnet50()).scaled_batch(0);
     }
 }

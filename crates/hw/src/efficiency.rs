@@ -156,24 +156,6 @@ impl Efficiency {
             ..*self
         }
     }
-
-    /// A copy with one link medium overridden (used when injecting the
-    /// measured Table VI values into the simulator).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `(0, 1]`.
-    pub fn with_link(&self, kind: LinkKind, fraction: f64) -> Efficiency {
-        let f = check(kind.label(), fraction);
-        let mut out = *self;
-        match kind {
-            LinkKind::Pcie => out.pcie = f,
-            LinkKind::NvLink => out.nvlink = f,
-            LinkKind::Ethernet => out.ethernet = f,
-            LinkKind::HbmMemory => out.memory = f,
-        }
-        out
-    }
 }
 
 impl Default for Efficiency {
@@ -217,14 +199,6 @@ mod tests {
         assert_eq!(e.pcie(), 0.5);
         assert_eq!(e.ethernet(), 0.5);
         assert_eq!(e.nvlink(), 0.5);
-    }
-
-    #[test]
-    fn with_link_overrides_only_one_medium() {
-        // Table VI, Speech: GDDR efficiency measured at 3.1 %.
-        let e = Efficiency::paper_default().with_link(LinkKind::HbmMemory, 0.031);
-        assert_eq!(e.memory(), 0.031);
-        assert_eq!(e.pcie(), 0.7);
     }
 
     #[test]

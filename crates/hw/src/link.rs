@@ -116,11 +116,6 @@ impl LinkModel {
         volume / self.effective_bandwidth()
     }
 
-    /// A copy with a different raw bandwidth (hardware sweep, Table III).
-    pub fn with_bandwidth(&self, bandwidth: Bandwidth) -> LinkModel {
-        LinkModel { bandwidth, ..*self }
-    }
-
     /// A copy with a different efficiency (sensitivity study, Sec. V-A).
     ///
     /// # Panics
@@ -164,15 +159,6 @@ mod tests {
     fn zero_volume_transfers_instantly() {
         let link = LinkModel::new(LinkKind::Ethernet, Bandwidth::from_gbit_per_sec(25.0), 0.7);
         assert!(link.transfer_time(Bytes::ZERO).is_zero());
-    }
-
-    #[test]
-    fn with_bandwidth_preserves_kind_and_efficiency() {
-        let link = LinkModel::new(LinkKind::Ethernet, Bandwidth::from_gbit_per_sec(25.0), 0.7);
-        let fast = link.with_bandwidth(Bandwidth::from_gbit_per_sec(100.0));
-        assert_eq!(fast.kind(), LinkKind::Ethernet);
-        assert_eq!(fast.efficiency(), 0.7);
-        assert!((fast.bandwidth().as_gbit_per_sec() - 100.0).abs() < 1e-9);
     }
 
     #[test]

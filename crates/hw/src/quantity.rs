@@ -12,8 +12,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-const KIB: f64 = 1024.0;
-const MIB: f64 = 1024.0 * 1024.0;
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 const GB: f64 = 1e9;
 const MB: f64 = 1e6;
@@ -25,7 +23,7 @@ const KB: f64 = 1e3;
 ///
 /// ```
 /// use pai_hw::Bytes;
-/// let weights = Bytes::from_mib(204.0); // ResNet50 dense weights, Table IV
+/// let weights = Bytes::from_mb(204.0); // ResNet50 dense weights, Table IV
 /// assert!(weights.as_u64() > 200_000_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
@@ -67,16 +65,6 @@ impl Bytes {
     /// Decimal gigabytes (10^9).
     pub fn from_gb(gb: f64) -> Self {
         Self::from_f64(gb * GB)
-    }
-
-    /// Binary kibibytes (2^10).
-    pub fn from_kib(kib: f64) -> Self {
-        Self::from_f64(kib * KIB)
-    }
-
-    /// Binary mebibytes (2^20).
-    pub fn from_mib(mib: f64) -> Self {
-        Self::from_f64(mib * MIB)
     }
 
     /// Binary gibibytes (2^30).
@@ -615,8 +603,6 @@ mod tests {
         assert_eq!(Bytes::from_mb(1.0).as_f64(), 1e6);
         assert_eq!(Bytes::from_kb(1.0).as_f64(), 1e3);
         assert_eq!(Bytes::from_gib(1.0).as_f64(), 1024.0 * 1024.0 * 1024.0);
-        assert_eq!(Bytes::from_mib(2.0).as_f64(), 2.0 * 1024.0 * 1024.0);
-        assert_eq!(Bytes::from_kib(3.0).as_f64(), 3.0 * 1024.0);
     }
 
     #[test]

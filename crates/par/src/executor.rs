@@ -36,11 +36,6 @@ impl Threads {
         self.0
     }
 
-    /// True for the single-threaded oracle.
-    pub fn is_serial(self) -> bool {
-        self.0 == 1
-    }
-
     /// The configured thread count: `PAI_THREADS` when set to a
     /// positive integer, the machine's available parallelism when
     /// unset, and the serial oracle when set but unparseable or zero
@@ -57,6 +52,67 @@ impl Threads {
 impl Default for Threads {
     fn default() -> Self {
         Threads::from_env()
+    }
+}
+
+/// Runs `f` on every chunk id below `chunks` and hands each output to
+/// `sink` in chunk-index order.
+///
+/// With one worker, `f` runs on the calling thread and each output
+/// streams straight to `sink`. With more, a scoped pool claims chunk
+/// ids from a shared counter and parks each output in its chunk's
+/// slot; the slots drain into `sink` in order once the pool joins.
+/// Which thread ran which chunk never influences what `sink` sees.
+///
+/// # Panics
+///
+/// Propagates a panic from `f`.
+fn each_chunk<T, F, S>(chunks: usize, threads: Threads, f: F, mut sink: S)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    S: FnMut(T),
+{
+    let workers = threads.get().min(chunks);
+    if workers <= 1 {
+        for chunk in 0..chunks {
+            sink(f(chunk));
+        }
+        return;
+    }
+
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..chunks).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let chunk = next.fetch_add(1, Ordering::Relaxed);
+                if chunk >= chunks {
+                    break;
+                }
+                let produced = f(chunk);
+                // A poisoned lock means another worker panicked; the
+                // scope will re-raise that panic, so recovering the
+                // guard here cannot mask it.
+                slots
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)[chunk] = Some(produced);
+            });
+        }
+    });
+
+    for (chunk, slot) in slots
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .into_iter()
+        .enumerate()
+    {
+        // Every chunk id below `chunks` is claimed exactly once and
+        // written before its worker exits; a missing slot can only
+        // mean executor corruption, which must stay loud — silently
+        // dropping a chunk would skew results instead of failing.
+        // pai-lint: allow(panic-in-lib)
+        sink(slot.unwrap_or_else(|| panic!("chunk {chunk} produced no output")));
     }
 }
 
@@ -78,52 +134,13 @@ where
     T: Send,
     F: Fn(usize, Range<usize>) -> Vec<T> + Sync,
 {
-    let chunks = chunk_count(total, chunk_size);
-    let workers = threads.get().min(chunks.max(1));
-    if workers <= 1 {
-        // The serial oracle: same decomposition, same seeds, same
-        // gather order — just no worker pool around it.
-        let mut out = Vec::with_capacity(total);
-        for chunk in 0..chunks {
-            out.extend(f(chunk, chunk_range(chunk, total, chunk_size)));
-        }
-        return out;
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Vec<T>>>> = Mutex::new((0..chunks).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                if chunk >= chunks {
-                    break;
-                }
-                let produced = f(chunk, chunk_range(chunk, total, chunk_size));
-                // A poisoned lock means another worker panicked; the
-                // scope will re-raise that panic, so recovering the
-                // guard here cannot mask it.
-                slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)[chunk] = Some(produced);
-            });
-        }
-    });
-
     let mut out = Vec::with_capacity(total);
-    for (chunk, slot) in slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .enumerate()
-    {
-        // Every chunk id below `chunks` is claimed exactly once and
-        // written before its worker exits; a missing slot can only
-        // mean executor corruption, which must stay loud — silently
-        // dropping a chunk would skew results instead of failing.
-        // pai-lint: allow(panic-in-lib)
-        out.extend(slot.unwrap_or_else(|| panic!("chunk {chunk} produced no output")));
-    }
+    each_chunk(
+        chunk_count(total, chunk_size),
+        threads,
+        |chunk| f(chunk, chunk_range(chunk, total, chunk_size)),
+        |part| out.extend(part),
+    );
     out
 }
 
@@ -164,9 +181,15 @@ where
     A: Send,
     F: Fn(usize, Range<usize>) -> A + Sync,
 {
-    scatter_gather(total, chunk_size, threads, |chunk, range| {
-        vec![f(chunk, range)]
-    })
+    let chunks = chunk_count(total, chunk_size);
+    let mut out = Vec::with_capacity(chunks);
+    each_chunk(
+        chunks,
+        threads,
+        |chunk| f(chunk, chunk_range(chunk, total, chunk_size)),
+        |part| out.push(part),
+    );
+    out
 }
 
 /// Chunk-wise fold: maps every chunk to an accumulator with `f`, then
@@ -198,9 +221,12 @@ where
     M: FnMut(&mut A, A),
 {
     let mut acc = init;
-    for part in map_chunks(total, chunk_size, threads, f) {
-        merge(&mut acc, part);
-    }
+    each_chunk(
+        chunk_count(total, chunk_size),
+        threads,
+        |chunk| f(chunk, chunk_range(chunk, total, chunk_size)),
+        |part| merge(&mut acc, part),
+    );
     acc
 }
 
@@ -280,6 +306,15 @@ mod tests {
     }
 
     #[test]
+    fn map_chunks_output_is_sized_by_its_chunk_count() {
+        for t in [1usize, 2] {
+            let parts = map_chunks(10_000, 64, Threads::new(t), |chunk, _| chunk);
+            assert_eq!(parts.len(), 157);
+            assert_eq!(parts.capacity(), parts.len(), "at {t} threads");
+        }
+    }
+
+    #[test]
     fn fold_chunks_pins_the_merge_order() {
         // A deliberately order-sensitive merge (string concatenation):
         // identical output at every thread count proves the fold runs
@@ -330,7 +365,6 @@ mod tests {
     #[test]
     fn threads_clamp_and_env_parse() {
         assert_eq!(Threads::new(0).get(), 1);
-        assert!(Threads::new(0).is_serial());
         assert_eq!(Threads::new(7).get(), 7);
         assert_eq!(Threads::SERIAL, Threads::new(1));
     }

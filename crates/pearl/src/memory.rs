@@ -70,22 +70,6 @@ pub fn recommend(
     }
 }
 
-/// The strategy a recommendation denotes at `n` replicas.
-pub fn to_strategy(rec: Recommendation, n: usize) -> Strategy {
-    match rec {
-        Recommendation::AllReduceLocal => Strategy::AllReduceLocal {
-            gpus: n.clamp(1, 8),
-        },
-        Recommendation::Pearl => Strategy::Pearl {
-            gpus: n.clamp(1, 8),
-        },
-        Recommendation::PsWorker => Strategy::PsWorker {
-            workers: n,
-            sparse_aware: true,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,22 +116,6 @@ mod tests {
         let gcn = ModelComm::of(&zoo::gcn());
         assert_eq!(recommend(&gcn, &v100(), 2, 0.0), Recommendation::PsWorker);
         assert_eq!(recommend(&gcn, &v100(), 8, 0.0), Recommendation::Pearl);
-    }
-
-    #[test]
-    fn to_strategy_roundtrip() {
-        assert_eq!(
-            to_strategy(Recommendation::AllReduceLocal, 32),
-            Strategy::AllReduceLocal { gpus: 8 }
-        );
-        assert_eq!(
-            to_strategy(Recommendation::Pearl, 4),
-            Strategy::Pearl { gpus: 4 }
-        );
-        match to_strategy(Recommendation::PsWorker, 64) {
-            Strategy::PsWorker { workers, .. } => assert_eq!(workers, 64),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

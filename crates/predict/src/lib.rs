@@ -17,8 +17,7 @@
 //!   ([`HistoryStore`]): observation is O(ring), prediction is a
 //!   k-nearest scan in log-feature space with value-ordered
 //!   tie-breaks, so the answer is invariant to the order history was
-//!   inserted within a bucket epoch and bit-identical at any
-//!   `PAI_THREADS` (batch paths go through `pai-par`);
+//!   inserted within a bucket epoch;
 //! - [`calibrate`] folds `(predicted, actual)` pairs into a
 //!   [`CalibrationReport`] — MAPE, p50/p90 relative error, and the
 //!   per-class breakdown the paper's Table II slices by.
@@ -35,4 +34,4 @@ pub mod store;
 pub use calibrate::{CalibrationAccum, CalibrationReport, ClassCalibration};
 pub use error::PredictError;
 pub use signature::{Signature, NUM_CLASSES};
-pub use store::{HistoryConfig, HistoryStore, Observation, Prediction};
+pub use store::{HistoryConfig, HistoryStore, Prediction};

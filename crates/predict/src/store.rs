@@ -1,7 +1,7 @@
 //! The online history store: fixed-capacity per-bucket rings, k-nearest
 //! prediction, and the determinism contract both rest on.
 //!
-//! Three properties make [`HistoryStore`] safe inside the
+//! Two properties make [`HistoryStore`] safe inside the
 //! bit-identical scheduler:
 //!
 //! 1. **No iteration-order dependence.** Buckets are a plain
@@ -11,17 +11,11 @@
 //!    the order history happened to be inserted — any permutation of
 //!    observations within a *bucket epoch* (a span with no ring
 //!    eviction) predicts bit-identically.
-//! 2. **Thread-count invariance.** The batch paths ([`HistoryStore::train`],
-//!    [`HistoryStore::predict_batch`]) fan the pure per-item work
-//!    (hashing, ranking) through `pai-par`'s index-ordered executor and
-//!    apply all mutation serially in index order, so `PAI_THREADS` never
-//!    changes a bucket's contents or a prediction's bits.
-//! 3. **Total cold-start fallback.** A signature with no same-class
+//! 2. **Total cold-start fallback.** A signature with no same-class
 //!    history predicts its class's configured prior — validated
 //!    positive and finite up front — so a prediction is *never* NaN,
 //!    zero, or negative.
 
-use pai_par::{map_items, Threads};
 use serde::Serialize;
 
 use crate::error::PredictError;
@@ -192,15 +186,6 @@ fn rank_nearest(
         len += 1;
     }
     len
-}
-
-/// One `(signature, observed duration)` pair for batch training.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Observation {
-    /// The job's pre-run feature tuple.
-    pub sig: Signature,
-    /// Its observed duration, in seconds.
-    pub duration_s: f64,
 }
 
 /// A prediction and how it was made.
@@ -375,49 +360,6 @@ impl HistoryStore {
             cold: false,
         }
     }
-
-    /// Batch-trains on completed jobs: hashing fans out through
-    /// `pai-par`, insertion happens serially in slice order — so the
-    /// resulting store is bit-identical at any thread count, and
-    /// identical to calling [`HistoryStore::observe`] in a loop.
-    ///
-    /// # Errors
-    ///
-    /// Rejects the whole batch on the first invalid duration (lowest
-    /// index); the store is unchanged.
-    pub fn train(
-        &mut self,
-        observations: &[Observation],
-        threads: Threads,
-    ) -> Result<(), PredictError> {
-        for obs in observations {
-            if !obs.duration_s.is_finite() || obs.duration_s <= 0.0 {
-                return Err(PredictError::InvalidObservation {
-                    duration_s: obs.duration_s,
-                });
-            }
-        }
-        let seed = self.config.seed;
-        let buckets = self.config.buckets;
-        let prepared = map_items(observations, 64, threads, |obs| {
-            (
-                bucket_of(&obs.sig, seed, buckets),
-                obs.sig.class_index(),
-                log_coords(&obs.sig),
-                obs.duration_s,
-            )
-        });
-        for (bucket, class, coords, duration_s) in prepared {
-            self.insert(bucket, Entry::new(self.seq, class, coords, duration_s));
-        }
-        Ok(())
-    }
-
-    /// Predicts a batch of signatures through `pai-par` — pure reads,
-    /// gathered in index order, bit-identical at any thread count.
-    pub fn predict_batch(&self, sigs: &[Signature], threads: Threads) -> Vec<Prediction> {
-        map_items(sigs, 64, threads, |sig| self.predict(sig))
-    }
 }
 
 #[cfg(test)]
@@ -542,55 +484,6 @@ mod tests {
         let mut cfg = HistoryConfig::with_priors(7, [10.0; NUM_CLASSES]);
         cfg.class_priors[2] = 0.0;
         assert!(HistoryStore::new(cfg).is_err());
-    }
-
-    #[test]
-    fn batch_train_matches_the_observe_loop() {
-        let observations: Vec<Observation> = (0..200)
-            .map(|i| Observation {
-                sig: sig(
-                    Architecture::ALL[i % NUM_CLASSES],
-                    1 + i % 64,
-                    16 << (i % 5),
-                    1e7 * (1 + i) as f64,
-                    1e11 * (1 + i % 13) as f64,
-                ),
-                duration_s: 10.0 + i as f64,
-            })
-            .collect();
-        let mut looped = store();
-        for obs in &observations {
-            looped.observe(&obs.sig, obs.duration_s).expect("valid");
-        }
-        let mut batched = store();
-        batched
-            .train(&observations, Threads::new(4))
-            .expect("valid");
-        assert_eq!(looped, batched);
-        let probes: Vec<Signature> = observations.iter().map(|o| o.sig).collect();
-        assert_eq!(
-            looped.predict_batch(&probes, Threads::SERIAL),
-            batched.predict_batch(&probes, Threads::new(4))
-        );
-    }
-
-    #[test]
-    fn bad_batch_leaves_the_store_unchanged() {
-        let mut s = store();
-        let a = sig(Architecture::PsWorker, 16, 512, 1.0e9, 5.0e11);
-        let batch = [
-            Observation {
-                sig: a,
-                duration_s: 5.0,
-            },
-            Observation {
-                sig: a,
-                duration_s: -1.0,
-            },
-        ];
-        assert!(s.train(&batch, Threads::SERIAL).is_err());
-        assert_eq!(s.observations(), 0);
-        assert!(s.predict(&a).cold);
     }
 
     /// Magnitudes a workout signature draws from. cNodes and batch

@@ -1,16 +1,12 @@
-//! ISSUE satellite (c): self-population accuracy. Train the history
-//! store on a seeded 10k-job trace population whose ground-truth
-//! duration is the analytical step time × a fixed step count, then
-//! predict every job back and pin the calibration report's error
-//! bounds. The bounds are deliberately loose enough to survive hash
+//! Self-population accuracy. Observe a seeded 10k-job trace
+//! population whose ground-truth duration is the analytical step
+//! time × a fixed step count, then predict every job back and pin the
+//! calibration report's error bounds. The bounds are deliberately loose enough to survive hash
 //! collisions and neighbor averaging, and tight enough that a broken
 //! distance metric, class leak, or prior fallback fails immediately.
 
 use pai_core::{Jobs, PerfModel};
-use pai_par::Threads;
-use pai_predict::{
-    CalibrationAccum, HistoryConfig, HistoryStore, Observation, Signature, NUM_CLASSES,
-};
+use pai_predict::{CalibrationAccum, HistoryConfig, HistoryStore, Signature, NUM_CLASSES};
 use pai_trace::{Population, PopulationConfig};
 
 const JOBS: usize = 10_000;
@@ -21,7 +17,7 @@ const STEPS: f64 = 100.0;
 /// fixed step count — a deterministic function of the signature's
 /// underlying features, so the only prediction error is the
 /// predictor's own (neighbor averaging, collisions, cold starts).
-fn observations() -> Vec<Observation> {
+fn observations() -> Vec<(Signature, f64)> {
     let config = PopulationConfig::paper_scale(JOBS).expect("valid scale");
     let population = Population::generate(&config, SEED).expect("valid config");
     let model = PerfModel::paper_default();
@@ -30,10 +26,7 @@ fn observations() -> Vec<Observation> {
             let features = population.get(i);
             let ct = model.component_times(&features);
             let step = (ct.data_io + ct.computation() + ct.weight_traffic).as_f64();
-            Observation {
-                sig: Signature::of(&features),
-                duration_s: step * STEPS,
-            }
+            (Signature::of(&features), step * STEPS)
         })
         .collect()
 }
@@ -43,18 +36,19 @@ fn self_population_mape_stays_under_the_pinned_bound() {
     let history = observations();
     let mut store = HistoryStore::new(HistoryConfig::with_priors(SEED, [1.0; NUM_CLASSES]))
         .expect("valid config");
-    store.train(&history, Threads::new(4)).expect("valid batch");
+    for (sig, duration_s) in &history {
+        store.observe(sig, *duration_s).expect("valid duration");
+    }
     assert_eq!(store.observations(), JOBS as u64);
 
     let mut calib = CalibrationAccum::new();
-    let probes: Vec<Signature> = history.iter().map(|o| o.sig).collect();
-    let predictions = store.predict_batch(&probes, Threads::new(4));
-    for (obs, p) in history.iter().zip(&predictions) {
+    for (sig, duration_s) in &history {
+        let p = store.predict(sig);
         assert!(
             p.duration_s.is_finite() && p.duration_s > 0.0,
             "prediction must stay positive and finite: {p:?}"
         );
-        calib.record(obs.sig.class_index(), p.duration_s, obs.duration_s);
+        calib.record(sig.class_index(), p.duration_s, *duration_s);
     }
     let report = calib.report().expect("non-empty evaluation");
 
@@ -99,26 +93,28 @@ fn a_grown_history_beats_the_cold_prior() {
     // Baseline: per-class mean duration as the only estimate.
     let mut sums = [0.0f64; NUM_CLASSES];
     let mut counts = [0usize; NUM_CLASSES];
-    for obs in &history {
-        sums[obs.sig.class_index()] += obs.duration_s;
-        counts[obs.sig.class_index()] += 1;
+    for (sig, duration_s) in &history {
+        sums[sig.class_index()] += duration_s;
+        counts[sig.class_index()] += 1;
     }
     let mut baseline = CalibrationAccum::new();
-    for obs in &history {
-        let class = obs.sig.class_index();
+    for (sig, duration_s) in &history {
+        let class = sig.class_index();
         baseline.record(
             class,
             sums[class] / counts[class].max(1) as f64,
-            obs.duration_s,
+            *duration_s,
         );
     }
     let baseline_mape = baseline.report().expect("non-empty").mape;
 
-    store.train(&history, Threads::SERIAL).expect("valid batch");
+    for (sig, duration_s) in &history {
+        store.observe(sig, *duration_s).expect("valid duration");
+    }
     let mut knn = CalibrationAccum::new();
-    for obs in &history {
-        let p = store.predict(&obs.sig);
-        knn.record(obs.sig.class_index(), p.duration_s, obs.duration_s);
+    for (sig, duration_s) in &history {
+        let p = store.predict(sig);
+        knn.record(sig.class_index(), p.duration_s, *duration_s);
     }
     let knn_mape = knn.report().expect("non-empty").mape;
     assert!(

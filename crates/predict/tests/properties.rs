@@ -1,16 +1,13 @@
-//! The predictor's property suite — the three contracts the scheduler
+//! The predictor's property suite — the two contracts the scheduler
 //! integration rests on:
 //!
 //! 1. a prediction is **never** NaN, zero, or negative, cold start
 //!    included (the class prior answers);
-//! 2. training and batch prediction are **bit-identical** at any
-//!    worker-thread count (serial path = oracle, 2/4/8 threads);
-//! 3. within a bucket epoch (no ring eviction), predictions are
+//! 2. within a bucket epoch (no ring eviction), predictions are
 //!    invariant to the **order** history was inserted in.
 
 use pai_core::Architecture;
-use pai_par::{assert_serial_parallel_identical, Threads, EQUIVALENCE_THREADS};
-use pai_predict::{HistoryConfig, HistoryStore, Observation, Prediction, Signature, NUM_CLASSES};
+use pai_predict::{HistoryConfig, HistoryStore, Prediction, Signature, NUM_CLASSES};
 use proptest::prelude::*;
 
 /// A deterministic SplitMix64 step for the in-test shuffle — the
@@ -50,9 +47,18 @@ fn arb_signature() -> impl Strategy<Value = Signature> {
         })
 }
 
-fn arb_observation() -> impl Strategy<Value = Observation> {
+/// A signature and its observed duration.
+fn arb_observation() -> impl Strategy<Value = (Signature, f64)> {
     (arb_signature(), 1.0e-3f64..1.0e6)
-        .prop_map(|(sig, duration_s)| Observation { sig, duration_s })
+}
+
+/// A store with `history` observed in order.
+fn trained(config: HistoryConfig, history: &[(Signature, f64)]) -> HistoryStore {
+    let mut store = HistoryStore::new(config).expect("valid config");
+    for (sig, duration_s) in history {
+        store.observe(sig, *duration_s).expect("valid duration");
+    }
+    store
 }
 
 fn assert_sane(p: &Prediction) {
@@ -65,9 +71,9 @@ fn assert_sane(p: &Prediction) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// ISSUE satellite (a): cold start falls back to the per-class
-    /// prior and is never NaN, zero, or negative — and stays sane
-    /// after arbitrary valid history lands.
+    /// Cold start falls back to the per-class prior and is never NaN,
+    /// zero, or negative — and stays sane after arbitrary valid
+    /// history lands.
     #[test]
     fn predictions_are_never_nan_zero_or_negative(
         probe in arb_signature(),
@@ -81,35 +87,17 @@ proptest! {
         prop_assert_eq!(cold.neighbors, 0);
         prop_assert_eq!(cold.duration_s, prior);
         assert_sane(&cold);
-        for obs in &history {
-            store.observe(&obs.sig, obs.duration_s).expect("valid duration");
+        for (sig, duration_s) in &history {
+            store.observe(sig, *duration_s).expect("valid duration");
             assert_sane(&store.predict(&probe));
-            assert_sane(&store.predict(&obs.sig));
+            assert_sane(&store.predict(sig));
         }
     }
 
-    /// ISSUE satellite (b), thread half: training and batch
-    /// prediction are bit-identical across PAI_THREADS ∈ {1, 2, 4, 8}.
-    #[test]
-    fn train_and_predict_are_thread_count_invariant(
-        seed in 0u64..1_000,
-        history in proptest::collection::vec(arb_observation(), 1..300),
-        probes in proptest::collection::vec(arb_signature(), 1..50),
-    ) {
-        assert_serial_parallel_identical(&EQUIVALENCE_THREADS, |threads| {
-            let mut store =
-                HistoryStore::new(HistoryConfig::with_priors(seed, [10.0; NUM_CLASSES]))
-                    .expect("valid config");
-            store.train(&history, threads).expect("valid batch");
-            let predictions = store.predict_batch(&probes, threads);
-            (store, predictions)
-        });
-    }
-
-    /// ISSUE satellite (b), order half: within a bucket epoch (rings
-    /// large enough that nothing is evicted), any permutation of the
-    /// history predicts bit-identically — ranking is by
-    /// `(distance², duration)`, never insertion order.
+    /// Within a bucket epoch (rings large enough that nothing is
+    /// evicted), any permutation of the history predicts
+    /// bit-identically — ranking is by `(distance², duration)`, never
+    /// insertion order.
     #[test]
     fn predictions_are_insertion_order_invariant_within_an_epoch(
         perm_seed in 0u64..1_000_000,
@@ -120,13 +108,9 @@ proptest! {
         // eviction, so the epoch spans the whole test.
         let mut config = HistoryConfig::with_priors(7, [10.0; NUM_CLASSES]);
         config.ring_capacity = history.len();
-        let mut forward = HistoryStore::new(config.clone()).expect("valid config");
-        forward.train(&history, Threads::SERIAL).expect("valid batch");
-        let mut permuted = HistoryStore::new(config).expect("valid config");
-        permuted
-            .train(&shuffled(&history, perm_seed), Threads::SERIAL)
-            .expect("valid batch");
-        for probe in probes.iter().chain(history.iter().map(|o| &o.sig)) {
+        let forward = trained(config.clone(), &history);
+        let permuted = trained(config, &shuffled(&history, perm_seed));
+        for probe in probes.iter().chain(history.iter().map(|(sig, _)| sig)) {
             prop_assert_eq!(forward.predict(probe), permuted.predict(probe));
         }
     }

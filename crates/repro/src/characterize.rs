@@ -8,8 +8,7 @@
 
 use pai_core::project::{project, ProjectionTarget};
 use pai_core::sweep::relevant_axes;
-use pai_core::{Architecture, PerfModel, WorkloadFeatures};
-use pai_hw::{Bytes, Flops};
+use pai_core::{Architecture, FeatureViolation, PerfModel, RawFeatures, WorkloadFeatures};
 use serde::{Deserialize, Serialize};
 
 use crate::render::{pct, table};
@@ -49,13 +48,9 @@ fn one() -> usize {
 pub enum SpecError {
     /// The architecture string is not recognized.
     UnknownArchitecture(String),
-    /// cNode count incompatible with the class.
-    BadCnodes {
-        /// The class requested.
-        arch: Architecture,
-        /// The offending count.
-        cnodes: usize,
-    },
+    /// The spec breaks a feature invariant (a non-finite or negative
+    /// size, a zero count, a cNode count the class cannot have).
+    Invalid(FeatureViolation),
 }
 
 impl std::fmt::Display for SpecError {
@@ -66,9 +61,7 @@ impl std::fmt::Display for SpecError {
                 "unknown architecture '{s}' (expected 1w1g, 1wng, ps_worker, \
                  allreduce_local or allreduce_cluster)"
             ),
-            SpecError::BadCnodes { arch, cnodes } => {
-                write!(f, "{cnodes} cNode(s) is invalid for {arch}")
-            }
+            SpecError::Invalid(violation) => write!(f, "invalid job: {violation}"),
         }
     }
 }
@@ -93,32 +86,28 @@ pub fn parse_architecture(s: &str) -> Result<Architecture, SpecError> {
 }
 
 impl JobSpec {
-    /// Converts to the internal feature record.
+    /// Converts to the internal feature record: the spec's units become
+    /// a [`RawFeatures`] in bytes and FLOPs, which
+    /// [`RawFeatures::validate`] checks like any untrusted record.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] for unknown architectures or invalid
-    /// cNode counts.
+    /// Returns [`SpecError`] for an unknown architecture or a spec that
+    /// breaks a feature invariant.
     pub fn to_features(&self) -> Result<WorkloadFeatures, SpecError> {
-        let arch = parse_architecture(&self.architecture)?;
-        let valid = match arch {
-            Architecture::OneWorkerOneGpu => self.cnodes == 1,
-            _ => self.cnodes >= 2,
-        };
-        if !valid || self.batch_size == 0 {
-            return Err(SpecError::BadCnodes {
-                arch,
-                cnodes: self.cnodes,
-            });
+        // A count past `i64::MAX` saturates: absurd either way.
+        let count = |n: usize| i64::try_from(n).unwrap_or(i64::MAX);
+        RawFeatures {
+            arch: parse_architecture(&self.architecture)?,
+            cnodes: count(self.cnodes),
+            batch_size: count(self.batch_size),
+            input_bytes: self.input_mb * 1e6,
+            weight_bytes: self.weight_gb * 1e9,
+            flops: self.tflops * 1e12,
+            mem_access_bytes: self.mem_access_gb * 1e9,
         }
-        Ok(WorkloadFeatures::builder(arch)
-            .cnodes(self.cnodes)
-            .batch_size(self.batch_size)
-            .input_bytes(Bytes::from_mb(self.input_mb.max(0.0)))
-            .weight_bytes(Bytes::from_gb(self.weight_gb.max(0.0)))
-            .flops(Flops::from_tera(self.tflops.max(0.0)))
-            .mem_access_bytes(Bytes::from_gb(self.mem_access_gb.max(0.0)))
-            .build())
+        .validate()
+        .map_err(SpecError::Invalid)
     }
 }
 
@@ -276,8 +265,45 @@ mod tests {
         let mut s = spec();
         s.cnodes = 1;
         let err = s.to_features().expect_err("1 cNode is not a PS job");
-        assert!(matches!(err, SpecError::BadCnodes { .. }));
+        assert!(matches!(
+            err,
+            SpecError::Invalid(FeatureViolation::ClassMismatch { .. })
+        ));
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn hostile_specs_are_typed_errors() {
+        let model = PerfModel::paper_default();
+        for (body, violation) in [
+            (
+                r#"{"architecture":"ps_worker","cnodes":2,"weight_gb":1e300}"#,
+                FeatureViolation::NonFinite {
+                    field: "weight_bytes",
+                },
+            ),
+            (
+                r#"{"architecture":"ps_worker","cnodes":2,"tflops":1e300}"#,
+                FeatureViolation::NonFinite { field: "flops" },
+            ),
+            (
+                r#"{"architecture":"ps_worker","cnodes":2,"input_mb":-1}"#,
+                FeatureViolation::Negative {
+                    field: "input_bytes",
+                },
+            ),
+            (
+                r#"{"architecture":"ps_worker","cnodes":2,"batch_size":0}"#,
+                FeatureViolation::ZeroBatch,
+            ),
+        ] {
+            let spec: JobSpec = serde_json::from_str(body).expect("parses");
+            assert_eq!(
+                characterize(&spec, &model),
+                Err(SpecError::Invalid(violation)),
+                "{body}"
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@ use pai_trace::TraceError;
 /// Anything that can go wrong while regenerating an artifact.
 #[derive(Debug)]
 pub enum ReproError {
-    /// The requested experiment id is not in
-    /// [`crate::ALL_EXPERIMENTS`].
+    /// The requested experiment id is not in [`crate::EXPERIMENTS`].
     UnknownExperiment {
         /// The id that failed to resolve.
         id: String,

@@ -130,64 +130,49 @@ impl Default for Context {
     }
 }
 
-/// Every paper experiment id, in paper order.
-pub const PAPER_EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table3", "fig11",
-    "table4", "table5", "fig12", "table6", "fig13a", "fig13b", "fig13c", "fig13d", "fig15",
-    "fig16", "summary",
+/// Runs one experiment against the shared context.
+pub type Runner = fn(&Context) -> Result<ExperimentResult, ReproError>;
+
+/// Every experiment, in artifact order: the paper's tables and figures,
+/// the scorecard, then the extensions beyond the paper (future work and
+/// Sec. VI implications). The one source of the ids `repro --list`
+/// prints, `repro all` runs and [`run_experiment`] accepts.
+pub const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("table1", |_| Ok(config_tables::table1())),
+    ("table2", |_| Ok(config_tables::table2())),
+    ("fig5", |ctx| Ok(cluster::fig5(ctx))),
+    ("fig6", |ctx| Ok(cluster::fig6(ctx))),
+    ("fig7", |ctx| Ok(cluster::fig7(ctx))),
+    ("fig8", |ctx| Ok(cluster::fig8(ctx))),
+    ("fig9", |ctx| Ok(projection::fig9(ctx))),
+    ("fig10", |ctx| Ok(projection::fig10(ctx))),
+    ("table3", |_| Ok(config_tables::table3())),
+    ("fig11", |ctx| Ok(sweeps::fig11(ctx))),
+    ("table4", |_| Ok(case_studies::table4())),
+    ("table5", |_| Ok(case_studies::table5())),
+    ("fig12", |_| Ok(case_studies::fig12())),
+    ("table6", |_| Ok(case_studies::table6())),
+    ("fig13a", |_| optimizations::fig13a()),
+    ("fig13b", |_| optimizations::fig13b()),
+    ("fig13c", |_| optimizations::fig13c()),
+    ("fig13d", |_| optimizations::fig13d()),
+    ("fig15", |ctx| Ok(sensitivity_x::fig15(ctx))),
+    ("fig16", projection::fig16),
+    ("summary", |ctx| Ok(cluster::summary(ctx))),
+    ("scorecard", |ctx| Ok(scorecard::scorecard(ctx))),
+    ("ext-inference", |_| extensions::inference()),
+    ("ext-cluster", extensions::cluster_mix),
+    ("ext-upgrade", extensions::cluster_upgrade),
+    ("ext-scaling", |_| extensions::scaling()),
+    ("ext-adoption", |ctx| Ok(extensions::adoption(ctx))),
+    ("resilience", resilience::resilience),
+    ("schedule", schedule::schedule),
+    ("stream", |ctx| Ok(stream::stream(ctx))),
+    ("resume", resume::resume),
+    ("overlap", |ctx| Ok(overlap::overlap(ctx))),
 ];
 
-/// Extensions beyond the paper (future work and Sec. VI implications).
-pub const EXTENSION_EXPERIMENTS: &[&str] = &[
-    "ext-inference",
-    "ext-cluster",
-    "ext-upgrade",
-    "ext-scaling",
-    "ext-adoption",
-    "resilience",
-    "schedule",
-    "stream",
-    "resume",
-    "overlap",
-];
-
-/// Paper experiments followed by the extensions.
-pub const ALL_EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "table3",
-    "fig11",
-    "table4",
-    "table5",
-    "fig12",
-    "table6",
-    "fig13a",
-    "fig13b",
-    "fig13c",
-    "fig13d",
-    "fig15",
-    "fig16",
-    "summary",
-    "scorecard",
-    "ext-inference",
-    "ext-cluster",
-    "ext-upgrade",
-    "ext-scaling",
-    "ext-adoption",
-    "resilience",
-    "schedule",
-    "stream",
-    "resume",
-    "overlap",
-];
-
-/// Runs one experiment by id (the valid ids are [`ALL_EXPERIMENTS`]).
+/// Runs one experiment by id (the valid ids are those of [`EXPERIMENTS`]).
 ///
 /// # Errors
 ///
@@ -195,44 +180,11 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 /// and propagates any simulation/placement/fault-plan error an
 /// experiment hits.
 pub fn run_experiment(id: &str, ctx: &Context) -> Result<ExperimentResult, ReproError> {
-    let result = match id {
-        "table1" => config_tables::table1(),
-        "table2" => config_tables::table2(),
-        "fig5" => cluster::fig5(ctx),
-        "fig6" => cluster::fig6(ctx),
-        "fig7" => cluster::fig7(ctx),
-        "fig8" => cluster::fig8(ctx),
-        "fig9" => projection::fig9(ctx),
-        "fig10" => projection::fig10(ctx),
-        "table3" => config_tables::table3(),
-        "fig11" => sweeps::fig11(ctx),
-        "table4" => case_studies::table4(),
-        "table5" => case_studies::table5(),
-        "fig12" => case_studies::fig12(),
-        "table6" => case_studies::table6(),
-        "fig13a" => optimizations::fig13a()?,
-        "fig13b" => optimizations::fig13b()?,
-        "fig13c" => optimizations::fig13c()?,
-        "fig13d" => optimizations::fig13d()?,
-        "fig15" => sensitivity_x::fig15(ctx),
-        "fig16" => projection::fig16(ctx)?,
-        "summary" => cluster::summary(ctx),
-        "scorecard" => scorecard::scorecard(ctx),
-        "ext-inference" => extensions::inference()?,
-        "ext-cluster" => extensions::cluster_mix(ctx)?,
-        "ext-upgrade" => extensions::cluster_upgrade(ctx)?,
-        "ext-scaling" => extensions::scaling()?,
-        "ext-adoption" => extensions::adoption(ctx),
-        "resilience" => resilience::resilience(ctx)?,
-        "schedule" => schedule::schedule(ctx)?,
-        "stream" => stream::stream(ctx),
-        "resume" => resume::resume(ctx)?,
-        "overlap" => overlap::overlap(ctx),
-        _ => {
-            return Err(ReproError::UnknownExperiment { id: id.to_string() });
-        }
-    };
-    Ok(result)
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(known, _)| *known == id)
+        .ok_or_else(|| ReproError::UnknownExperiment { id: id.to_string() })?;
+    run(ctx)
 }
 
 #[cfg(test)]
@@ -241,10 +193,10 @@ mod tests {
 
     #[test]
     fn all_ids_are_unique() {
-        let mut ids: Vec<&str> = ALL_EXPERIMENTS.to_vec();
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), ALL_EXPERIMENTS.len());
+        assert_eq!(ids.len(), EXPERIMENTS.len());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pai_repro::{run_experiment, Context, ALL_EXPERIMENTS, POPULATION};
+use pai_repro::{run_experiment, Context, EXPERIMENTS, POPULATION};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,7 +25,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if args.iter().any(|a| a == "--list") {
-        for id in ALL_EXPERIMENTS {
+        for (id, _) in EXPERIMENTS {
             println!("{id}");
         }
         return ExitCode::SUCCESS;
@@ -52,10 +52,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if ids.len() == 1 && ids[0] == "all" {
-        ids = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        ids = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     }
     for id in &ids {
-        if !ALL_EXPERIMENTS.contains(&id.as_str()) {
+        if !EXPERIMENTS.iter().any(|(known, _)| known == id) {
             eprintln!("unknown experiment '{id}'; use --list");
             return ExitCode::FAILURE;
         }
@@ -107,6 +107,10 @@ fn print_help() {
          'Characterizing Deep Learning Training Workloads on Alibaba-PAI'\n\n\
          usage: repro [--jobs N] <id>... | all | --list\n\n\
          ids: {}",
-        ALL_EXPERIMENTS.join(", ")
+        EXPERIMENTS
+            .iter()
+            .map(|(id, _)| *id)
+            .collect::<Vec<_>>()
+            .join(", ")
     );
 }

@@ -12,7 +12,7 @@
 //! and goodput of each run.
 //!
 //! The closed-form cross-check:
-//! [`pai_core::resilience::expected_step_time`] predicts the straggler
+//! [`pai_core::resilience::expected_straggler_dilation`] predicts the straggler
 //! contribution analytically; the JSON payload carries both so the
 //! simulated barrier dilation can be compared against the formula.
 

@@ -6,14 +6,14 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use pai_repro::{run_experiment, Context, ALL_EXPERIMENTS};
+use pai_repro::{run_experiment, Context, EXPERIMENTS};
 
 #[test]
 fn every_experiment_runs_on_one_and_two_job_populations() {
     let mut failures = Vec::new();
     for jobs in [1, 2] {
         let ctx = Context::with_size(jobs);
-        for &id in ALL_EXPERIMENTS {
+        for &(id, _) in EXPERIMENTS {
             match catch_unwind(AssertUnwindSafe(|| run_experiment(id, &ctx))) {
                 Ok(Ok(result)) => assert_eq!(result.id, id),
                 Ok(Err(e)) => failures.push(format!("{id} at {jobs} jobs: {e}")),

@@ -107,12 +107,6 @@ pub struct SchedJob {
 }
 
 impl SchedJob {
-    /// True when a single-server placement changes this job's step
-    /// time — the locality-aware policy targets exactly these jobs.
-    pub fn prefers_local(&self) -> bool {
-        self.sync == SyncClass::Local
-    }
-
     /// Best-case (uncontended, locality-respecting) step time on the
     /// given cluster: the denominator of the slowdown metric.
     pub fn solo_step(&self, cluster: &ClusterSpec) -> Seconds {
@@ -194,12 +188,5 @@ mod tests {
         // 200 MB over a 25 Gbit/s NIC dwarfs the NVLink pass: Ethernet
         // jobs are the ones placement can hurt.
         assert!(ethernet.solo_step(&cluster) > local.solo_step(&cluster));
-    }
-
-    #[test]
-    fn only_local_jobs_prefer_locality() {
-        assert!(!job(SyncClass::Silent).prefers_local());
-        assert!(job(SyncClass::Local).prefers_local());
-        assert!(!job(SyncClass::Ethernet).prefers_local());
     }
 }

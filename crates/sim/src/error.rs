@@ -18,8 +18,6 @@ pub enum SimError {
     },
     /// The PCIe contention factor must be at least 1.
     ZeroContention,
-    /// A replicated run needs at least one replica.
-    ZeroReplicas,
     /// A multi-step run needs at least one step.
     ZeroSteps,
     /// Step statistics need at least one measurement.
@@ -35,7 +33,6 @@ impl fmt::Display for SimError {
                 write!(f, "dilation factor must be finite and > 0, got {value}")
             }
             SimError::ZeroContention => write!(f, "contention factor must be at least 1"),
-            SimError::ZeroReplicas => write!(f, "need at least one replica"),
             SimError::ZeroSteps => write!(f, "need at least one step"),
             SimError::NoMeasurements => {
                 write!(f, "step statistics need at least one measurement")
@@ -69,7 +66,6 @@ mod tests {
         let variants = [
             SimError::InvalidDilation { value: -1.0 },
             SimError::ZeroContention,
-            SimError::ZeroReplicas,
             SimError::ZeroSteps,
             SimError::NoMeasurements,
             SimError::Fault(FaultError::NoReplicas),

@@ -79,8 +79,8 @@ impl StepSimulator {
     /// `pcie_contention` is the number of replicas sharing this
     /// server's PCIe complex for input loading (1 for PS workers and
     /// 1w1g, the local GPU count for 1wng/AllReduce placements). It
-    /// scales each input load's volume; this is the one-replica case
-    /// of [`StepSimulator::run_replicas`], plus per-op profiles.
+    /// scales each input load's volume. Only this entry point keeps
+    /// per-op profiles.
     ///
     /// Returns [`SimError::ZeroContention`] if `pcie_contention` is
     /// zero.
@@ -93,36 +93,22 @@ impl StepSimulator {
         if pcie_contention == 0 {
             return Err(SimError::ZeroContention);
         }
-        self.lower(graph, comm, 1, None, pcie_contention, true)
+        self.lower(graph, comm, None, pcie_contention)
     }
 
-    /// Simulates `replicas` copies of the graph training in lockstep on
+    /// Simulates one synchronous step of a replica group in lockstep on
     /// one server: each replica owns a GPU and its NVLink/Ethernet
     /// ports (ring collectives use dedicated per-rank links), but all
-    /// replicas share the server's PCIe root complex for input loading.
-    ///
-    /// Unlike [`StepSimulator::run`], no contention factor is passed
-    /// in — the input-I/O dilation the paper describes in Sec. III-C1
+    /// replicas share the server's PCIe root complex for input loading,
+    /// so the input-I/O dilation the paper describes in Sec. III-C1
     /// ("competition for PCIe bandwidth") *emerges* from the shared
-    /// resource. The reported `data_io` is the PCIe busy window; the
-    /// compute/communication components are replica 0's (replicas are
-    /// symmetric).
+    /// resource; the reported `data_io` is the PCIe busy window.
     ///
-    /// Returns [`SimError::ZeroReplicas`] if `replicas` is zero.
-    pub fn run_replicas(
-        &self,
-        graph: &Graph,
-        comm: &CommPlan,
-        replicas: usize,
-    ) -> Result<StepMeasurement, SimError> {
-        self.lower(graph, comm, replicas, None, 1, false)
-    }
-
-    /// Simulates one synchronous step of a replica group under an
-    /// injected fault realization: per-replica compute dilation
-    /// (stragglers + jitter) and communication dilation (degraded
-    /// NICs) stretch that replica's resources, and failed PS RPCs add
-    /// retry backoff on its port. The step completes when the slowest
+    /// The group runs under an injected fault realization, and a
+    /// [`pai_faults::FaultPlan::healthy`] plan injects nothing.
+    /// Per-replica compute dilation (stragglers + jitter) and
+    /// communication dilation (degraded NICs) stretch that replica's
+    /// resources, and failed PS RPCs add retry backoff on its port. The step completes when the slowest
     /// replica does — exactly the sync-barrier semantics the fault
     /// model aggregates by.
     ///
@@ -138,17 +124,13 @@ impl StepSimulator {
         injector: &FaultInjector,
         step: usize,
     ) -> Result<StepMeasurement, SimError> {
-        self.lower(
-            graph,
-            comm,
-            injector.replicas(),
-            Some((injector, step)),
-            1,
-            false,
-        )
+        self.lower(graph, comm, Some((injector, step)), 1)
     }
 
-    /// The one lowering behind every entry point. Each replica gets a
+    /// The one lowering behind both entry points: without `faults` it
+    /// is [`StepSimulator::run`] (one replica, per-op profiles kept),
+    /// with them a group of the injector's replicas (whose plan
+    /// validation rejects zero) and no profiles. Each replica gets a
     /// GPU lane and a port; all share one PCIe lane, on which an input
     /// load moves `input_scale` times its bytes. A replica's ops run in
     /// topological order, each once its predecessors have finished and
@@ -158,14 +140,11 @@ impl StepSimulator {
         &self,
         graph: &Graph,
         comm: &CommPlan,
-        replicas: usize,
         faults: Option<(&FaultInjector, usize)>,
         input_scale: usize,
-        keep_profiles: bool,
     ) -> Result<StepMeasurement, SimError> {
-        if replicas == 0 {
-            return Err(SimError::ZeroReplicas);
-        }
+        let replicas = faults.map_or(1, |(inj, _)| inj.replicas());
+        let keep_profiles = faults.is_none();
         let hw = self.config.hardware();
         let launch_gap = self.config.kernel_launch_overhead();
         let transfer_time = |t: &Transfer| hw.link(t.link).transfer_time(t.bytes);
@@ -262,7 +241,7 @@ impl StepSimulator {
         }
 
         // Assemble the measurement, folding in topological and plan
-        // order. Only `run`, which lowers one replica, keeps profiles.
+        // order.
         let mut healthy_compute = Seconds::ZERO;
         let mut compute_bound = Seconds::ZERO;
         let mut memory_bound = Seconds::ZERO;
@@ -360,6 +339,17 @@ mod tests {
         g.connect(load, mm);
         g.connect(mm, ew);
         g
+    }
+
+    /// One step of `replicas` replicas under a healthy plan.
+    fn healthy_group(
+        sim: &StepSimulator,
+        g: &Graph,
+        comm: &CommPlan,
+        replicas: usize,
+    ) -> StepMeasurement {
+        let inj = FaultInjector::new(FaultPlan::healthy(replicas).unwrap()).unwrap();
+        sim.run_replicas_faulted(g, comm, &inj, 0).unwrap()
     }
 
     #[test]
@@ -546,7 +536,7 @@ mod tests {
             (toy_graph(), mixed),
         ] {
             let single = sim.run(&g, &comm, 1).unwrap();
-            let group = sim.run_replicas(&g, &comm, 1).unwrap();
+            let group = healthy_group(&sim, &g, &comm, 1);
             assert_same_bits(&single, &group);
             assert_eq!(single.ops.len(), g.len());
             assert!(group.ops.is_empty());
@@ -571,11 +561,11 @@ mod tests {
         let phased = graph_only + comm.serialized_time(sim.config().hardware());
         assert!((phased.as_f64() - 23.09e-3).abs() < 0.01e-3, "{phased}");
         for m in [
-            sim.run(&g, &comm, 1),
-            sim.run_replicas(&g, &comm, 1),
-            sim.run_replicas(&g, &comm, 4),
+            sim.run(&g, &comm, 1).unwrap(),
+            healthy_group(&sim, &g, &comm, 1),
+            healthy_group(&sim, &g, &comm, 4),
         ] {
-            assert_eq!(m.unwrap().total, phased);
+            assert_eq!(m.total, phased);
         }
     }
 
@@ -585,8 +575,8 @@ mod tests {
         // contention factor: total PCIe window = n x single load.
         let g = toy_graph();
         let sim = StepSimulator::new(SimConfig::testbed());
-        let one = sim.run_replicas(&g, &CommPlan::new(), 1).unwrap();
-        let eight = sim.run_replicas(&g, &CommPlan::new(), 8).unwrap();
+        let one = healthy_group(&sim, &g, &CommPlan::new(), 1);
+        let eight = healthy_group(&sim, &g, &CommPlan::new(), 8);
         let ratio = eight.data_io.as_f64() / one.data_io.as_f64();
         assert!((ratio - 8.0).abs() < 1e-9, "emergent contention {ratio}");
         // And it agrees with the closed-form factor `run` applies.
@@ -603,8 +593,8 @@ mod tests {
         let mm = g.add(Op::new("mm", matmul(4096, 4096, 4096)));
         g.connect(load, mm);
         let sim = StepSimulator::new(SimConfig::testbed());
-        let one = sim.run_replicas(&g, &CommPlan::new(), 1).unwrap();
-        let eight = sim.run_replicas(&g, &CommPlan::new(), 8).unwrap();
+        let one = healthy_group(&sim, &g, &CommPlan::new(), 1);
+        let eight = healthy_group(&sim, &g, &CommPlan::new(), 8);
         assert!(eight.total.as_f64() < 1.01 * one.total.as_f64());
     }
 
@@ -620,18 +610,27 @@ mod tests {
             Bytes::from_mb(350.0),
         ));
         let sim = StepSimulator::new(SimConfig::testbed());
-        let one = sim.run_replicas(&g, &comm, 1).unwrap();
-        let eight = sim.run_replicas(&g, &comm, 8).unwrap();
+        let one = healthy_group(&sim, &g, &comm, 1);
+        let eight = healthy_group(&sim, &g, &comm, 8);
         assert!((one.comm_total().as_f64() - eight.comm_total().as_f64()).abs() < 1e-12);
     }
 
     #[test]
     fn run_replicas_rejects_zero() {
-        let g = Graph::new("empty");
-        let err = StepSimulator::new(SimConfig::testbed())
-            .run_replicas(&g, &CommPlan::new(), 0)
-            .unwrap_err();
-        assert_eq!(err, SimError::ZeroReplicas);
+        // A group of zero replicas never reaches the lowering: the plan
+        // constructors refuse one, and the injector re-validates a
+        // zero-replica plan that arrives deserialized.
+        use pai_faults::FaultError;
+        use serde::Deserialize as _;
+        assert_eq!(FaultPlan::healthy(0).unwrap_err(), FaultError::NoReplicas);
+        let text = serde_json::to_string(&FaultPlan::healthy(1).unwrap()).unwrap();
+        let zero = text.replace("\"replicas\":1", "\"replicas\":0");
+        assert_ne!(zero, text);
+        let plan = FaultPlan::from_value(&serde_json::from_str(&zero).unwrap()).unwrap();
+        assert_eq!(
+            FaultInjector::new(plan).unwrap_err(),
+            FaultError::NoReplicas
+        );
     }
 
     #[test]
@@ -652,11 +651,12 @@ mod tests {
             LinkKind::NvLink,
             Bytes::from_mb(350.0),
         ));
+        // Four plain replicas serialize their input loads on the shared
+        // PCIe lane: the step is `run` at contention 4.
         let sim = StepSimulator::new(SimConfig::testbed());
-        let inj = FaultInjector::new(FaultPlan::healthy(4).unwrap()).unwrap();
-        let plain = sim.run_replicas(&g, &comm, 4).unwrap();
-        let faulted = sim.run_replicas_faulted(&g, &comm, &inj, 0).unwrap();
-        assert_eq!(plain.total, faulted.total);
+        let plain = sim.run(&g, &comm, 4).unwrap();
+        let faulted = healthy_group(&sim, &g, &comm, 4);
+        assert!((plain.total.as_f64() - faulted.total.as_f64()).abs() < 1e-12);
         assert_eq!(plain.comm_by_link, faulted.comm_by_link);
         assert!(faulted.faults.is_clean());
     }
@@ -688,7 +688,7 @@ mod tests {
         let mm = g.add(Op::new("mm", matmul(2048, 2048, 2048)));
         g.connect(load, mm);
         let sim = StepSimulator::new(SimConfig::testbed());
-        let healthy = sim.run_replicas(&g, &CommPlan::new(), 4).unwrap();
+        let healthy = healthy_group(&sim, &g, &CommPlan::new(), 4);
         let plan = FaultPlan::builder(4).straggler(2, 2.0).build().unwrap();
         let inj = FaultInjector::new(plan).unwrap();
         let slow = sim
@@ -710,7 +710,7 @@ mod tests {
             Bytes::from_mb(350.0),
         ));
         let sim = StepSimulator::new(SimConfig::testbed());
-        let healthy = sim.run_replicas(&g, &comm, 4).unwrap();
+        let healthy = healthy_group(&sim, &g, &comm, 4);
         let plan = FaultPlan::builder(4)
             .nic_degradation(1, 3.0)
             .build()
@@ -765,7 +765,7 @@ mod tests {
             Bytes::from_mb(90.0),
         ));
         let sim = StepSimulator::new(SimConfig::testbed());
-        let graph = sim.run_replicas(&g, &CommPlan::new(), 2).unwrap().total;
+        let graph = healthy_group(&sim, &g, &CommPlan::new(), 2).total;
         let plan = FaultPlan::builder(2)
             .nic_degradation(1, 3.0)
             .ps_retry(1, 3)
@@ -792,7 +792,7 @@ mod tests {
         // shared PCIe lane keep their durations.
         let g = toy_graph();
         let sim = StepSimulator::new(SimConfig::testbed());
-        let healthy = sim.run_replicas(&g, &CommPlan::new(), 4).unwrap();
+        let healthy = healthy_group(&sim, &g, &CommPlan::new(), 4);
         let plan = FaultPlan::builder(4).straggler(2, 2.0).build().unwrap();
         let inj = FaultInjector::new(plan).unwrap();
         let slow = sim
@@ -809,7 +809,7 @@ mod tests {
     fn ps_retries_add_backoff_delay() {
         let g = toy_graph();
         let sim = StepSimulator::new(SimConfig::testbed());
-        let healthy = sim.run_replicas(&g, &CommPlan::new(), 2).unwrap();
+        let healthy = healthy_group(&sim, &g, &CommPlan::new(), 2);
         let plan = FaultPlan::builder(2).ps_retry(1, 3).build().unwrap();
         let inj = FaultInjector::new(plan).unwrap();
         let slow = sim

@@ -102,15 +102,6 @@ impl StepMeasurement {
         self.comm_by_link.iter().map(|&(_, t)| t).sum()
     }
 
-    /// Communication time on one medium.
-    pub fn comm_on(&self, link: LinkKind) -> Seconds {
-        self.comm_by_link
-            .iter()
-            .filter(|&&(k, _)| k == link)
-            .map(|&(_, t)| t)
-            .sum()
-    }
-
     /// GPU computation time (both classes).
     pub fn computation(&self) -> Seconds {
         self.compute_bound + self.memory_bound
@@ -188,12 +179,6 @@ impl StepStats {
             lost_steps,
         })
     }
-
-    /// Statistics over a run with no recovery overhead (a healthy
-    /// baseline).
-    pub fn from_measurements(measurements: &[StepMeasurement]) -> Result<StepStats, SimError> {
-        StepStats::with_overhead(measurements, Seconds::ZERO, 0)
-    }
 }
 
 impl fmt::Display for StepStats {
@@ -254,8 +239,6 @@ mod tests {
     fn accessors() {
         let m = sample();
         assert!((m.comm_total().as_f64() - 0.4).abs() < 1e-12);
-        assert!((m.comm_on(LinkKind::Ethernet).as_f64() - 0.3).abs() < 1e-12);
-        assert!(m.comm_on(LinkKind::NvLink).is_zero());
         assert!((m.computation().as_f64() - 0.5).abs() < 1e-12);
         assert!((m.fraction(m.data_io) - 0.1).abs() < 1e-12);
     }
@@ -275,7 +258,7 @@ mod tests {
     #[test]
     fn stats_percentiles_use_nearest_rank() {
         let steps: Vec<StepMeasurement> = (1..=100).map(|i| timed(i as f64)).collect();
-        let s = StepStats::from_measurements(&steps).unwrap();
+        let s = StepStats::with_overhead(&steps, Seconds::ZERO, 0).unwrap();
         assert_eq!(s.steps, 100);
         assert_eq!(s.p50.as_f64(), 50.0);
         assert_eq!(s.p95.as_f64(), 95.0);
@@ -290,7 +273,7 @@ mod tests {
     #[test]
     fn overhead_lowers_goodput_but_not_percentiles() {
         let steps: Vec<StepMeasurement> = (0..10).map(|_| timed(2.0)).collect();
-        let healthy = StepStats::from_measurements(&steps).unwrap();
+        let healthy = StepStats::with_overhead(&steps, Seconds::ZERO, 0).unwrap();
         let degraded = StepStats::with_overhead(&steps, Seconds::from_f64(30.0), 3).unwrap();
         assert_eq!(healthy.p99, degraded.p99);
         assert!(degraded.goodput < healthy.goodput);
@@ -302,14 +285,14 @@ mod tests {
     #[test]
     fn stats_reject_an_empty_run() {
         assert_eq!(
-            StepStats::from_measurements(&[]).unwrap_err(),
+            StepStats::with_overhead(&[], Seconds::ZERO, 0).unwrap_err(),
             SimError::NoMeasurements
         );
     }
 
     #[test]
     fn single_step_stats_are_that_step() {
-        let s = StepStats::from_measurements(&[timed(3.0)]).unwrap();
+        let s = StepStats::with_overhead(&[timed(3.0)], Seconds::ZERO, 0).unwrap();
         assert_eq!(s.p50.as_f64(), 3.0);
         assert_eq!(s.p99.as_f64(), 3.0);
         assert_eq!(s.max.as_f64(), 3.0);

@@ -4,9 +4,9 @@
 //! relative, so they would let a reordered `max` or `+` through. This
 //! test pins the exact `f64` bits of `total`, `data_io` and
 //! `launch_stall` for ResNet50 and Speech (Table VI efficiencies
-//! injected, a hand-built NVLink + Ethernet plan) under `run`,
-//! `run_replicas(4)` and one `run_replicas_faulted` step, and the
-//! op count plus an FNV-1a digest of `run`'s per-op profiles. A failure
+//! injected, a hand-built NVLink + Ethernet plan) under `run`, a
+//! healthy four-replica `run_replicas_faulted` step and a faulted one,
+//! and the op count plus an FNV-1a digest of `run`'s per-op profiles. A failure
 //! means the simulator's arithmetic moved: fix the code, or, for an
 //! intentional change, re-read the literals from the failure message.
 
@@ -43,7 +43,7 @@ fn simulator(spec: &ModelSpec) -> StepSimulator {
     StepSimulator::new(SimConfig::testbed().with_efficiency(*spec.measured_efficiency()))
 }
 
-/// `run`, `run_replicas(4)` and step 7 of a four-replica faulted group.
+/// `run`, a healthy four-replica group and step 7 of a faulted one.
 fn measurements(spec: &ModelSpec) -> [[u64; 3]; 3] {
     let comm = comm_plan();
     let plan = FaultPlan::builder(4)
@@ -55,11 +55,12 @@ fn measurements(spec: &ModelSpec) -> [[u64; 3]; 3] {
         .build()
         .unwrap();
     let injector = FaultInjector::new(plan).unwrap();
+    let healthy = FaultInjector::new(FaultPlan::healthy(4).unwrap()).unwrap();
     let sim = simulator(spec);
     let graph = spec.graph();
     [
         sim.run(graph, &comm, 1),
-        sim.run_replicas(graph, &comm, 4),
+        sim.run_replicas_faulted(graph, &comm, &healthy, 0),
         sim.run_replicas_faulted(graph, &comm, &injector, 7),
     ]
     .map(|m| bits(&m.unwrap()))

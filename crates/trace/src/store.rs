@@ -19,12 +19,11 @@
 //!   over whole records.
 //!
 //! The store implements [`pai_core::Jobs`], so every analysis in
-//! `pai-core` runs against it directly, and [`pai_core::IngestSink`],
-//! so it can terminate a streaming pipeline.
+//! `pai-core` runs against it directly.
 
 use std::ops::Range;
 
-use pai_core::{Architecture, IngestSink, JobColumns, Jobs, WorkloadFeatures};
+use pai_core::{Architecture, JobColumns, Jobs, WorkloadFeatures};
 use pai_hw::{Bytes, Flops};
 use pai_par::ChunkedVec;
 
@@ -251,12 +250,6 @@ impl Jobs for JobStore {
     }
 }
 
-impl IngestSink for JobStore {
-    fn ingest(&mut self, job: &WorkloadFeatures) {
-        self.push(job);
-    }
-}
-
 impl FromIterator<WorkloadFeatures> for JobStore {
     fn from_iter<I: IntoIterator<Item = WorkloadFeatures>>(iter: I) -> JobStore {
         let mut store = JobStore::new();
@@ -403,16 +396,5 @@ mod tests {
     fn columns_past_the_end_panic() {
         let store: JobStore = sample(10).into_iter().collect();
         let _ = store.columns(5..11);
-    }
-
-    #[test]
-    fn ingest_sink_fills_the_store() {
-        let jobs = sample(5);
-        let mut store = JobStore::new();
-        for job in &jobs {
-            IngestSink::ingest(&mut store, job);
-        }
-        assert_eq!(store.len(), 5);
-        assert_eq!(Jobs::get(&store, 4), jobs[4]);
     }
 }

@@ -16,8 +16,8 @@
 
 use pai_core::codec::{crc32, model_fingerprint, ByteReader, ByteWriter, CheckpointError};
 use pai_core::{
-    FeatureViolation, HeadlineAccum, HeadlineStats, IngestSink, PerfModel, RawFeatures,
-    WhatIfIndex, WorkloadFeatures,
+    FeatureViolation, HeadlineAccum, HeadlineStats, PerfModel, RawFeatures, WhatIfIndex,
+    WorkloadFeatures,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -447,12 +447,6 @@ impl StreamSession {
             whatif,
             policy,
         })
-    }
-}
-
-impl IngestSink for StreamSession {
-    fn ingest(&mut self, job: &WorkloadFeatures) {
-        StreamSession::ingest(self, job);
     }
 }
 

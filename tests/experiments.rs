@@ -1,14 +1,14 @@
 //! Integration: every experiment of the repro harness runs and emits
 //! well-formed output at a reduced population scale.
 
-use pai_repro::{run_experiment, Context, ALL_EXPERIMENTS};
+use pai_repro::{run_experiment, Context, EXPERIMENTS};
 
 #[test]
 fn every_experiment_runs_and_produces_output() {
     let ctx = Context::with_size(2_000);
-    for id in ALL_EXPERIMENTS {
+    for &(id, _) in EXPERIMENTS {
         let result = run_experiment(id, &ctx).expect("experiment runs");
-        assert_eq!(&result.id, id);
+        assert_eq!(result.id, id);
         assert!(!result.title.is_empty(), "{id}: empty title");
         assert!(!result.text.trim().is_empty(), "{id}: empty text");
         assert!(!result.json.is_null(), "{id}: null JSON");
